@@ -300,14 +300,6 @@ def counters(device):
             device.dram.read_word(OK_COUNTER_ADDR))
 
 
-def campaign_auto(device, dut, far_words, variant="with_idf", **kwargs):
-    return Campaign(device, dut, **kwargs).run_auto(far_words, variant)
-
-
-def campaign_manual(device, dut, far_word, use_dram_frame=False, **kwargs):
-    return Campaign(device, dut, **kwargs).run_manual(far_word, use_dram_frame)
-
-
 def compare_summaries(with_idf, without_idf):
     """Critical-bit delta and relative reduction (%) of isolation vs none."""
     delta = without_idf.critical - with_idf.critical

@@ -30,6 +30,7 @@ from .packets import (
     DUMMY_WORD,
     ZEDBOARD_IDCODE,
     DecodeError,
+    build_desync_footer,
     build_readback_sequence,
     build_write_frame_sequence,
     decode_stream,
@@ -216,7 +217,6 @@ def _cmd_encode_write_frame(args):
     seq = build_write_frame_sequence(args.id, args.far, [frame] * args.frames)
     words = list(seq.words)
     if args.footer:
-        from .packets import build_desync_footer
         words += build_desync_footer().words
     write_sequence_file(args.out, words)
     print(f"wrote {len(words)} words to {args.out}")
@@ -319,11 +319,6 @@ def build_parser():
         prog="idfsim",
         description="Configuration-path simulator: packet codec, PCAP device "
                     "model, fault campaigns and isolation rule checks")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for anything randomized (default 0)")
-    parser.add_argument("--log", help="write the device event log to a file")
-    parser.add_argument("--format", choices=("text", "csv"), default="text",
-                        help="report output format")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("decode", help="pretty-print a binary sequence file")
@@ -357,6 +352,8 @@ def build_parser():
     p.set_defaults(func=_cmd_verify_idf)
 
     p = sub.add_parser("gen-map", help="generate a sensitivity map fixture")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for the generated map (default 0)")
     p.add_argument("--frames", type=int, required=True)
     p.add_argument("--critical", type=int, required=True)
     p.add_argument("--geometry", default="desk")
@@ -373,11 +370,16 @@ def build_parser():
                    help="frame index selection, e.g. 0-19 (default all)")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--fail-fast", action="store_true")
+    p.add_argument("--log", help="write the device event log to a file")
+    p.add_argument("--format", choices=("text", "csv"), default="text",
+                   help="report output format")
     p.set_defaults(func=_cmd_campaign)
 
     p = sub.add_parser("overhead", help="diff two utilization reports")
     p.add_argument("without_idf")
     p.add_argument("with_idf")
+    p.add_argument("--format", choices=("text", "csv"), default="text",
+                   help="report output format")
     p.set_defaults(func=_cmd_overhead)
 
     p = sub.add_parser("interactive", help="operator menu (serial-style)")

@@ -82,7 +82,6 @@ class InitPhase(IntEnum):
 class CtrlReg:
     pcap_pr: bool = False
     pcap_mode: bool = False
-    loopback: bool = False
 
 
 @dataclass
@@ -223,8 +222,6 @@ class Device:
             self.ctrl.pcap_pr = bool(value)
         elif name == "ctrl_pcap_mode":
             self.ctrl.pcap_mode = bool(value)
-        elif name == "ctrl_loopback":
-            self.ctrl.loopback = bool(value)
         elif name == "dma_src":
             self.dma_src = value & 0xFFFFFFFF
         elif name == "dma_dst":
@@ -330,7 +327,7 @@ class Device:
         for ev in events:
             self._event(f"ENGINE {ev}")
             if ev == "desync":
-                self._release_owner()
+                self.interface_release_on_desync()
             elif not ev.startswith(("sync", "desync")):
                 self.int_sts.cfg_error = True
         if readback:
@@ -378,14 +375,15 @@ class Device:
         self._event(f"ACQUIRE {kind.name} IGNORED OWNER={self.owner.name}")
         return False
 
-    def _release_owner(self):
+    def interface_release_on_desync(self):
+        """Release the configuration interface, as a DESYNC command does.
+
+        PS->PL transfers call this when the engine reports `desync`; callers
+        use it directly for interfaces without a modeled data path.
+        """
         if self.owner is not None:
             self._event(f"DESYNC RELEASE {self.owner.name}")
             self.owner = None
-
-    def interface_release_on_desync(self):
-        """Explicit release hook for interfaces without a modeled data path."""
-        self._release_owner()
 
 
 def boot_device(geometry=None, device_id=ZEDBOARD_IDCODE):
@@ -394,6 +392,5 @@ def boot_device(geometry=None, device_id=ZEDBOARD_IDCODE):
     dev.unlock(UNLOCK_KEY)
     dev.write_reg("ctrl_pcap_pr", 1)
     dev.write_reg("ctrl_pcap_mode", 1)
-    dev.write_reg("ctrl_loopback", 0)
     dev.pl_initialize()
     return dev

@@ -72,7 +72,6 @@ class ControlLines:
     clk_en: int = 0
     start_0: int = 0
     start_1: int = 0
-    match_out: int = 0
 
 
 @dataclass
@@ -252,21 +251,18 @@ class DutModel:
         cached = self._frame_cache.get(far_word)
         if cached is not None and cached[0] == version:
             return cached[1]
-        current = engine.memory.get(far_word)
-        base = self.baseline.get(far_word)
+        cur = engine.memory.get(far_word, _ZERO_FRAME)
+        ref = self.baseline.get(far_word, _ZERO_FRAME)
         flips = []
-        if not (current is None and base is None) and current != base:
-            zero = _ZERO_FRAME
-            cur = current if current is not None else zero
-            ref = base if base is not None else zero
-            if cur != ref:
-                # only words carrying critical bits can matter
-                for w, bits in self._word_index.get(far_word, {}).items():
-                    diff = cur[w] ^ ref[w]
-                    if diff:
-                        flips.extend((bit, crit) for bit, crit in bits
-                                     if diff & (1 << (bit & 31)))
-                flips.sort()
+        # a frame absent from both is the same zero-frame object: skip it
+        if cur is not ref and cur != ref:
+            # only words carrying critical bits can matter
+            for w, bits in self._word_index.get(far_word, {}).items():
+                diff = cur[w] ^ ref[w]
+                if diff:
+                    flips.extend((bit, crit) for bit, crit in bits
+                                 if diff & (1 << (bit & 31)))
+            flips.sort()
         self._frame_cache[far_word] = (version, flips)
         return flips
 
@@ -301,12 +297,3 @@ class DutModel:
         cycles = self.config.exec_cycles + self.config.compare_cycles
         outputs = (out0.to_bytes(16, "big"), out1.to_bytes(16, "big"))
         return MatchResult(match, outputs, cycles)
-
-
-def dut_run_check(engine, sensitivity_map, lines, input4, config=None,
-                  baseline=None):
-    """One-shot check against an all-zero (or explicit) golden baseline."""
-    model = DutModel(config, sensitivity_map)
-    if baseline is not None:
-        model.baseline = dict(baseline)
-    return model.run_check(engine, lines, input4)

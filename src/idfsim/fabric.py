@@ -136,10 +136,6 @@ class DeviceGeometry:
         return [far_encode(f) for f in self.iter_fars()]
 
 
-def far_next(geometry, f):
-    return geometry.next_far(f)
-
-
 def desk_geometry():
     """Tiny exhaustive address space: 2 halves x 4 columns, 18 frames."""
     return DeviceGeometry(
@@ -229,10 +225,7 @@ class ConfigEngine:
         self.wcfg = False
         self.rcfg = False
         self.current_far = geometry.first_far()
-        self.last_command = None
         self.last_type1_reg = None
-        self.mask_reg = 0
-        self.ctl0_reg = 0
         self.frame_buffer = []
         # FAR word -> list of 101 words; absent frames read as zero.
         self.memory = {}
@@ -361,20 +354,12 @@ class ConfigEngine:
                 else:
                     self.current_far = f
             return
-        if reg is ConfigRegister.MASK:
-            if payload:
-                self.mask_reg = payload[0]
-            return
-        if reg is ConfigRegister.CTL0:
-            if payload:
-                self.ctl0_reg = payload[0]
-            return
-        if reg is ConfigRegister.CRC:
+        if reg in (ConfigRegister.MASK, ConfigRegister.CTL0, ConfigRegister.CRC):
+            # Accepted but not modeled: the desync footer writes MASK/CTL0.
             return
         events.append(f"ignored_write reg={reg.name.lower() if reg else 'none'}")
 
     def _command(self, code, events):
-        self.last_command = code
         if code == CmdCode.WCFG:
             self.wcfg = True
             self.rcfg = False
@@ -423,11 +408,6 @@ class ConfigEngine:
             out.extend(frame if frame is not None else self._zero_frame)
             self.current_far = self.geometry.next_far(self.current_far)
         readback.extend(out[:count])
-
-
-def engine_execute(state, words):
-    readback, events = state.execute(words)
-    return state, readback, events
 
 
 def snapshot_digest(engine):

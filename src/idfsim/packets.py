@@ -138,10 +138,9 @@ class ConfigPacket:
 
 @dataclass
 class CommandSequence:
-    """An ordered word stream plus the intent it was built for."""
+    """An ordered word stream."""
 
     words: list
-    intent: str = ""
 
 
 def encode_type1(op, reg, word_count):
@@ -303,7 +302,7 @@ def build_write_frame_sequence(device_id, far, frames):
         words.extend(f)
     words.extend([FLUSH_WORD] * FRAME_WORDS)
     words.extend(_cmd_write(CmdCode.DESYNC))
-    return CommandSequence(words, intent="write_frames")
+    return CommandSequence(words)
 
 
 def build_readback_sequence(far, n_frames, word_count=None):
@@ -334,11 +333,12 @@ def build_readback_sequence(far, n_frames, word_count=None):
         encode_type2(OpCode.READ, word_count),
     ]
     words.extend([NOOP_WORD] * 32)
-    return CommandSequence(words, intent="readback")
+    return CommandSequence(words)
 
 
 # De-synchronization footer: GRESTORE, MASK/CTL0 unlock pair, START, DESYNC,
-# then pad words.  Carried verbatim; the MASK/CTL0 writes are not modeled.
+# then pad words.  Carried verbatim; the engine accepts the MASK/CTL0
+# writes without modeling them.
 DESYNC_FOOTER_WORDS = (
     0x30008001, 0x0000000A,
     0x20000000,
@@ -353,7 +353,7 @@ DESYNC_FOOTER_WORDS = (
 
 
 def build_desync_footer():
-    return CommandSequence(list(DESYNC_FOOTER_WORDS), intent="footer")
+    return CommandSequence(list(DESYNC_FOOTER_WORDS))
 
 
 def words_to_bytes(words):

@@ -30,7 +30,6 @@ from idfsim.dut import (
     DutConfig,
     DutModel,
     SensitivityMap,
-    dut_run_check,
     MatchLine,
     sensitivity_generate,
 )
@@ -294,8 +293,9 @@ def test_criterion_08_dmr_properties():
 
         empty = SensitivityMap()
         for input4 in range(16):
-            assert dut_run_check(engine, empty, lines, input4).match_line \
-                is MatchLine.LOW
+            result = DutModel(sensitivity_map=empty).run_check(engine, lines,
+                                                               input4)
+            assert result.match_line is MatchLine.LOW
 
         smap = sensitivity_generate(8, geo, geo.far_words(), 200)
         module_bits = [(far, bit) for far, bit, crit in smap.iter_entries()
@@ -303,10 +303,11 @@ def test_criterion_08_dmr_properties():
         assert module_bits
         for far_word, bit in module_bits:
             engine.flip_bit(far_word, bit >> 5, bit & 31)
-            result = dut_run_check(engine, smap, lines, 5)
+            result = DutModel(sensitivity_map=smap).run_check(engine, lines, 5)
             assert result.match_line is MatchLine.HIGH
             engine.flip_bit(far_word, bit >> 5, bit & 31)
-        assert dut_run_check(engine, smap, lines, 5).match_line is MatchLine.LOW
+        result = DutModel(sensitivity_map=smap).run_check(engine, lines, 5)
+        assert result.match_line is MatchLine.LOW
 
         rng = random.Random(0xACE5)
         for _ in range(64):

@@ -1,4 +1,5 @@
 import io
+import shlex
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ from idfsim.cli import (
     EXIT_OK,
     MENU_LINES,
     PROMPT_LINE,
+    build_parser,
     hex_dump,
     interactive_session,
     main,
@@ -180,7 +182,7 @@ class TestVerifyIdf:
 class TestGenMapAndCampaign:
     def test_gen_map(self, tmp_path, capsys):
         out = tmp_path / "m.map"
-        assert main(["--seed", "9", "gen-map", "--frames", "4",
+        assert main(["gen-map", "--seed", "9", "--frames", "4",
                      "--critical", "100", "--out", str(out)]) == EXIT_OK
         text = out.read_text()
         assert sum(1 for l in text.splitlines() if not l.startswith("#")) == 100
@@ -192,7 +194,7 @@ class TestGenMapAndCampaign:
 
     def test_campaign_writes_reports(self, tmp_path, capsys):
         mp = tmp_path / "m.map"
-        main(["--seed", "3", "gen-map", "--frames", "1", "--critical", "5",
+        main(["gen-map", "--seed", "3", "--frames", "1", "--critical", "5",
               "--out", str(mp)])
         outdir = tmp_path / "run"
         status = main(["campaign", "--variant", "idf", "--map", str(mp),
@@ -212,9 +214,10 @@ class TestGenMapAndCampaign:
 
 class TestOverheadCommand:
     def test_reference_row(self, capsys):
-        status = main(["--format", "csv", "overhead",
+        status = main(["overhead",
                        str(FIXTURES / "utilization_without_idf.csv"),
-                       str(FIXTURES / "utilization_with_idf.csv")])
+                       str(FIXTURES / "utilization_with_idf.csv"),
+                       "--format", "csv"])
         assert status == EXIT_OK
         out = capsys.readouterr().out
         assert "Slice LUTs,1260,2.4" in out
@@ -232,3 +235,18 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as excinfo:
         main(["no-such-command"])
     assert excinfo.value.code == 2
+
+
+def _readme_commands():
+    """Arguments of each `$ idfsim ...` line in README's "Command line"
+    block, joined across backslash continuations."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```console", 1)[1]
+    block = block.split("```", 1)[0].replace("\\\n", " ")
+    return [shlex.split(line, comments=True)[2:]
+            for line in block.splitlines() if line.startswith("$ idfsim ")]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=lambda a: a[0])
+def test_readme_commands_parse(argv):
+    build_parser().parse_args(argv)

@@ -14,11 +14,17 @@ from idfsim.devc import (
     UNLOCK_KEY,
     boot_device,
 )
-from idfsim.fabric import FRAME_WORDS, snapshot_digest
+from idfsim.campaign import frame_template_words
+from idfsim.fabric import ConfigEngine, FRAME_WORDS, desk_geometry, snapshot_digest
 from idfsim.packets import (
+    ConfigRegister,
+    OpCode,
+    SYNC_WORD,
     ZEDBOARD_IDCODE,
+    build_desync_footer,
     build_readback_sequence,
     build_write_frame_sequence,
+    encode_type1,
     words_to_bytes,
 )
 
@@ -230,6 +236,33 @@ class TestDmaTransfers:
         with pytest.raises(TransferError):
             dev.dma_process()
         assert snapshot_digest(dev.engine) == before
+
+
+# The template's own DESYNC drops sync ahead of its footer, so the footer's
+# MASK/CTL0 writes reach the engine only when a sync word precedes them.
+_UNMODELED_WRITE_STREAMS = pytest.mark.parametrize("words", [
+    frame_template_words(ZEDBOARD_IDCODE),
+    [SYNC_WORD, encode_type1(OpCode.WRITE, ConfigRegister.CRC, 1), 0]
+    + build_desync_footer().words,
+], ids=["template", "synced_footer"])
+
+
+class TestUnmodeledRegisters:
+    """MASK, CTL0 and CRC writes are accepted without an event or error."""
+
+    @_UNMODELED_WRITE_STREAMS
+    def test_engine_reports_no_ignored_write(self, words):
+        engine = ConfigEngine(desk_geometry(), ZEDBOARD_IDCODE)
+        _readback, events = engine.execute(words)
+        assert events == ["sync", "desync"]
+
+    @_UNMODELED_WRITE_STREAMS
+    def test_device_sets_no_cfg_error(self, words):
+        dev = _ready_device()
+        dev.dram.write_words(REQ, words)
+        dev.dma_enqueue(REQ, PL_ADDR, len(words), len(words))
+        dev.dma_process()
+        assert not dev.int_sts.cfg_error
 
 
 class TestClockDivisor:

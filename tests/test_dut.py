@@ -14,7 +14,6 @@ from idfsim.dut import (
     MatchLine,
     SensitivityMap,
     StartsNotAssertedError,
-    dut_run_check,
     fault_mask,
     sensitivity_generate,
     widen_input,
@@ -172,7 +171,8 @@ class TestDutRunCheck:
         engine = _engine()
         smap = SensitivityMap()
         for input4 in range(16):
-            result = dut_run_check(engine, smap, _lines(), input4)
+            result = DutModel(sensitivity_map=smap).run_check(engine, _lines(),
+                                                              input4)
             assert result.match_line is MatchLine.LOW
             assert result.outputs[0] == result.outputs[1]
 
@@ -181,7 +181,7 @@ class TestDutRunCheck:
         smap = SensitivityMap()
         smap.add(0, 100, Criticality.MODULE0)
         engine.flip_bit(0, 100 // 32, 100 % 32)
-        result = dut_run_check(engine, smap, _lines(), 0)
+        result = DutModel(sensitivity_map=smap).run_check(engine, _lines(), 0)
         assert result.match_line is MatchLine.HIGH
         assert result.outputs[0] != result.outputs[1]
 
@@ -190,7 +190,7 @@ class TestDutRunCheck:
         smap = SensitivityMap()
         smap.add(0x80, 9, Criticality.MODULE1)
         engine.flip_bit(0x80, 0, 9)
-        result = dut_run_check(engine, smap, _lines(), 3)
+        result = DutModel(sensitivity_map=smap).run_check(engine, _lines(), 3)
         assert result.match_line is MatchLine.HIGH
 
     def test_comparator_flip_forces_high(self):
@@ -198,7 +198,7 @@ class TestDutRunCheck:
         smap = SensitivityMap()
         smap.add(0, 5, Criticality.COMPARATOR)
         engine.flip_bit(0, 0, 5)
-        result = dut_run_check(engine, smap, _lines(), 0)
+        result = DutModel(sensitivity_map=smap).run_check(engine, _lines(), 0)
         assert result.match_line is MatchLine.HIGH
         # the comparator itself is broken: outputs may still be equal
         assert result.outputs[0] == result.outputs[1]
@@ -208,7 +208,7 @@ class TestDutRunCheck:
         smap = SensitivityMap()
         smap.add(0, 77, Criticality.MODULE0)
         engine.flip_bit(0, 2, 0)  # bit 64: not in the map
-        result = dut_run_check(engine, smap, _lines(), 0)
+        result = DutModel(sensitivity_map=smap).run_check(engine, _lines(), 0)
         assert result.match_line is MatchLine.LOW
 
     def test_flip_then_restore_low_for_all_inputs(self):
@@ -218,34 +218,36 @@ class TestDutRunCheck:
         engine.flip_bit(0, 0, 0)
         engine.flip_bit(0, 0, 0)
         for input4 in range(16):
-            result = dut_run_check(engine, smap, _lines(), input4)
+            result = DutModel(sensitivity_map=smap).run_check(engine, _lines(),
+                                                              input4)
             assert result.match_line is MatchLine.LOW
 
     def test_polarity_low_iff_equal(self):
         engine = _engine()
         smap = SensitivityMap()
         smap.add(0, 1, Criticality.MODULE0)
-        result = dut_run_check(engine, smap, _lines(), 0)
+        result = DutModel(sensitivity_map=smap).run_check(engine, _lines(), 0)
         assert (result.match_line is MatchLine.LOW) == (
             result.outputs[0] == result.outputs[1])
         engine.flip_bit(0, 0, 1)
-        result = dut_run_check(engine, smap, _lines(), 0)
+        result = DutModel(sensitivity_map=smap).run_check(engine, _lines(), 0)
         assert (result.match_line is MatchLine.LOW) == (
             result.outputs[0] == result.outputs[1])
 
     def test_cycles_used(self):
-        result = dut_run_check(_engine(), SensitivityMap(), _lines(), 0)
+        result = DutModel(sensitivity_map=SensitivityMap()).run_check(
+            _engine(), _lines(), 0)
         assert result.cycles_used == 13
 
     def test_clk_en_low_halts(self):
         with pytest.raises(DesignHaltedError):
-            dut_run_check(_engine(), SensitivityMap(),
-                          ControlLines(clk_en=0, start_0=1, start_1=1), 0)
+            DutModel(sensitivity_map=SensitivityMap()).run_check(
+                _engine(), ControlLines(clk_en=0, start_0=1, start_1=1), 0)
 
     def test_starts_required(self):
         with pytest.raises(StartsNotAssertedError):
-            dut_run_check(_engine(), SensitivityMap(),
-                          ControlLines(clk_en=1, start_0=1, start_1=0), 0)
+            DutModel(sensitivity_map=SensitivityMap()).run_check(
+                _engine(), ControlLines(clk_en=1, start_0=1, start_1=0), 0)
 
     def test_lowest_flip_selects_mask(self):
         engine = _engine()
@@ -254,7 +256,7 @@ class TestDutRunCheck:
         smap.add(0, 200, Criticality.MODULE0)
         engine.flip_bit(0, 0, 10)
         engine.flip_bit(0, 200 // 32, 200 % 32)
-        result = dut_run_check(engine, smap, _lines(), 0)
+        result = DutModel(sensitivity_map=smap).run_check(engine, _lines(), 0)
         base = int.from_bytes(aes256_encrypt(DEFAULT_KEY, widen_input(0)), "big")
         assert int.from_bytes(result.outputs[0], "big") == base ^ fault_mask(0, 10)
 

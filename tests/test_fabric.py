@@ -9,10 +9,8 @@ from idfsim.fabric import (
     FRAME_WORDS,
     desk_geometry,
     dump_frames,
-    engine_execute,
     far_decode,
     far_encode,
-    far_next,
     load_frame_dump,
     load_geometry,
     snapshot_digest,
@@ -83,7 +81,7 @@ class TestGeometry:
     def test_next_far_end(self):
         geo = desk_geometry()
         last = list(geo.iter_fars())[-1]
-        assert far_next(geo, last) is None
+        assert geo.next_far(last) is None
 
     def test_next_far_invalid(self):
         geo = desk_geometry()
@@ -250,10 +248,9 @@ class TestConfigEngine:
         assert out[FRAME_WORDS:2 * FRAME_WORDS] == _frame(8)
         assert out[2 * FRAME_WORDS:] == [0] * FRAME_WORDS
 
-    def test_engine_execute_wrapper(self):
+    def test_execute_sync_word_only(self):
         engine = ConfigEngine(desk_geometry(), ZEDBOARD_IDCODE)
-        state, readback, events = engine_execute(engine, [0xAA995566])
-        assert state is engine
+        readback, events = engine.execute([0xAA995566])
         assert readback == []
         assert events == ["sync"]
 

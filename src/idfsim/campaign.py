@@ -8,9 +8,10 @@ two counters, detected errors at 0xFFFF0000 and error-free injections at
 0xFFFF0008, which the summary must always agree with.
 
 The frame write reuses a resident template: one full frame-write command
-sequence plus the de-synchronization footer, uploaded to DRAM at 0x00200000
-during campaign initialization.  Injections patch the FAR payload and the
-101 data words in place and stream the whole template to the PL.
+sequence, uploaded to DRAM at 0x00200000 during campaign initialization.
+It has no desync footer, which its own closing DESYNC would leave unread.
+Injections patch the FAR payload and the 101 data words in place and
+stream the whole template to the PL.
 """
 
 import csv
@@ -29,7 +30,6 @@ from .dut import (
 )
 from .fabric import FRAME_WORDS, far_decode
 from .packets import (
-    build_desync_footer,
     build_readback_sequence,
     build_write_frame_sequence,
     words_to_bytes,
@@ -93,10 +93,9 @@ def estimate_time(injections, minutes_per_64640=REFERENCE_MINUTES):
 
 
 def frame_template_words(device_id, far_word=0):
-    """Resident DRAM template: one-frame write sequence plus footer."""
+    """Resident DRAM template: the 215-word one-frame write sequence."""
     zero_frame = [0] * FRAME_WORDS
-    seq = build_write_frame_sequence(device_id, far_word, [zero_frame])
-    return seq.words + build_desync_footer().words
+    return build_write_frame_sequence(device_id, far_word, [zero_frame]).words
 
 
 def campaign_init(device):

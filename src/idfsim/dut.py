@@ -208,12 +208,12 @@ def widen_input(input4):
 
 
 class DutModel:
-    """Cached checker bound to one sensitivity map and golden baseline.
+    """Incremental checker bound to one sensitivity map and golden baseline.
 
     The golden reference defaults to the all-zero configuration (an
     untouched fabric); `capture_baseline` rebases it on the engine's
-    current memory.  Per-frame version counters keep re-checks cheap during
-    long campaigns.
+    current memory.  Each check rescans only the mapped frames changed
+    since the previous one, newest first in `engine.frame_versions`.
     """
 
     def __init__(self, config=None, sensitivity_map=None):
@@ -222,11 +222,10 @@ class DutModel:
         self.baseline = {}
         self.baseline_captured = False
         self._cipher_cache = {}
-        self._frame_cache = {}
-        self._frames = self.smap.frames
+        self._track(None, 0)
         # per frame: word index -> [(bit, class), ...] for fast flip scans
         self._word_index = {}
-        for far_word in self._frames:
+        for far_word in self.smap.frames:
             by_word = {}
             for bit, crit in self.smap.bits_for(far_word).items():
                 by_word.setdefault(bit >> 5, []).append((bit, crit))
@@ -235,7 +234,13 @@ class DutModel:
     def capture_baseline(self, engine):
         self.baseline = {far: list(words) for far, words in engine.memory.items()}
         self.baseline_captured = True
-        self._frame_cache = {}
+        # memory equals the baseline now: nothing is flipped
+        self._track(engine, next(reversed(engine.frame_versions.values()), 0))
+
+    def _track(self, engine, seen):
+        self._engine = engine
+        self._seen = seen       # newest frame version scanned in _engine
+        self._flipped = {}      # FAR word -> its flips, for frames with any
 
     def _cipher(self, input4):
         ct = self._cipher_cache.get(input4)
@@ -246,32 +251,44 @@ class DutModel:
         return ct
 
     def _frame_flips(self, engine, far_word):
-        """Critical bits currently flipped in one frame, as (bit, class) list."""
-        version = engine.frame_versions.get(far_word, 0)
-        cached = self._frame_cache.get(far_word)
-        if cached is not None and cached[0] == version:
-            return cached[1]
+        """Critical bits currently flipped in one mapped frame, sorted."""
         cur = engine.memory.get(far_word, _ZERO_FRAME)
         ref = self.baseline.get(far_word, _ZERO_FRAME)
         flips = []
-        # a frame absent from both is the same zero-frame object: skip it
-        if cur is not ref and cur != ref:
+        if cur != ref:
             # only words carrying critical bits can matter
-            for w, bits in self._word_index.get(far_word, {}).items():
+            for w, bits in self._word_index[far_word].items():
                 diff = cur[w] ^ ref[w]
                 if diff:
                     flips.extend((bit, crit) for bit, crit in bits
                                  if diff & (1 << (bit & 31)))
             flips.sort()
-        self._frame_cache[far_word] = (version, flips)
         return flips
 
     def flipped_critical_bits(self, engine):
         """All flipped critical bits, grouped by class, each sorted (far, bit)."""
+        versions = engine.frame_versions
+        changed = []
+        if engine is not self._engine:
+            self._track(engine, 0)
+            # a frame only the baseline holds differs from it unversioned
+            changed.extend(self.baseline.keys() - versions.keys())
+        for far_word, version in reversed(versions.items()):
+            if version <= self._seen:
+                break
+            changed.append(far_word)
+        for far_word in changed:
+            if far_word in self._word_index:
+                flips = self._frame_flips(engine, far_word)
+                if flips:
+                    self._flipped[far_word] = flips
+                else:
+                    self._flipped.pop(far_word, None)
+        self._seen = next(reversed(versions.values()), 0)
         grouped = {Criticality.MODULE0: [], Criticality.MODULE1: [],
                    Criticality.COMPARATOR: []}
-        for far_word in self._frames:
-            for bit, crit in self._frame_flips(engine, far_word):
+        for far_word, flips in sorted(self._flipped.items()):
+            for bit, crit in flips:
                 grouped[crit].append((far_word, bit))
         return grouped
 

@@ -9,8 +9,8 @@ memory.  Reads emit one dummy frame of zeros ahead of real frame data for
 the same reason.
 
 FAR field layout (block_type[25:23], top_bottom[22], row[21:17],
-column[16:7], minor[6:0]); only far_encode/far_decode depend on the bit
-positions.
+column[16:7], minor[6:0]); only far_encode, far_decode and
+DeviceGeometry.far_words depend on the bit positions.
 """
 
 import hashlib
@@ -88,6 +88,11 @@ class DeviceGeometry:
         self.rows_per_half = rows_per_half
         self.columns = [(str(kind), int(minors)) for kind, minors in columns]
         self.block_types = sorted(set(int(b) for b in block_types))
+        if not self.block_types:
+            raise ValueError("geometry needs at least one block type")
+        # far_words packs the fields unchecked: the extreme FARs must be valid
+        FarFields(self.block_types[0], 0, 0, 0, 0)
+        FarFields(self.block_types[-1], 1, rows_per_half - 1, len(self.columns) - 1, 0)
         self._minors = [m for _, m in self.columns]
 
     @property
@@ -133,7 +138,16 @@ class DeviceGeometry:
             f = self.next_far(f)
 
     def far_words(self):
-        return [far_encode(f) for f in self.iter_fars()]
+        """Every FAR word in enumeration order, as iter_fars yields them."""
+        words = []
+        for block_type in self.block_types:
+            for half in (0, 1):
+                for row in range(self.rows_per_half):
+                    prefix = (block_type << 23) | (half << 22) | (row << 17)
+                    for column, minors in enumerate(self._minors):
+                        base = prefix | (column << 7)
+                        words.extend(range(base, base + minors))
+        return words
 
 
 def desk_geometry():
@@ -215,6 +229,9 @@ class ConfigEngine:
     consumes a word stream and returns (readback_words, events); everything
     before a sync word is ignored, and a DESYNC command drops sync again.
     Events are stable lowercase strings.
+
+    `frame_versions` maps each FAR word written to the mutation count of
+    its last change, in that order: versions increase from first to last.
     """
 
     def __init__(self, geometry, device_id):
@@ -249,6 +266,7 @@ class ConfigEngine:
 
     def _bump(self, far_word):
         self._mutations += 1
+        self.frame_versions.pop(far_word, None)
         self.frame_versions[far_word] = self._mutations
 
     def _commit_frame(self, words, events):
@@ -415,8 +433,8 @@ def snapshot_digest(engine):
     h = hashlib.sha256()
     zero = struct.pack(f">{FRAME_WORDS}I", *([0] * FRAME_WORDS))
     memory = engine.memory
-    for f in engine.geometry.iter_fars():
-        frame = memory.get(far_encode(f))
+    for far_word in engine.geometry.far_words():
+        frame = memory.get(far_word)
         if frame is None:
             h.update(zero)
         else:
@@ -427,8 +445,8 @@ def snapshot_digest(engine):
 def dump_frames(engine, path):
     """Binary frame dump: 101 big-endian words per frame, FAR order."""
     with open(path, "wb") as f:
-        for fields in engine.geometry.iter_fars():
-            frame = engine.memory.get(far_encode(fields))
+        for far_word in engine.geometry.far_words():
+            frame = engine.memory.get(far_word)
             if frame is None:
                 frame = [0] * FRAME_WORDS
             f.write(struct.pack(f">{FRAME_WORDS}I", *frame))
@@ -443,7 +461,7 @@ def load_frame_dump(path, geometry):
     expected = geometry.total_frames * frame_bytes
     if len(data) != expected:
         raise ValueError(f"{path}: expected {expected} bytes, found {len(data)}")
-    for i, fields in enumerate(geometry.iter_fars()):
+    for i, far_word in enumerate(geometry.far_words()):
         chunk = data[i * frame_bytes:(i + 1) * frame_bytes]
-        frames[far_encode(fields)] = list(struct.unpack(f">{FRAME_WORDS}I", chunk))
+        frames[far_word] = list(struct.unpack(f">{FRAME_WORDS}I", chunk))
     return frames

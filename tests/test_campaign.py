@@ -22,7 +22,13 @@ from idfsim.campaign import (
 )
 from idfsim.devc import Device, DevcError, TransferError, boot_device
 from idfsim.dut import Criticality, DutConfig, DutModel, SensitivityMap
-from idfsim.fabric import FRAME_WORDS, desk_geometry, snapshot_digest
+from idfsim.fabric import (
+    FRAME_BITS,
+    FRAME_WORDS,
+    desk_geometry,
+    snapshot_digest,
+    z7020like_geometry,
+)
 from idfsim.packets import ZEDBOARD_IDCODE
 
 
@@ -65,12 +71,42 @@ class TestCampaignInit:
     def test_template_layout(self):
         words = frame_template_words(ZEDBOARD_IDCODE, far_word=0x42)
         assert words[TPL_FAR_INDEX] == 0x42
-        assert len(words) == 215 + 16
+        assert len(words) == 215
         assert words[TPL_DATA_INDEX:TPL_DATA_INDEX + FRAME_WORDS] == [0] * FRAME_WORDS
 
     def test_requires_initialized_device(self):
         with pytest.raises(DevcError):
             campaign_init(Device())
+
+
+def test_check_scans_only_changed_frames(monkeypatch):
+    # A whole-device map and a fully written fabric: each check must look
+    # only at the frames written since the previous check, not all 9158.
+    geo = z7020like_geometry()
+    fars = geo.far_words()
+    smap = SensitivityMap()
+    dev = boot_device(geo)
+    for i, far in enumerate(fars):
+        smap.add(far, i % FRAME_BITS, Criticality.MODULE0)
+        dev.engine.flip_bit(far, 0, i % 32)
+    seen = []
+    frame_flips = DutModel._frame_flips
+
+    def counting(self, engine, far_word):
+        seen.append(far_word)
+        return frame_flips(self, engine, far_word)
+
+    monkeypatch.setattr(DutModel, "_frame_flips", counting)
+    c = Campaign(dev, DutModel(DutConfig(), smap))
+    assert seen == []
+    previous = []
+    for far in (fars[5], fars[9000], fars[77]):
+        c.inject_and_check(far, 0, 5)
+        # this frame's fault and the previous frame's restore
+        assert sorted(seen) == sorted(previous + [far])
+        del seen[:]
+        previous = [far]
+    assert counters(dev) == (1, 2)
 
 
 class TestInjectAndCheck:

@@ -238,8 +238,8 @@ class TestDmaTransfers:
         assert snapshot_digest(dev.engine) == before
 
 
-# The template's own DESYNC drops sync ahead of its footer, so the footer's
-# MASK/CTL0 writes reach the engine only when a sync word precedes them.
+# The template is a bare write sequence ending in DESYNC; the desync
+# footer's MASK/CTL0 writes reach the engine only after a sync word.
 _UNMODELED_WRITE_STREAMS = pytest.mark.parametrize("words", [
     frame_template_words(ZEDBOARD_IDCODE),
     [SYNC_WORD, encode_type1(OpCode.WRITE, ConfigRegister.CRC, 1), 0]

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+import hypothesis.strategies as st
+from hypothesis import given, settings
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from idfsim.aes import aes256_encrypt
@@ -18,8 +20,8 @@ from idfsim.dut import (
     sensitivity_generate,
     widen_input,
 )
-from idfsim.fabric import ConfigEngine, FRAME_BITS, desk_geometry
-from idfsim.packets import ZEDBOARD_IDCODE
+from idfsim.fabric import ConfigEngine, FRAME_BITS, FRAME_WORDS, desk_geometry
+from idfsim.packets import ZEDBOARD_IDCODE, build_write_frame_sequence
 
 
 def _oracle_encrypt(key, block):
@@ -281,3 +283,86 @@ class TestDutRunCheck:
         model = DutModel(DutConfig(), smap)
         model.capture_baseline(engine)
         assert model.run_check(engine, _lines(), 0).match_line is MatchLine.LOW
+
+
+# Differential check of the incremental scan against a full rescan.  The map
+# covers the first 12 desk frames, every third bit of words 0-3; operations
+# toggle bits 0-127, so about a third of them hit a mapped bit.
+_FARS = desk_geometry().far_words()
+_CLASSES = [Criticality.MODULE0, Criticality.MODULE1, Criticality.COMPARATOR]
+
+
+def _diff_map():
+    smap = SensitivityMap()
+    for i, far in enumerate(_FARS[:12]):
+        for bit in range(i % 3, 128, 3):
+            smap.add(far, bit, _CLASSES[(i + bit) % 3])
+    return smap
+
+
+_DIFF_MAP = _diff_map()
+
+
+def _oracle_flips(model, engine):
+    grouped = {crit: [] for crit in _CLASSES}
+    zero = [0] * FRAME_WORDS
+    for far, bit, crit in model.smap.iter_entries():
+        cur = engine.memory.get(far, zero)[bit >> 5]
+        ref = model.baseline.get(far, zero)[bit >> 5]
+        if (cur ^ ref) >> (bit & 31) & 1:
+            grouped[crit].append((far, bit))
+    return grouped
+
+
+_MODEL = st.integers(0, 2)
+_SLOT = st.integers(0, 1)
+_OPS = st.one_of(
+    st.tuples(st.just("flip"), _SLOT, st.sampled_from(_FARS),
+              st.integers(0, 127)),
+    # rewrite 1-2 consecutive frames with some bits toggled
+    st.tuples(st.just("write"), _SLOT, st.integers(0, len(_FARS) - 2),
+              st.integers(1, 2), st.lists(st.integers(0, 127), max_size=3)),
+    st.tuples(st.just("check"), _MODEL),
+    st.tuples(st.just("capture"), _MODEL),
+    st.tuples(st.just("new_model"), _MODEL, _SLOT),
+    st.tuples(st.just("move"), _MODEL, _SLOT),
+    st.tuples(st.just("fresh_engine"), _SLOT),
+)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.lists(_OPS, max_size=30))
+def test_flipped_bits_match_full_rescan(ops):
+    engines = [_engine(), _engine()]
+    # models 0 and 1 share engine 0
+    models = [[DutModel(sensitivity_map=_DIFF_MAP), slot] for slot in (0, 0, 1)]
+    for op, *args in ops:
+        if op == "flip":
+            slot, far, bit = args
+            engines[slot].flip_bit(far, bit >> 5, bit & 31)
+        elif op == "write":
+            slot, start, count, toggles = args
+            engine = engines[slot]
+            frames = [engine.read_frame(far) for far in _FARS[start:start + count]]
+            for frame in frames:
+                for bit in toggles:
+                    frame[bit >> 5] ^= 1 << (bit & 31)
+            _, events = engine.execute(build_write_frame_sequence(
+                ZEDBOARD_IDCODE, _FARS[start], frames).words)
+            assert events == ["sync", "desync"]
+        elif op == "fresh_engine":
+            engines[args[0]] = _engine()
+        else:
+            model, engine = models[args[0]][0], engines[models[args[0]][1]]
+            if op == "check":
+                assert (model.flipped_critical_bits(engine)
+                        == _oracle_flips(model, engine))
+            elif op == "capture":
+                model.capture_baseline(engine)
+            elif op == "new_model":
+                models[args[0]] = [DutModel(sensitivity_map=_DIFF_MAP), args[1]]
+            else:
+                models[args[0]][1] = args[1]
+    for model, slot in models:
+        assert (model.flipped_critical_bits(engines[slot])
+                == _oracle_flips(model, engines[slot]))

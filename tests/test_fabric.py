@@ -111,6 +111,21 @@ class TestGeometry:
         assert geo.name == "smallboard"
         assert geo.total_frames == 2 * 2 * 6
 
+    def test_far_words_match_enumeration(self, tmp_path):
+        path = tmp_path / "geo.cfg"
+        path.write_text("name twoblock\nrows_per_half 2\nblock_types 0 1\n"
+                        "column CLB 3\ncolumn BRAM 2\n")
+        for geo in (desk_geometry(), z7020like_geometry(), load_geometry(path)):
+            assert geo.far_words() == [far_encode(f) for f in geo.iter_fars()]
+
+    @pytest.mark.parametrize("rows, columns, block_types", [
+        (33, 1, (0,)), (1, 1025, (0,)), (1, 1, (8,)), (1, 1, (-1, 0)),
+        (1, 1, ())])
+    def test_geometry_must_fit_far_fields(self, rows, columns, block_types):
+        with pytest.raises(ValueError):
+            DeviceGeometry("big", rows, [("CLB", 1)] * columns, block_types)
+        DeviceGeometry("max", 32, [("CLB", 1)] * 1024, (0, 7))
+
     def test_load_file_errors(self, tmp_path):
         path = tmp_path / "geo.cfg"
         path.write_text("rows_per_half 1\ncolumn CLB 4\n")

@@ -28,7 +28,7 @@ from .dut import (
     PIN_START0,
     PIN_START1,
 )
-from .fabric import FRAME_WORDS, far_decode
+from .fabric import FRAME_WORDS
 from .packets import (
     build_readback_sequence,
     build_write_frame_sequence,
@@ -278,8 +278,7 @@ class Campaign:
     def run_manual(self, far_word, use_dram_frame=False):
         """One-frame campaign; optionally trusts the frame image already in
         DRAM (loaded externally) instead of reading it back per injection."""
-        fields = far_decode(far_word)
-        if not self.device.geometry.is_valid_far(fields):
+        if not self.device.geometry.is_valid_far(far_word):
             raise ValueError(f"FAR 0x{far_word:08x} invalid for geometry "
                              f"{self.device.geometry.name}")
         if use_dram_frame:

@@ -25,7 +25,7 @@ from .dut import (
     SensitivityMap,
     sensitivity_generate,
 )
-from .fabric import FRAME_WORDS, far_decode, load_geometry
+from .fabric import FRAME_WORDS, load_geometry
 from .packets import (
     DUMMY_WORD,
     ZEDBOARD_IDCODE,
@@ -126,8 +126,7 @@ def interactive_session(stdin, stdout, device, dut, far_words, input4=0):
         text = raw.strip()
         try:
             far_word = _parse_word(text)
-            fields = far_decode(far_word)
-            if not device.geometry.is_valid_far(fields):
+            if not device.geometry.is_valid_far(far_word):
                 raise ValueError(far_word)
         except ValueError:
             say(f"Invalid FAR: {text!r}")

@@ -9,8 +9,10 @@ memory.  Reads emit one dummy frame of zeros ahead of real frame data for
 the same reason.
 
 FAR field layout (block_type[25:23], top_bottom[22], row[21:17],
-column[16:7], minor[6:0]); only far_encode, far_decode and
-DeviceGeometry.far_words depend on the bit positions.
+column[16:7], minor[6:0]).  Frame addresses are plain integer FAR words
+throughout; FarFields is only the decoded view that far_encode and
+far_decode give.  far_encode, far_decode and the DeviceGeometry methods
+first_far, next_far, is_valid_far and far_words depend on the bit positions.
 """
 
 import hashlib
@@ -104,41 +106,38 @@ class DeviceGeometry:
     def total_bits(self):
         return self.total_frames * FRAME_BITS
 
-    def is_valid_far(self, f):
-        return (f.block_type in self.block_types
-                and f.top_bottom in (0, 1)
-                and f.row < self.rows_per_half
-                and f.column < len(self.columns)
-                and f.minor < self._minors[f.column])
+    def is_valid_far(self, far_word):
+        """True when the integer FAR word addresses a frame of this geometry."""
+        column = (far_word >> 7) & 0x3FF
+        return ((far_word >> 23) in self.block_types
+                and (far_word >> 17) & 0x1F < self.rows_per_half
+                and column < len(self._minors)
+                and far_word & 0x7F < self._minors[column])
 
     def first_far(self):
-        return FarFields(self.block_types[0], 0, 0, 0, 0)
+        return self.block_types[0] << 23
 
-    def next_far(self, f):
-        """Advance to the next frame address, or None past the last frame."""
-        if not self.is_valid_far(f):
-            raise ValueError(f"FAR {f} is not valid for geometry {self.name}")
-        if f.minor + 1 < self._minors[f.column]:
-            return FarFields(f.block_type, f.top_bottom, f.row, f.column, f.minor + 1)
-        if f.column + 1 < len(self.columns):
-            return FarFields(f.block_type, f.top_bottom, f.row, f.column + 1, 0)
-        if f.row + 1 < self.rows_per_half:
-            return FarFields(f.block_type, f.top_bottom, f.row + 1, 0, 0)
-        if f.top_bottom == 0:
-            return FarFields(f.block_type, 1, 0, 0, 0)
-        i = self.block_types.index(f.block_type)
+    def next_far(self, far_word):
+        """Advance to the next FAR word, or None past the last frame."""
+        if not self.is_valid_far(far_word):
+            raise ValueError(f"FAR 0x{far_word:08x} is not valid for geometry {self.name}")
+        # Each carry increments one field and clears the fields below it.
+        column = (far_word >> 7) & 0x3FF
+        if (far_word & 0x7F) + 1 < self._minors[column]:
+            return far_word + 1
+        if column + 1 < len(self._minors):
+            return ((far_word >> 7) + 1) << 7
+        if ((far_word >> 17) & 0x1F) + 1 < self.rows_per_half:
+            return ((far_word >> 17) + 1) << 17
+        if not (far_word >> 22) & 1:
+            return ((far_word >> 22) + 1) << 22
+        i = self.block_types.index(far_word >> 23)
         if i + 1 < len(self.block_types):
-            return FarFields(self.block_types[i + 1], 0, 0, 0, 0)
+            return self.block_types[i + 1] << 23
         return None
 
-    def iter_fars(self):
-        f = self.first_far()
-        while f is not None:
-            yield f
-            f = self.next_far(f)
-
     def far_words(self):
-        """Every FAR word in enumeration order, as iter_fars yields them."""
+        """Every FAR word in enumeration order, as next_far steps from first_far."""
         words = []
         for block_type in self.block_types:
             for half in (0, 1):
@@ -230,6 +229,14 @@ class ConfigEngine:
     before a sync word is ignored, and a DESYNC command drops sync again.
     Events are stable lowercase strings.
 
+    `current_far` is the integer FAR word the next frame commits to or
+    reads from, or None once the last frame is passed.  A full frame
+    commits only when the next frame's first word arrives.  `_write_fdri`
+    commits every such frame as a fresh slice of the incoming payload, so a
+    write takes time linear in its words, and afterwards `frame_buffer`
+    holds only the frame still being received, at most FRAME_WORDS words.
+    No two FARs in `memory` share a frame list, and no caller holds one.
+
     `frame_versions` maps each FAR word written to the mutation count of
     its last change, in that order: versions increase from first to last.
     """
@@ -270,13 +277,14 @@ class ConfigEngine:
         self.frame_versions[far_word] = self._mutations
 
     def _commit_frame(self, words, events):
-        if self.current_far is None:
+        """Store `words`, a list no one else holds, at the current FAR."""
+        far_word = self.current_far
+        if far_word is None:
             events.append("far_overrun")
             return
-        far_word = far_encode(self.current_far)
-        self.memory[far_word] = list(words)
+        self.memory[far_word] = words
         self._bump(far_word)
-        self.current_far = self.geometry.next_far(self.current_far)
+        self.current_far = self.geometry.next_far(far_word)
 
     # -- stream execution --------------------------------------------------
 
@@ -363,14 +371,10 @@ class ConfigEngine:
             return
         if reg is ConfigRegister.FAR:
             if payload:
-                try:
-                    f = far_decode(payload[0])
-                except ValueError:
-                    f = None
-                if f is None or not self.geometry.is_valid_far(f):
-                    events.append(f"bad_far word=0x{payload[0]:08x}")
+                if self.geometry.is_valid_far(payload[0]):
+                    self.current_far = payload[0]
                 else:
-                    self.current_far = f
+                    events.append(f"bad_far word=0x{payload[0]:08x}")
             return
         if reg in (ConfigRegister.MASK, ConfigRegister.CTL0, ConfigRegister.CRC):
             # Accepted but not modeled: the desync footer writes MASK/CTL0.
@@ -399,12 +403,19 @@ class ConfigEngine:
             events.append("fdri_rejected_idcode")
             return
         buf = self.frame_buffer
-        buf.extend(payload)
         # Word-at-a-time equivalent: a full buffered frame commits as soon
-        # as the next frame's first word arrives.
-        while len(buf) > FRAME_WORDS:
-            self._commit_frame(buf[:FRAME_WORDS], events)
-            del buf[:FRAME_WORDS]
+        # as the next frame's first word arrives, so every frame but the
+        # last one received commits now, sliced straight from the payload.
+        n = (len(buf) + len(payload) - 1) // FRAME_WORDS
+        if n <= 0:
+            buf.extend(payload)
+            return
+        i = FRAME_WORDS - len(buf)
+        self._commit_frame(buf + payload[:i], events)
+        for _ in range(n - 1):
+            self._commit_frame(payload[i:i + FRAME_WORDS], events)
+            i += FRAME_WORDS
+        self.frame_buffer = payload[i:]
 
     def _read(self, reg, count, readback, events):
         if count == 0:
@@ -421,8 +432,7 @@ class ConfigEngine:
                 events.append("read_overrun")
                 out.extend([0] * (count - len(out)))
                 break
-            far_word = far_encode(self.current_far)
-            frame = self.memory.get(far_word)
+            frame = self.memory.get(self.current_far)
             out.extend(frame if frame is not None else self._zero_frame)
             self.current_far = self.geometry.next_far(self.current_far)
         readback.extend(out[:count])

@@ -1,5 +1,7 @@
+import time
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from idfsim.fabric import (
@@ -19,7 +21,9 @@ from idfsim.fabric import (
 from idfsim.packets import (
     CmdCode,
     ConfigRegister,
+    NOOP_WORD,
     OpCode,
+    SYNC_WORD,
     ZEDBOARD_IDCODE,
     build_readback_sequence,
     build_write_frame_sequence,
@@ -32,13 +36,33 @@ def _frame(fill):
     return [(fill * 3 + i) & 0xFFFFFFFF for i in range(FRAME_WORDS)]
 
 
+def _stepped_fars(geo):
+    """FAR words from first_far() by next_far() until it returns None."""
+    fars = []
+    far_word = geo.first_far()
+    while far_word is not None:
+        fars.append(far_word)
+        far_word = geo.next_far(far_word)
+    return fars
+
+
+@pytest.fixture(scope="module")
+def twoblock_geometry(tmp_path_factory):
+    path = tmp_path_factory.mktemp("geo") / "twoblock.cfg"
+    path.write_text("name twoblock\nrows_per_half 2\nblock_types 0 1\n"
+                    "column CLB 3\ncolumn BRAM 2\n")
+    return load_geometry(path)
+
+
 class TestFarCodec:
     def test_all_zero(self):
         assert far_encode(FarFields(0, 0, 0, 0, 0)) == 0x00000000
 
     def test_round_trip_exhaustive_desk(self):
         geo = desk_geometry()
-        for f in geo.iter_fars():
+        for far_word in geo.far_words():
+            f = far_decode(far_word)
+            assert far_encode(f) == far_word
             assert far_decode(far_encode(f)) == f
 
     @given(st.integers(0, 7), st.integers(0, 1), st.integers(0, 31),
@@ -55,7 +79,8 @@ class TestFarCodec:
             FarFields(0, 0, 0, 0, 128)
 
     def test_decode_rejects_high_bits(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match=r"FAR word 0x04000000 has bits set above \[25\]"):
             far_decode(0x04000000)
 
 
@@ -64,7 +89,7 @@ class TestGeometry:
         geo = desk_geometry()
         # independent enumeration oracle: halves x rows x sum(minors)
         assert geo.total_frames == 2 * 1 * (4 + 2 + 2 + 1) == 18
-        assert len(list(geo.iter_fars())) == geo.total_frames
+        assert len(_stepped_fars(geo)) == geo.total_frames
         assert len(set(geo.far_words())) == geo.total_frames
 
     def test_z7020like_counts(self):
@@ -74,26 +99,30 @@ class TestGeometry:
 
     def test_next_far_minor_increment(self):
         geo = desk_geometry()
-        f = FarFields(0, 0, 0, 0, 0)
+        f = far_encode(FarFields(0, 0, 0, 0, 0))
         n = geo.next_far(f)
-        assert n == FarFields(0, 0, 0, 0, 1)
+        assert n == far_encode(FarFields(0, 0, 0, 0, 1))
 
     def test_next_far_end(self):
         geo = desk_geometry()
-        last = list(geo.iter_fars())[-1]
+        last = geo.far_words()[-1]
         assert geo.next_far(last) is None
 
     def test_next_far_invalid(self):
         geo = desk_geometry()
         with pytest.raises(ValueError):
-            geo.next_far(FarFields(0, 0, 0, 0, 99))
+            geo.next_far(far_encode(FarFields(0, 0, 0, 0, 99)))
+        with pytest.raises(ValueError):
+            geo.next_far(0x04000000)  # bit 26 is outside the FAR fields
 
     def test_enumeration_matches_total_for_multi_row(self):
         geo = DeviceGeometry("t", rows_per_half=3,
                              columns=[("CLB", 2), ("BRAM", 5)],
                              block_types=(0, 1))
         assert geo.total_frames == 2 * 2 * 3 * 7
-        assert len(list(geo.iter_fars())) == geo.total_frames
+        fars = _stepped_fars(geo)
+        assert len(fars) == geo.total_frames
+        assert fars == geo.far_words()
 
     def test_load_builtin_by_name(self):
         assert load_geometry("desk").total_frames == 18
@@ -111,12 +140,11 @@ class TestGeometry:
         assert geo.name == "smallboard"
         assert geo.total_frames == 2 * 2 * 6
 
-    def test_far_words_match_enumeration(self, tmp_path):
-        path = tmp_path / "geo.cfg"
-        path.write_text("name twoblock\nrows_per_half 2\nblock_types 0 1\n"
-                        "column CLB 3\ncolumn BRAM 2\n")
-        for geo in (desk_geometry(), z7020like_geometry(), load_geometry(path)):
-            assert geo.far_words() == [far_encode(f) for f in geo.iter_fars()]
+    def test_far_words_match_enumeration(self, twoblock_geometry):
+        # next_far's carries, stepped from first_far, against the nested
+        # loops of far_words
+        for geo in (desk_geometry(), z7020like_geometry(), twoblock_geometry):
+            assert geo.far_words() == _stepped_fars(geo)
 
     @pytest.mark.parametrize("rows, columns, block_types", [
         (33, 1, (0,)), (1, 1025, (0,)), (1, 1, (8,)), (1, 1, (-1, 0)),
@@ -194,10 +222,13 @@ class TestConfigEngine:
         words = [
             0xAA995566,
             encode_type1(OpCode.WRITE, ConfigRegister.FAR, 1), 0x00300000,
+            encode_type1(OpCode.WRITE, ConfigRegister.FAR, 1), 0x04000000,
         ]
         _, events = engine.execute(words)
         assert any(e.startswith("bad_far") for e in events)
-        assert engine.current_far == desk_geometry().first_far()
+        assert events == ["sync", "bad_far word=0x00300000",
+                          "bad_far word=0x04000000"]
+        assert engine.current_far == desk_geometry().first_far() == 0
 
     def test_commit_order_matches_enumeration(self):
         geo = desk_geometry()
@@ -305,3 +336,303 @@ def test_frame_dump_round_trip(tmp_path):
     assert len(frames) == geo.total_frames
     assert frames[geo.far_words()[2]] == _frame(42)
     assert frames[geo.far_words()[0]] == [0] * FRAME_WORDS
+
+
+class _WordEngine:
+    """Word-at-a-time reference for ConfigEngine.execute.
+
+    Each FDRI word enters the frame buffer on its own, and a full buffer
+    commits when one more word arrives.  Frame addresses are positions in
+    geometry.far_words(), so next_far and is_valid_far are not used.
+    """
+
+    REGISTERS = {int(r) for r in ConfigRegister}
+
+    def __init__(self, geometry, device_id):
+        self.fars = geometry.far_words()
+        self.index = {far: i for i, far in enumerate(self.fars)}
+        self.device_id = device_id
+        self.synced = self.idcode_ok = self.wcfg = self.rcfg = False
+        self.reg = None
+        self.pos = 0  # index into fars; len(fars) once past the last frame
+        self.buf = []
+        self.memory = {}
+        self.changed = {}  # FAR words in order of last change
+
+    @property
+    def current_far(self):
+        return self.fars[self.pos] if self.pos < len(self.fars) else None
+
+    def execute(self, words):
+        out, events = [], []
+        i = 0
+        while i < len(words):
+            w = words[i]
+            i += 1
+            if not self.synced:
+                if w == SYNC_WORD:
+                    self.synced = True
+                    self.idcode_ok = self.wcfg = self.rcfg = False
+                    self.reg, self.buf = None, []
+                    events.append("sync")
+                continue
+            if w == NOOP_WORD:
+                continue
+            kind, op = w >> 29, (w >> 27) & 3
+            if kind == 1:
+                count, addr = w & 0x7FF, (w >> 13) & 0x3FFF
+                if addr not in self.REGISTERS:
+                    events.append(f"ignored_register addr={addr}")
+                    i += count if op == 2 else 0
+                    continue
+                self.reg = reg = ConfigRegister(addr)
+                name = reg.name.lower()
+            elif kind == 2:
+                count, reg, name = w & 0x7FFFFFF, self.reg, "type2"
+            if kind not in (1, 2) or op not in (1, 2):
+                events.append(f"ignored_word word=0x{w:08x}")
+            elif op == 2:
+                payload = words[i:i + count]
+                i += count
+                if len(payload) < count:
+                    events.append(f"truncated_payload reg={name}")
+                self._write(reg, payload, events)
+            elif count:
+                self._read(reg, count, out, events)
+        return out, events
+
+    def _write(self, reg, payload, events):
+        if reg is ConfigRegister.FDRI:
+            if not self.wcfg:
+                events.append("fdri_without_wcfg")
+            elif not self.idcode_ok:
+                events.append("fdri_rejected_idcode")
+            else:
+                for w in payload:
+                    if len(self.buf) == FRAME_WORDS:
+                        self._commit(events)
+                    self.buf.append(w)
+        elif reg is ConfigRegister.CMD:
+            code = payload[0] if payload else None
+            if code in (CmdCode.WCFG, CmdCode.RCFG):
+                self.wcfg, self.rcfg = code == CmdCode.WCFG, code == CmdCode.RCFG
+            elif code == CmdCode.DESYNC:
+                self.synced = self.wcfg = self.rcfg = False
+                self.buf = []
+                events.append("desync")
+        elif reg is ConfigRegister.IDCODE:
+            got = payload[0] if payload else 0
+            self.idcode_ok = bool(payload) and got == self.device_id
+            if not self.idcode_ok:
+                events.append(f"idcode_mismatch got=0x{got:08x}")
+        elif reg is ConfigRegister.FAR:
+            if payload and payload[0] in self.index:
+                self.pos = self.index[payload[0]]
+            elif payload:
+                events.append(f"bad_far word=0x{payload[0]:08x}")
+        elif reg not in (ConfigRegister.MASK, ConfigRegister.CTL0,
+                         ConfigRegister.CRC):
+            events.append(f"ignored_write reg={reg.name.lower() if reg else 'none'}")
+
+    def _commit(self, events):
+        frame, self.buf = self.buf, []
+        if self.pos == len(self.fars):
+            events.append("far_overrun")
+            return
+        far = self.fars[self.pos]
+        self.memory[far] = frame
+        self.changed.pop(far, None)
+        self.changed[far] = None
+        self.pos += 1
+
+    def _read(self, reg, count, out, events):
+        if reg is not ConfigRegister.FDRO:
+            events.append(f"ignored_read reg={reg.name.lower() if reg else 'none'}")
+            return
+        if not self.rcfg:
+            events.append("fdro_without_rcfg")
+            return
+        frame = [0] * FRAME_WORDS  # the dummy frame ahead of real data
+        for k in range(count):
+            if k and k % FRAME_WORDS == 0:
+                if self.pos == len(self.fars):
+                    events.append("read_overrun")
+                    out.extend([0] * (count - k))
+                    return
+                frame = self.memory.get(self.fars[self.pos], [0] * FRAME_WORDS)
+                self.pos += 1
+            out.append(frame[k % FRAME_WORDS])
+
+
+# Invalid on both geometries of the differential test: row 24, bit 26, minor
+# 127, block type 2.
+_BAD_FARS = (0x00300000, 0x04000000, 0x0000007F, 0x01000000)
+
+
+def _packet(kind, far_words):
+    """One packet (or short packet group) of a random configuration stream."""
+    t1 = encode_type1
+    # FARs whose successor is in another row, half or block type (or past
+    # the end) make writes and reads cross the higher FAR carries.
+    carries = [f for f, g in zip(far_words, far_words[1:] + [None])
+               if g is None or g >> 17 != f >> 17]
+    far = st.one_of(st.sampled_from(carries), st.sampled_from(far_words))
+    data = st.builds(lambda n, seed: [(seed + k) & 0xFFFF for k in range(n)],
+                     st.integers(0, 4).flatmap(lambda frames: st.integers(
+                         frames * FRAME_WORDS, frames * FRAME_WORDS + 100)),
+                     st.integers(0, 0xFFFF))
+    packets = {
+        # count 0 included: a zero-count Type-1 header
+        "fdri_type1": data.map(
+            lambda d: [t1(OpCode.WRITE, ConfigRegister.FDRI, len(d)), *d]),
+        "fdri_type2": data.map(
+            lambda d: [t1(OpCode.WRITE, ConfigRegister.FDRI, 0),
+                       encode_type2(OpCode.WRITE, len(d)), *d]),
+        # continues whatever register the last Type-1 header named
+        "type2": data.map(lambda d: [encode_type2(OpCode.WRITE, len(d)), *d]),
+        "fdro": st.integers(0, 5 * FRAME_WORDS).map(
+            lambda n: [t1(OpCode.READ, ConfigRegister.FDRO, 0),
+                       encode_type2(OpCode.READ, n)]),
+        "far": st.one_of(far, st.sampled_from(_BAD_FARS)).map(
+            lambda far_word: [t1(OpCode.WRITE, ConfigRegister.FAR, 1), far_word]),
+        "cmd": st.sampled_from([CmdCode.WCFG, CmdCode.RCFG, CmdCode.DESYNC]).map(
+            lambda code: [t1(OpCode.WRITE, ConfigRegister.CMD, 1), code]),
+        # often mid-frame, with words in the frame buffer
+        "desync": st.just([t1(OpCode.WRITE, ConfigRegister.CMD, 1), CmdCode.DESYNC]),
+        "idcode": st.sampled_from([ZEDBOARD_IDCODE, 0x11111111]).map(
+            lambda got: [t1(OpCode.WRITE, ConfigRegister.IDCODE, 1), got]),
+        "sync": st.just([SYNC_WORD]),
+        "noop": st.just([NOOP_WORD]),
+    }
+    if kind not in ("write", "read"):
+        return packets[kind]
+    # resync and set up a write or a read at a random FAR, then do it
+    cmd = CmdCode.WCFG if kind == "write" else CmdCode.RCFG
+    setup = far.map(lambda far_word: [
+        SYNC_WORD, t1(OpCode.WRITE, ConfigRegister.IDCODE, 1), ZEDBOARD_IDCODE,
+        t1(OpCode.WRITE, ConfigRegister.CMD, 1), cmd,
+        t1(OpCode.WRITE, ConfigRegister.FAR, 1), far_word])
+    first = (st.one_of(packets["fdri_type1"], packets["fdri_type2"])
+             if kind == "write" else packets["fdro"])
+    return st.tuples(setup, first).map(lambda parts: parts[0] + parts[1])
+
+
+_EPISODE_KINDS = {
+    "write": ["fdri_type1", "fdri_type2", "type2", "type2", "far", "desync",
+              "cmd", "idcode", "fdro", "sync", "noop"],
+    "read": ["fdro", "fdro", "far", "cmd", "type2", "noop"],
+}
+
+
+@st.composite
+def _config_calls(draw, far_words):
+    """A random stream, cut into the word lists of separate execute calls.
+
+    The stream is a few episodes, each a write or read set-up followed by
+    packets that mostly suit it.
+    """
+    words, cuts = [], {0}
+    for _ in range(draw(st.integers(1, 3))):
+        episode = draw(st.sampled_from(sorted(_EPISODE_KINDS)))
+        kinds = draw(st.lists(st.sampled_from(_EPISODE_KINDS[episode]), max_size=5))
+        for kind in [episode] + kinds:
+            words.extend(draw(_packet(kind, far_words)))
+            if draw(st.booleans()):  # a cut between packets
+                cuts.add(len(words))
+    # cuts inside packets truncate their payload; the rest parses as packets
+    cuts.update(draw(st.lists(st.integers(0, len(words)), max_size=2)))
+    cuts = sorted(cuts | {len(words)})
+    return [words[a:b] for a, b in zip(cuts, cuts[1:])]
+
+
+def _assert_engines_agree(geo, calls):
+    engine = ConfigEngine(geo, ZEDBOARD_IDCODE)
+    ref = _WordEngine(geo, ZEDBOARD_IDCODE)
+    for words in calls:
+        assert engine.execute(words) == ref.execute(words)
+        assert engine.frame_buffer == ref.buf
+        assert engine.current_far == ref.current_far
+    assert engine.memory == ref.memory
+    assert list(engine.frame_versions) == list(ref.changed)
+    return ref
+
+
+@pytest.mark.parametrize("geo_name", ["desk", "twoblock"])
+def test_execute_matches_word_at_a_time_reference(geo_name, twoblock_geometry):
+    geo = desk_geometry() if geo_name == "desk" else twoblock_geometry
+    fars = geo.far_words()
+    t1, t2 = encode_type1, encode_type2
+    setup = [SYNC_WORD, t1(OpCode.WRITE, ConfigRegister.IDCODE, 1), ZEDBOARD_IDCODE,
+             t1(OpCode.WRITE, ConfigRegister.FAR, 1), fars[-2],
+             t1(OpCode.WRITE, ConfigRegister.CMD, 1)]
+    # Every case at least once: a zero-count Type-1 header, a frame split
+    # across calls and packets, a write and a read past the last FAR, and
+    # a DESYNC mid-frame.
+    ref = _assert_engines_agree(geo, [
+        [*setup, CmdCode.WCFG, t1(OpCode.WRITE, ConfigRegister.FDRI, 0),
+         t2(OpCode.WRITE, 3 * FRAME_WORDS + 50), *range(3 * FRAME_WORDS + 50)],
+        [t1(OpCode.WRITE, ConfigRegister.FDRI, 30), *range(30),
+         t1(OpCode.WRITE, ConfigRegister.CMD, 1), CmdCode.DESYNC],
+        [*setup, CmdCode.RCFG, t1(OpCode.READ, ConfigRegister.FDRO, 0),
+         t2(OpCode.READ, 4 * FRAME_WORDS)],
+    ])
+    assert list(ref.memory) == fars[-2:]
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(_config_calls(fars))
+    def check(calls):
+        _assert_engines_agree(geo, calls)
+
+    check()
+
+
+def test_frames_share_no_list_with_callers():
+    geo = desk_geometry()
+    fars = geo.far_words()
+    engine = ConfigEngine(geo, ZEDBOARD_IDCODE)
+    frames = [_frame(i) for i in range(3)]
+    words = build_write_frame_sequence(ZEDBOARD_IDCODE, fars[0], frames).words
+    # Cut 40 words into the first frame and resume FDRI in a second call:
+    # the first frame commits from the frame buffer, the others straight
+    # from slices of the second call's payload.
+    cut = len(words) - 2 - (len(frames) + 1) * FRAME_WORDS + 40
+    rest = words[cut:]
+    rest[:0] = [encode_type1(OpCode.WRITE, ConfigRegister.FDRI, 0),
+                encode_type2(OpCode.WRITE, len(rest) - 2)]
+    engine.execute(words[:cut])
+    engine.execute(rest)
+    expected = dict(zip(fars, frames))
+    assert engine.memory == expected
+    words[:] = rest[:] = [0xFFFFFFFF] * len(rest)
+    engine.read_frame(fars[1])[0] ^= 1
+    engine.read_frame(fars[5])[0] ^= 1  # never written
+    assert engine.memory == expected
+    engine.flip_bit(fars[6], 0, 0)
+    engine.flip_bit(fars[7], 0, 1)
+    assert len({id(f) for f in engine.memory.values()}) == len(engine.memory) == 5
+    engine.flip_bit(fars[0], 0, 0)
+    assert engine.memory[fars[1]] == frames[1]
+    assert engine.memory[fars[6]] != engine.memory[fars[7]]
+
+
+def test_whole_device_round_trip():
+    geo = z7020like_geometry()
+    fars = geo.far_words()
+    engine = ConfigEngine(geo, ZEDBOARD_IDCODE)
+    frames = [[(i * 2654435761 + j) & 0xFFFFFFFF for j in range(FRAME_WORDS)]
+              for i in range(len(fars))]
+    words = build_write_frame_sequence(ZEDBOARD_IDCODE, fars[0], frames).words
+    start = time.perf_counter()
+    _, events = engine.execute(words)
+    elapsed = time.perf_counter() - start
+    assert events == ["sync", "desync"]
+    assert elapsed < 1.0, f"full-device write took {elapsed:.2f} s"
+    for k in range(0, len(fars), 9):
+        n = min(9, len(fars) - k)
+        out, _ = engine.execute(build_readback_sequence(fars[k], n).words)
+        assert out[:FRAME_WORDS] == [0] * FRAME_WORDS
+        assert out[FRAME_WORDS:] == [w for f in frames[k:k + n] for w in f]
+    # One frame more than the device has left: the flush commits past the end.
+    _, events = _write_frames(engine, fars[-1], [_frame(1), _frame(2)])
+    assert events.count("far_overrun") == 1
+    assert engine.memory[fars[-1]] == _frame(1)

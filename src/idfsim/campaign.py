@@ -12,6 +12,11 @@ sequence, uploaded to DRAM at 0x00200000 during campaign initialization.
 It has no desync footer, which its own closing DESYNC would leave unread.
 Injections patch the FAR payload and the 101 data words in place and
 stream the whole template to the PL.
+
+A read-back request is `build_readback_sequence` plus a closing DESYNC
+command, so the engine is out of sync again before the template arrives
+and the template's SYNC word syncs it afresh; the DESYNC releases PCAP,
+which is acquired again to drain the read-back data.
 """
 
 import csv
@@ -30,8 +35,12 @@ from .dut import (
 )
 from .fabric import FRAME_WORDS
 from .packets import (
+    CmdCode,
+    ConfigRegister,
+    OpCode,
     build_readback_sequence,
     build_write_frame_sequence,
+    encode_type1,
     words_to_bytes,
 )
 
@@ -47,6 +56,14 @@ TPL_DATA_INDEX = 11
 
 REFERENCE_INJECTIONS = 64640   # 20 frames x 3232 bits
 REFERENCE_MINUTES = 440.0
+
+# Closes each read-back request (see the module docstring).
+_DESYNC_WRITE = [encode_type1(OpCode.WRITE, ConfigRegister.CMD, 1), int(CmdCode.DESYNC)]
+
+# Bound once for the injection cycle: on Python 3.11 reading an enum
+# member costs several times as much as reading a module global.
+_PCAP = Interface.PCAP
+_HIGH = MatchLine.HIGH
 
 
 @dataclass
@@ -134,15 +151,15 @@ class Campaign:
                 self.log.write(line + "\n")
 
     def _acquire_pcap(self):
-        if not self.device.interface_acquire(Interface.PCAP):
+        if not self.device.interface_acquire(_PCAP):
             raise TransferError("not-owner", "PCAP could not acquire the "
                                 "configuration interface")
 
     def _request_bytes(self, far_word):
         blob = self._request_cache.get(far_word)
         if blob is None:
-            seq = build_readback_sequence(far_word, 1)
-            blob = (words_to_bytes(seq.words), len(seq.words))
+            words = build_readback_sequence(far_word, 1).words + _DESYNC_WRITE
+            blob = (words_to_bytes(words), len(words))
             self._request_cache[far_word] = blob
         return blob
 
@@ -154,6 +171,8 @@ class Campaign:
         self._acquire_pcap()
         dev.dma_enqueue(READBACK_REQ_ADDR, devc.PL_ADDR, nwords, nwords)
         dev.dma_process()
+        # The request's closing DESYNC released PCAP; take it back to drain.
+        self._acquire_pcap()
         dev.dma_enqueue(devc.PL_ADDR, READBACK_DST_ADDR,
                         2 * FRAME_WORDS, 2 * FRAME_WORDS)
         dev.dma_process()
@@ -215,7 +234,7 @@ class Campaign:
             lines = ControlLines(clk_en=dev.get_pin(PIN_CLK_EN),
                                  start_0=1, start_1=1)
             result = self.dut.run_check(dev.engine, lines, self.input4)
-            detected = result.match_line is MatchLine.HIGH
+            detected = result.match_line is _HIGH
             dev.set_pin(PIN_MATCH, 1 if detected else 0)
             dev.set_pin(PIN_START0, 0)
             dev.set_pin(PIN_START1, 0)

@@ -37,6 +37,7 @@ PCAP_CLK_HZ = 100_000_000
 PCAP_MAX_BYTES_PER_SEC = 145_000_000
 
 _PAGE = 4096
+_WORD = struct.Struct(">I")
 
 
 class DevcError(Exception):
@@ -78,6 +79,12 @@ class InitPhase(IntEnum):
     CFG_DONE = 4
 
 
+# Bound once for the DMA path: on Python 3.11 reading an enum member
+# costs several times as much as reading a module global.
+_CFG_DONE = InitPhase.CFG_DONE
+_PCAP = Interface.PCAP
+
+
 @dataclass
 class CtrlReg:
     pcap_pr: bool = False
@@ -104,7 +111,11 @@ class DmaDescriptor:
 class Dram:
     """Sparse byte-addressed memory over a 32-bit space; unwritten reads 0.
 
-    Words are stored big-endian, matching the on-disk sequence format.
+    Storage is 4 KB pages of big-endian bytes, matching the on-disk
+    sequence format, created on first write; a read never creates one.
+    Word reads and writes whose span lies inside one page work on that
+    page directly with `struct`; a span that crosses a page goes through
+    the byte API.
     """
 
     def __init__(self):
@@ -142,16 +153,38 @@ class Dram:
         return bytes(out)
 
     def write_word(self, addr, word):
-        self.write_bytes(addr, struct.pack(">I", word & 0xFFFFFFFF))
+        word &= 0xFFFFFFFF
+        off = addr & (_PAGE - 1)
+        if off > _PAGE - 4:
+            self.write_bytes(addr, _WORD.pack(word))
+            return
+        _WORD.pack_into(self._page_for(addr, create=True)[1], off, word)
 
     def read_word(self, addr):
-        return struct.unpack(">I", self.read_bytes(addr, 4))[0]
+        off = addr & (_PAGE - 1)
+        if off > _PAGE - 4:
+            return _WORD.unpack(self.read_bytes(addr, 4))[0]
+        page = self._pages.get(addr - off)
+        return 0 if page is None else _WORD.unpack_from(page, off)[0]
 
     def write_words(self, addr, words):
-        self.write_bytes(addr, struct.pack(f">{len(words)}I", *words))
+        # Packed before any page is touched: a word that does not fit
+        # raises struct.error and changes nothing (pack_into would not).
+        data = struct.pack(f">{len(words)}I", *words)
+        off = addr & (_PAGE - 1)
+        if not data or off + len(data) > _PAGE:
+            self.write_bytes(addr, data)
+            return
+        self._page_for(addr, create=True)[1][off:off + len(data)] = data
 
     def read_words(self, addr, count):
-        return list(struct.unpack(f">{count}I", self.read_bytes(addr, count * 4)))
+        off = addr & (_PAGE - 1)
+        if off + 4 * count > _PAGE:
+            return list(struct.unpack(f">{count}I", self.read_bytes(addr, count * 4)))
+        page = self._pages.get(addr - off)
+        if page is None:
+            return [0] * count
+        return list(struct.unpack_from(f">{count}I", page, off))
 
     def load_image(self, path, addr):
         with open(path, "rb") as f:
@@ -275,7 +308,7 @@ class Device:
         self.write_reg("dma_dst_len", dst_len)
 
     def _enqueue_descriptor(self):
-        if self.phase != InitPhase.CFG_DONE:
+        if self.phase is not _CFG_DONE:
             raise SequencingError("not initialized: PL configuration not done")
         src, dst = self.dma_src, self.dma_dst
         if (src == PL_ADDR) == (dst == PL_ADDR):
@@ -297,9 +330,9 @@ class Device:
             raise DescriptorError("no DMA descriptor queued")
         desc = self.dma_queue.popleft()
         try:
-            if self.phase != InitPhase.CFG_DONE:
+            if self.phase is not _CFG_DONE:
                 raise TransferError("not-initialized", "PL configuration not done")
-            if self.owner is not Interface.PCAP:
+            if self.owner is not _PCAP:
                 raise TransferError("not-owner", "PCAP does not own the "
                                     "configuration interface")
             if desc.src_len != desc.dst_len:
@@ -358,7 +391,8 @@ class Device:
 
     def interface_acquire(self, kind):
         """Request the configuration interface; returns True when granted."""
-        kind = Interface(kind)
+        if self.owner is not kind:  # the owner asking again skips the lookup
+            kind = Interface(kind)
         if self.owner is kind:
             return True
         if kind is Interface.RBCRC and self.owner is not None:

@@ -15,6 +15,8 @@ module, and the match line routed back.  A full check takes 13 cycles
 import random
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
+from operator import xor
 
 from .aes import aes256_encrypt
 from .fabric import FRAME_BITS
@@ -48,6 +50,16 @@ _CLASS_TOKENS = {
 class MatchLine(Enum):
     LOW = "low"    # outputs equal
     HIGH = "high"  # error detected
+
+
+# Bound once for the per-injection check and map loading: on Python 3.11
+# reading an enum member costs several times a module global.
+_NOT_CRITICAL = Criticality.NOT_CRITICAL
+_MODULE0 = Criticality.MODULE0
+_MODULE1 = Criticality.MODULE1
+_COMPARATOR = Criticality.COMPARATOR
+_LOW = MatchLine.LOW
+_HIGH = MatchLine.HIGH
 
 
 class DesignHaltedError(RuntimeError):
@@ -91,8 +103,9 @@ class SensitivityMap:
     def add(self, far_word, bit, criticality):
         if not 0 <= bit < FRAME_BITS:
             raise ValueError(f"bit index {bit} outside 0..{FRAME_BITS - 1}")
-        criticality = Criticality(criticality)
-        if criticality is Criticality.NOT_CRITICAL:
+        if not isinstance(criticality, Criticality):
+            criticality = Criticality(criticality)
+        if criticality is _NOT_CRITICAL:
             return
         bits = self._by_far.setdefault(far_word, {})
         if bit not in bits:
@@ -177,6 +190,7 @@ def sensitivity_generate(seed, geometry, frames, critical_count,
 
 
 _ZERO_FRAME = [0] * (FRAME_BITS // 32)
+_WORD_RANGE = range(FRAME_BITS // 32)
 
 _XS_MULT = 0x2545F4914F6CDD1D
 _M64 = (1 << 64) - 1
@@ -256,10 +270,12 @@ class DutModel:
         ref = self.baseline.get(far_word, _ZERO_FRAME)
         flips = []
         if cur != ref:
-            # only words carrying critical bits can matter
-            for w, bits in self._word_index[far_word].items():
-                diff = cur[w] ^ ref[w]
-                if diff:
+            # only changed words carrying critical bits can matter
+            by_word = self._word_index[far_word]
+            for w in compress(_WORD_RANGE, map(xor, cur, ref)):
+                bits = by_word.get(w)
+                if bits:
+                    diff = cur[w] ^ ref[w]
                     flips.extend((bit, crit) for bit, crit in bits
                                  if diff & (1 << (bit & 31)))
             flips.sort()
@@ -285,8 +301,7 @@ class DutModel:
                 else:
                     self._flipped.pop(far_word, None)
         self._seen = next(reversed(versions.values()), 0)
-        grouped = {Criticality.MODULE0: [], Criticality.MODULE1: [],
-                   Criticality.COMPARATOR: []}
+        grouped = {_MODULE0: [], _MODULE1: [], _COMPARATOR: []}
         for far_word, flips in sorted(self._flipped.items()):
             for bit, crit in flips:
                 grouped[crit].append((far_word, bit))
@@ -301,16 +316,16 @@ class DutModel:
         base = self._cipher(input4)
         out0 = base
         out1 = base
-        m0 = grouped[Criticality.MODULE0]
-        m1 = grouped[Criticality.MODULE1]
+        m0 = grouped[_MODULE0]
+        m1 = grouped[_MODULE1]
         if m0:
             out0 ^= fault_mask(*m0[0])
         if m1:
             out1 ^= fault_mask(*m1[0])
-        if grouped[Criticality.COMPARATOR]:
-            match = MatchLine.HIGH
+        if grouped[_COMPARATOR]:
+            match = _HIGH
         else:
-            match = MatchLine.LOW if out0 == out1 else MatchLine.HIGH
+            match = _LOW if out0 == out1 else _HIGH
         cycles = self.config.exec_cycles + self.config.compare_cycles
         outputs = (out0.to_bytes(16, "big"), out1.to_bytes(16, "big"))
         return MatchResult(match, outputs, cycles)

@@ -24,10 +24,24 @@ from .packets import (
     ConfigRegister,
     FRAME_WORDS,
     NOOP_WORD,
+    REGISTERS_BY_ADDR,
     SYNC_WORD,
 )
 
 FRAME_BITS = FRAME_WORDS * 32
+
+# ConfigEngine.execute dispatches on REGISTERS_BY_ADDR and these, bound
+# once: on Python 3.11 a ConfigRegister(addr) call or a member read costs
+# several times a dict lookup or a module global.
+_FDRI = ConfigRegister.FDRI
+_FDRO = ConfigRegister.FDRO
+_CMD = ConfigRegister.CMD
+_IDCODE = ConfigRegister.IDCODE
+_FAR = ConfigRegister.FAR
+_UNMODELED = frozenset({ConfigRegister.MASK, ConfigRegister.CTL0, ConfigRegister.CRC})
+_WCFG = CmdCode.WCFG
+_RCFG = CmdCode.RCFG
+_DESYNC = CmdCode.DESYNC
 
 _FAR_FIELD_LIMITS = {
     "block_type": 7,
@@ -295,6 +309,9 @@ class ConfigEngine:
         n = len(words)
         while i < n:
             w = words[i]
+            if w == NOOP_WORD:  # skipped whether synced or not
+                i += 1
+                continue
             if not self.synced:
                 if w == SYNC_WORD:
                     self.synced = True
@@ -306,18 +323,14 @@ class ConfigEngine:
                     events.append("sync")
                 i += 1
                 continue
-            if w == NOOP_WORD:
-                i += 1
-                continue
             ptype = w >> 29
             op = (w >> 27) & 0x3
             if ptype == 0b001:
                 reg_addr = (w >> 13) & 0x3FFF
                 count = w & 0x7FF
                 i += 1
-                try:
-                    reg = ConfigRegister(reg_addr)
-                except ValueError:
+                reg = REGISTERS_BY_ADDR.get(reg_addr)
+                if reg is None:
                     events.append(f"ignored_register addr={reg_addr}")
                     if op == 2:
                         i += count
@@ -354,14 +367,14 @@ class ConfigEngine:
         return readback, events
 
     def _write(self, reg, payload, events):
-        if reg is ConfigRegister.FDRI:
+        if reg is _FDRI:
             self._write_fdri(payload, events)
             return
-        if reg is ConfigRegister.CMD:
+        if reg is _CMD:
             if payload:
                 self._command(payload[0], events)
             return
-        if reg is ConfigRegister.IDCODE:
+        if reg is _IDCODE:
             if payload and payload[0] == self.device_id:
                 self.idcode_ok = True
             else:
@@ -369,26 +382,26 @@ class ConfigEngine:
                 got = payload[0] if payload else 0
                 events.append(f"idcode_mismatch got=0x{got:08x}")
             return
-        if reg is ConfigRegister.FAR:
+        if reg is _FAR:
             if payload:
                 if self.geometry.is_valid_far(payload[0]):
                     self.current_far = payload[0]
                 else:
                     events.append(f"bad_far word=0x{payload[0]:08x}")
             return
-        if reg in (ConfigRegister.MASK, ConfigRegister.CTL0, ConfigRegister.CRC):
+        if reg in _UNMODELED:
             # Accepted but not modeled: the desync footer writes MASK/CTL0.
             return
         events.append(f"ignored_write reg={reg.name.lower() if reg else 'none'}")
 
     def _command(self, code, events):
-        if code == CmdCode.WCFG:
+        if code == _WCFG:
             self.wcfg = True
             self.rcfg = False
-        elif code == CmdCode.RCFG:
+        elif code == _RCFG:
             self.rcfg = True
             self.wcfg = False
-        elif code == CmdCode.DESYNC:
+        elif code == _DESYNC:
             self.synced = False
             self.wcfg = False
             self.rcfg = False
@@ -420,7 +433,7 @@ class ConfigEngine:
     def _read(self, reg, count, readback, events):
         if count == 0:
             return
-        if reg is not ConfigRegister.FDRO:
+        if reg is not _FDRO:
             events.append(f"ignored_read reg={reg.name.lower() if reg else 'none'}")
             return
         if not self.rcfg:

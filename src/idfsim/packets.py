@@ -81,7 +81,7 @@ _SPECIAL_WORDS = {
     SYNC_WORD: PacketKind.SYNC,
 }
 
-_REGISTER_ADDRS = {int(r) for r in ConfigRegister}
+REGISTERS_BY_ADDR = {int(r): r for r in ConfigRegister}
 
 
 class RangeError(ValueError):
@@ -239,9 +239,9 @@ def decode_stream(words):
                 continue
             if op_bits == 0b11:
                 raise DecodeError(i, f"reserved opcode in type1 header 0x{w:08x}")
-            if reg_addr not in _REGISTER_ADDRS:
+            reg = REGISTERS_BY_ADDR.get(reg_addr)
+            if reg is None:
                 raise DecodeError(i, f"unknown register address {reg_addr}")
-            reg = ConfigRegister(reg_addr)
             if op_bits == OpCode.READ:
                 packets.append(ConfigPacket.type1_read(reg, count))
                 i += 1

@@ -1,3 +1,5 @@
+import io
+
 import pytest
 
 from idfsim.campaign import (
@@ -147,6 +149,20 @@ class TestInjectAndCheck:
             c.inject_and_check(0, FRAME_WORDS, 0)
         with pytest.raises(ValueError):
             c.inject_and_check(0, 0, 32)
+
+    def test_read_back_leaves_the_engine_desynced(self):
+        # The read-back request closes with DESYNC, so the template write
+        # that follows syncs afresh instead of reading DUMMY and SYNC as
+        # packets.
+        log = io.StringIO()
+        dev, c = _fresh(log=log)
+        c.inject_and_check(0, 3, 4)
+        assert not dev.int_sts.cfg_error
+        lines = log.getvalue().splitlines()
+        assert not [line for line in lines if "ignored_word" in line]
+        assert lines.count("ENGINE sync") == 3  # request, fault, restore
+        assert lines.count("ENGINE desync") == 3
+        assert dev.owner is None
 
     def test_timestamps_are_monotone(self):
         _, c = _fresh()

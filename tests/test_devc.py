@@ -1,8 +1,13 @@
+import struct
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from idfsim.devc import (
     DescriptorError,
     Device,
+    Dram,
     Interface,
     InitPhase,
     LockedError,
@@ -314,6 +319,19 @@ class TestArbitration:
         assert dev.interface_acquire(Interface.PCAP)
         assert dev.drain_events() == []
 
+    def test_plain_int_kind(self):
+        dev = boot_device()
+        dev.drain_events()
+        assert dev.interface_acquire(2)
+        assert dev.owner is Interface.PCAP
+        assert dev.drain_events() == ["ACQUIRE PCAP GRANTED"]
+        # the owner asking again by number: granted, silently
+        assert dev.interface_acquire(2)
+        assert dev.owner is Interface.PCAP
+        assert dev.drain_events() == []
+        assert dev.interface_acquire(3)
+        assert dev.drain_events() == ["ACQUIRE JTAG PREEMPTS PCAP"]
+
     def test_desync_from_engine_releases(self):
         dev = _ready_device()
         n = _stage_write(dev, 0, [0] * FRAME_WORDS)
@@ -370,3 +388,72 @@ class TestDram:
         out = tmp_path / "out.bin"
         dev.dram.store_image(out, 0x00200000, 8)
         assert out.read_bytes() == path.read_bytes()
+
+    def test_bad_word_changes_nothing(self):
+        dram = Dram()
+        dram.write_words(0x1000, [7, 8])
+        for addr in (0x1000, 0x1FFC, 0x5000):  # in a page, across, unwritten
+            with pytest.raises(struct.error):
+                dram.write_words(addr, [1, 1 << 32])
+        assert dram.read_words(0x1000, 2) == [7, 8]
+        assert dram.read_bytes(0x1FFC, 8) == bytes(8)
+        assert sorted(dram._pages) == [0x1000]
+
+
+# Differential check of the one-page word fast path: every access lands
+# near a page boundary, so some spans lie inside one page and some cross.
+_BOUNDARY = 0x00201000
+_LO = _BOUNDARY - 64
+_SPAN = 160  # the model covers [_LO, _LO + _SPAN)
+_MAX_WORDS = 8
+
+_dram_addr = st.one_of(
+    st.integers(0, 30).map(lambda k: _LO + 4 * k),  # word-aligned
+    st.integers(_LO, _LO + _SPAN - 4 * _MAX_WORDS),
+)
+_dram_op = st.one_of(
+    st.tuples(st.just("write_word"), _dram_addr, st.integers(0, (1 << 34) - 1)),
+    st.tuples(st.just("write_words"), _dram_addr,
+              st.lists(st.integers(0, 0xFFFFFFFF), max_size=_MAX_WORDS)),
+    st.tuples(st.just("write_bytes"), _dram_addr,
+              st.binary(max_size=4 * _MAX_WORDS)),
+    st.tuples(st.just("read_word"), _dram_addr, st.none()),
+    st.tuples(st.just("read_words"), _dram_addr, st.integers(0, _MAX_WORDS)),
+    st.tuples(st.just("read_bytes"), _dram_addr, st.integers(0, 4 * _MAX_WORDS)),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(_dram_op, max_size=25))
+def test_dram_matches_flat_model(ops):
+    dram = Dram()
+    model = bytearray(_SPAN)
+    written = set()  # page bases a non-empty write touched
+    for op, addr, arg in ops:
+        off = addr - _LO
+        if op.startswith("write"):
+            if op == "write_word":
+                dram.write_word(addr, arg)
+                data = (arg & 0xFFFFFFFF).to_bytes(4, "big")
+            elif op == "write_words":
+                dram.write_words(addr, arg)
+                data = b"".join(w.to_bytes(4, "big") for w in arg)
+            else:
+                dram.write_bytes(addr, arg)
+                data = arg
+            model[off:off + len(data)] = data
+            if data:
+                written |= {(addr & ~0xFFF), ((addr + len(data) - 1) & ~0xFFF)}
+            continue
+        pages = set(dram._pages)
+        if op == "read_word":
+            assert dram.read_word(addr) == int.from_bytes(model[off:off + 4], "big")
+        elif op == "read_words":
+            got = dram.read_words(addr, arg)
+            assert got == [int.from_bytes(model[off + 4 * i:off + 4 * i + 4], "big")
+                           for i in range(arg)]
+        else:
+            assert dram.read_bytes(addr, arg) == bytes(model[off:off + arg])
+        assert set(dram._pages) == pages  # a read never creates a page
+    assert set(dram._pages) == written
+    assert dram.read_bytes(_LO, _SPAN) == bytes(model)

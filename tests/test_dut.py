@@ -20,7 +20,13 @@ from idfsim.dut import (
     sensitivity_generate,
     widen_input,
 )
-from idfsim.fabric import ConfigEngine, FRAME_BITS, FRAME_WORDS, desk_geometry
+from idfsim.fabric import (
+    ConfigEngine,
+    FRAME_BITS,
+    FRAME_WORDS,
+    desk_geometry,
+    z7020like_geometry,
+)
 from idfsim.packets import ZEDBOARD_IDCODE, build_write_frame_sequence
 
 
@@ -138,6 +144,27 @@ class TestSensitivityMap:
         smap.save(path)
         loaded = SensitivityMap.load(path)
         assert list(loaded.iter_entries()) == list(smap.iter_entries())
+
+    def test_round_trip_keeps_every_entry(self, tmp_path):
+        geo = z7020like_geometry()
+        smap = sensitivity_generate(9, geo, geo.far_words()[:3], 2500)
+        path = tmp_path / "map.txt"
+        smap.save(path)
+        loaded = SensitivityMap.load(path)
+        assert loaded.critical_count == smap.critical_count == 2500
+        assert loaded.frames == smap.frames
+        for far_word, bit, crit in smap.iter_entries():
+            assert loaded.criticality(far_word, bit) is crit
+
+    def test_add_string_or_member_same_map(self):
+        by_name, by_member = SensitivityMap(), SensitivityMap()
+        for i, crit in enumerate(list(Criticality) * 3):
+            by_name.add(i % 4, i, crit.value)
+            by_member.add(i % 4, i, crit)
+        assert list(by_name.iter_entries()) == list(by_member.iter_entries())
+        assert by_name.critical_count == by_member.critical_count == 9
+        with pytest.raises(ValueError):
+            by_name.add(0, 0, "module2")
 
     def test_file_format(self, tmp_path):
         smap = SensitivityMap()

@@ -23,6 +23,7 @@ from idfsim.packets import (
     ConfigRegister,
     NOOP_WORD,
     OpCode,
+    REGISTERS_BY_ADDR,
     SYNC_WORD,
     ZEDBOARD_IDCODE,
     build_readback_sequence,
@@ -229,6 +230,30 @@ class TestConfigEngine:
         assert events == ["sync", "bad_far word=0x00300000",
                           "bad_far word=0x04000000"]
         assert engine.current_far == desk_geometry().first_far() == 0
+
+    def test_register_table_holds_every_register(self):
+        assert len(REGISTERS_BY_ADDR) == len(ConfigRegister)
+        for reg in ConfigRegister:
+            assert REGISTERS_BY_ADDR[int(reg)] is reg
+
+    def test_unknown_register_skips_its_payload(self):
+        engine = ConfigEngine(desk_geometry(), ZEDBOARD_IDCODE)
+        unknown = 0x1F
+        words = [
+            SYNC_WORD,
+            # a write's payload is skipped unread, DESYNC command and all
+            (0b001 << 29) | (2 << 27) | (unknown << 13) | 2,
+            encode_type1(OpCode.WRITE, ConfigRegister.CMD, 1), int(CmdCode.DESYNC),
+            # a read has no payload to skip
+            (0b001 << 29) | (1 << 27) | (unknown << 13) | 4,
+            encode_type1(OpCode.WRITE, ConfigRegister.FAR, 1), 0x00000001,
+        ]
+        out, events = engine.execute(words)
+        assert out == []
+        assert events == ["sync", "ignored_register addr=31",
+                          "ignored_register addr=31"]
+        assert engine.synced
+        assert engine.current_far == 1
 
     def test_commit_order_matches_enumeration(self):
         geo = desk_geometry()

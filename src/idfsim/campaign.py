@@ -72,7 +72,6 @@ class InjectionRecord:
     word_index: int
     bit_index_in_word: int
     detected: bool
-    timestamp: int
     error: str | None = None
 
 
@@ -117,7 +116,7 @@ def frame_template_words(device_id, far_word=0):
 
 def campaign_init(device):
     """Load the frame template, zero both counters, enable the DUT clock."""
-    if device.phase != devc.InitPhase.CFG_DONE:
+    if not device.cfg_done:
         raise DevcError("device not initialized: run the bring-up sequence first")
     template = frame_template_words(device.engine.device_id)
     device.dram.write_words(TEMPLATE_ADDR, template)
@@ -136,7 +135,6 @@ class Campaign:
         self.input4 = input4
         self.fail_fast = fail_fast
         self.log = log
-        self._tick = 0
         self._template_len = campaign_init(device)
         self._request_cache = {}
         if not dut.baseline_captured:
@@ -214,11 +212,13 @@ class Campaign:
         frame is staged, so a failed transfer never leaves the fabric
         modified.
         """
+        dev = self.device
+        if not dev.geometry.is_valid_far(far_word):
+            raise ValueError(f"FAR 0x{far_word:08x} invalid for geometry "
+                             f"{dev.geometry.name}")
         if not 0 <= word_index < FRAME_WORDS or not 0 <= bit < 32:
             raise ValueError("bit position outside a frame")
-        dev = self.device
-        self._tick += 1
-        record = InjectionRecord(far_word, word_index, bit, False, self._tick)
+        record = InjectionRecord(far_word, word_index, bit, False)
         dev.set_pin(PIN_CLK_EN, 0)
         staged = not refresh
         try:
@@ -297,9 +297,6 @@ class Campaign:
     def run_manual(self, far_word, use_dram_frame=False):
         """One-frame campaign; optionally trusts the frame image already in
         DRAM (loaded externally) instead of reading it back per injection."""
-        if not self.device.geometry.is_valid_far(far_word):
-            raise ValueError(f"FAR 0x{far_word:08x} invalid for geometry "
-                             f"{self.device.geometry.name}")
         if use_dram_frame:
             # The image is already at the template's data offset; only the
             # FAR payload needs pointing at the target frame.

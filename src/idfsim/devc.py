@@ -71,17 +71,8 @@ class Interface(IntEnum):
     RBCRC = 0
 
 
-class InitPhase(IntEnum):
-    LOCKED = 0
-    POWER_OK = 1
-    INIT_DONE = 2
-    PCAP_SELECTED = 3
-    CFG_DONE = 4
-
-
 # Bound once for the DMA path: on Python 3.11 reading an enum member
 # costs several times as much as reading a module global.
-_CFG_DONE = InitPhase.CFG_DONE
 _PCAP = Interface.PCAP
 
 
@@ -207,7 +198,7 @@ class Device:
         self.ctrl = CtrlReg()
         self.int_sts = IntStatus()
         self.locked = True
-        self.phase = InitPhase.LOCKED
+        self.cfg_done = False
         self.clock_divisor = 1
         self.owner = None
         self.dma_queue = deque()
@@ -271,22 +262,20 @@ class Device:
     # -- initialization ----------------------------------------------------
 
     def pl_initialize(self):
-        """Walk the PL bring-up ladder (power, init, PCAP select, cfg done).
+        """Bring the PL up over PCAP: power, init, PCAP select, cfg done.
 
         Requires the device unlocked and ctrl.pcap_pr/ctrl.pcap_mode already
-        set, otherwise the PCAP-select phase is unreachable.
+        set, otherwise PCAP cannot be selected.  A call that raises changes
+        nothing, so it can be retried once the cause is fixed.
         """
         if self.locked:
             raise LockedError("unlock the DevC interface first")
-        if self.phase != InitPhase.LOCKED:
-            raise SequencingError(f"pl_initialize called in phase {self.phase.name}")
-        self.phase = InitPhase.POWER_OK
-        self.phase = InitPhase.INIT_DONE
+        if self.cfg_done:
+            raise SequencingError("pl_initialize called after CFG_DONE")
         if not (self.ctrl.pcap_pr and self.ctrl.pcap_mode):
             raise SequencingError("ctrl.pcap_pr and ctrl.pcap_mode must be set "
                                   "before PCAP can be selected")
-        self.phase = InitPhase.PCAP_SELECTED
-        self.phase = InitPhase.CFG_DONE
+        self.cfg_done = True
         self._event("PL INIT CFG_DONE")
 
     def set_pcap_clock_divisor(self, div):
@@ -308,7 +297,7 @@ class Device:
         self.write_reg("dma_dst_len", dst_len)
 
     def _enqueue_descriptor(self):
-        if self.phase is not _CFG_DONE:
+        if not self.cfg_done:
             raise SequencingError("not initialized: PL configuration not done")
         src, dst = self.dma_src, self.dma_dst
         if (src == PL_ADDR) == (dst == PL_ADDR):
@@ -330,7 +319,7 @@ class Device:
             raise DescriptorError("no DMA descriptor queued")
         desc = self.dma_queue.popleft()
         try:
-            if self.phase is not _CFG_DONE:
+            if not self.cfg_done:
                 raise TransferError("not-initialized", "PL configuration not done")
             if self.owner is not _PCAP:
                 raise TransferError("not-owner", "PCAP does not own the "

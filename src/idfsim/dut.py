@@ -8,8 +8,7 @@ deterministic nonzero mask, and a flipped comparator-critical bit forces
 the match line high regardless of the outputs.
 
 Control lines mirror the PS GPIO wiring: a clock enable, one start per
-module, and the match line routed back.  A full check takes 13 cycles
-(11 execute + 2 compare) on the 50 MHz module clock.
+module, and the match line routed back.
 """
 
 import random
@@ -27,10 +26,6 @@ PIN_CLK_EN = 10
 PIN_START0 = 11
 PIN_START1 = 12
 PIN_MATCH = 13
-
-EXEC_CYCLES = 11
-COMPARE_CYCLES = 2
-CLOCK_MHZ = 50
 
 
 class Criticality(Enum):
@@ -74,9 +69,6 @@ class StartsNotAssertedError(RuntimeError):
 class DutConfig:
     key: bytes = DEFAULT_KEY
     variant: str = "with_idf"  # or "without_idf"
-    exec_cycles: int = EXEC_CYCLES
-    compare_cycles: int = COMPARE_CYCLES
-    clock_mhz: int = CLOCK_MHZ
 
 
 @dataclass
@@ -90,7 +82,6 @@ class ControlLines:
 class MatchResult:
     match_line: MatchLine
     outputs: tuple
-    cycles_used: int
 
 
 class SensitivityMap:
@@ -326,6 +317,5 @@ class DutModel:
             match = _HIGH
         else:
             match = _LOW if out0 == out1 else _HIGH
-        cycles = self.config.exec_cycles + self.config.compare_cycles
         outputs = (out0.to_bytes(16, "big"), out1.to_bytes(16, "big"))
-        return MatchResult(match, outputs, cycles)
+        return MatchResult(match, outputs)

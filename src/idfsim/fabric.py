@@ -260,8 +260,8 @@ class ConfigEngine:
         self.device_id = device_id & 0xFFFFFFFF
         self.synced = False
         self.idcode_ok = False
-        self.wcfg = False
-        self.rcfg = False
+        # CmdCode.WCFG or RCFG, whichever came last since sync; else None.
+        self.cfg_cmd = None
         self.current_far = geometry.first_far()
         self.last_type1_reg = None
         self.frame_buffer = []
@@ -316,8 +316,7 @@ class ConfigEngine:
                 if w == SYNC_WORD:
                     self.synced = True
                     self.idcode_ok = False
-                    self.wcfg = False
-                    self.rcfg = False
+                    self.cfg_cmd = None
                     self.last_type1_reg = None
                     self.frame_buffer = []
                     events.append("sync")
@@ -396,20 +395,17 @@ class ConfigEngine:
 
     def _command(self, code, events):
         if code == _WCFG:
-            self.wcfg = True
-            self.rcfg = False
+            self.cfg_cmd = _WCFG
         elif code == _RCFG:
-            self.rcfg = True
-            self.wcfg = False
+            self.cfg_cmd = _RCFG
         elif code == _DESYNC:
             self.synced = False
-            self.wcfg = False
-            self.rcfg = False
+            self.cfg_cmd = None
             self.frame_buffer = []
             events.append("desync")
 
     def _write_fdri(self, payload, events):
-        if not self.wcfg:
+        if self.cfg_cmd is not _WCFG:
             events.append("fdri_without_wcfg")
             return
         if not self.idcode_ok:
@@ -436,7 +432,7 @@ class ConfigEngine:
         if reg is not _FDRO:
             events.append(f"ignored_read reg={reg.name.lower() if reg else 'none'}")
             return
-        if not self.rcfg:
+        if self.cfg_cmd is not _RCFG:
             events.append("fdro_without_rcfg")
             return
         out = [0] * FRAME_WORDS

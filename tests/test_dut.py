@@ -263,11 +263,6 @@ class TestDutRunCheck:
         assert (result.match_line is MatchLine.LOW) == (
             result.outputs[0] == result.outputs[1])
 
-    def test_cycles_used(self):
-        result = DutModel(sensitivity_map=SensitivityMap()).run_check(
-            _engine(), _lines(), 0)
-        assert result.cycles_used == 13
-
     def test_clk_en_low_halts(self):
         with pytest.raises(DesignHaltedError):
             DutModel(sensitivity_map=SensitivityMap()).run_check(

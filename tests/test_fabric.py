@@ -218,6 +218,28 @@ class TestConfigEngine:
         assert "fdro_without_rcfg" in events
         assert out == []
 
+    def test_wcfg_and_rcfg_end_at_desync(self):
+        engine = ConfigEngine(desk_geometry(), ZEDBOARD_IDCODE)
+        cmd = encode_type1(OpCode.WRITE, ConfigRegister.CMD, 1)
+        resync = [cmd, CmdCode.DESYNC, SYNC_WORD,
+                  encode_type1(OpCode.WRITE, ConfigRegister.IDCODE, 1),
+                  ZEDBOARD_IDCODE]
+        words = [
+            SYNC_WORD, cmd, CmdCode.WCFG, *resync,
+            encode_type1(OpCode.WRITE, ConfigRegister.FDRI, 0),
+            encode_type2(OpCode.WRITE, 202), *([5] * 202),
+            cmd, CmdCode.RCFG, *resync,
+            encode_type1(OpCode.READ, ConfigRegister.FDRO, 0),
+            encode_type2(OpCode.READ, 202),
+        ]
+        out, events = engine.execute(words)
+        # the zero-count Type-1 FDRI header is a write of its own
+        assert events == ["sync", "desync", "sync", "fdri_without_wcfg",
+                          "fdri_without_wcfg", "desync", "sync",
+                          "fdro_without_rcfg"]
+        assert out == []
+        assert engine.memory == {}
+
     def test_bad_far_event(self):
         engine = ConfigEngine(desk_geometry(), ZEDBOARD_IDCODE)
         words = [

@@ -33,14 +33,11 @@ from .dut import (
     PIN_START0,
     PIN_START1,
 )
-from .fabric import FRAME_WORDS
+from .fabric import FRAME_BYTES, FRAME_WORDS
 from .packets import (
-    CmdCode,
-    ConfigRegister,
-    OpCode,
+    DESYNC_WRITE,
     build_readback_sequence,
     build_write_frame_sequence,
-    encode_type1,
     words_to_bytes,
 )
 
@@ -56,9 +53,6 @@ TPL_DATA_INDEX = 11
 
 REFERENCE_INJECTIONS = 64640   # 20 frames x 3232 bits
 REFERENCE_MINUTES = 440.0
-
-# Closes each read-back request (see the module docstring).
-_DESYNC_WRITE = [encode_type1(OpCode.WRITE, ConfigRegister.CMD, 1), int(CmdCode.DESYNC)]
 
 # Bound once for the injection cycle: on Python 3.11 reading an enum
 # member costs several times as much as reading a module global.
@@ -156,7 +150,9 @@ class Campaign:
     def _request_bytes(self, far_word):
         blob = self._request_cache.get(far_word)
         if blob is None:
-            words = build_readback_sequence(far_word, 1).words + _DESYNC_WRITE
+            # Closed by DESYNC (see the module docstring).
+            words = build_readback_sequence(far_word, 1).words
+            words.extend(DESYNC_WRITE)
             blob = (words_to_bytes(words), len(words))
             self._request_cache[far_word] = blob
         return blob
@@ -174,9 +170,8 @@ class Campaign:
         dev.dma_enqueue(devc.PL_ADDR, READBACK_DST_ADDR,
                         2 * FRAME_WORDS, 2 * FRAME_WORDS)
         dev.dma_process()
-        # First 101 words are the frame buffer's dummy frame.
-        return dev.dram.read_words(READBACK_DST_ADDR + 4 * FRAME_WORDS,
-                                   FRAME_WORDS)
+        # The first frame is the frame buffer's dummy frame.
+        return dev.dram.read_bytes(READBACK_DST_ADDR + FRAME_BYTES, FRAME_BYTES)
 
     def write_template_frame(self):
         """Stream the resident template (current FAR + data words) to the PL."""
@@ -186,10 +181,10 @@ class Campaign:
                         self._template_len, self._template_len)
         dev.dma_process()
 
-    def stage_frame(self, far_word, frame_words):
+    def stage_frame(self, far_word, frame):
         dram = self.device.dram
         dram.write_word(TEMPLATE_ADDR + 4 * TPL_FAR_INDEX, far_word)
-        dram.write_words(TEMPLATE_ADDR + 4 * TPL_DATA_INDEX, frame_words)
+        dram.write_bytes(TEMPLATE_ADDR + 4 * TPL_DATA_INDEX, frame)
 
     def _flip_template_bit(self, word_index, bit):
         addr = TEMPLATE_ADDR + 4 * (TPL_DATA_INDEX + word_index)
@@ -207,10 +202,10 @@ class Campaign:
 
         With `refresh` the frame is first read back from the PL into the
         template (the automatic-mode procedure); without it the template's
-        resident frame image is used as-is (manual mode with an externally
-        loaded image).  Restoration is attempted unconditionally once the
-        frame is staged, so a failed transfer never leaves the fabric
-        modified.
+        resident frame image is written to `far_word` as-is (manual mode
+        with an externally loaded image).  Restoration is attempted
+        unconditionally once the frame is staged, so a failed transfer
+        never leaves the fabric modified.
         """
         dev = self.device
         if not dev.geometry.is_valid_far(far_word):
@@ -226,6 +221,8 @@ class Campaign:
                 frame = self.read_frame(far_word)
                 self.stage_frame(far_word, frame)
                 staged = True
+            else:
+                dev.dram.write_word(TEMPLATE_ADDR + 4 * TPL_FAR_INDEX, far_word)
             self._flip_template_bit(word_index, bit)
             self.write_template_frame()
             dev.set_pin(PIN_CLK_EN, 1)
@@ -297,11 +294,6 @@ class Campaign:
     def run_manual(self, far_word, use_dram_frame=False):
         """One-frame campaign; optionally trusts the frame image already in
         DRAM (loaded externally) instead of reading it back per injection."""
-        if use_dram_frame:
-            # The image is already at the template's data offset; only the
-            # FAR payload needs pointing at the target frame.
-            self.device.dram.write_word(TEMPLATE_ADDR + 4 * TPL_FAR_INDEX,
-                                        far_word)
         records = self.run_frame(far_word, refresh=not use_dram_frame)
         detected = sum(1 for r in records if r.error is None and r.detected)
         return FrameReport(far_word, records, detected,

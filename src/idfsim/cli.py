@@ -33,6 +33,7 @@ from .packets import (
     build_desync_footer,
     build_readback_sequence,
     build_write_frame_sequence,
+    bytes_to_words,
     decode_stream,
     describe_packet,
     read_sequence_file,
@@ -151,7 +152,7 @@ def interactive_session(stdin, stdout, device, dut, far_words, input4=0):
                 say(f"Read failed: {exc}")
                 continue
             say(f"Frame @ FAR 0x{far_word:08x}:")
-            hex_dump(frame, stdout)
+            hex_dump(bytes_to_words(frame), stdout)
         elif choice == "2":
             far_word = prompt_far()
             if far_word is None:
@@ -265,6 +266,8 @@ def _cmd_campaign(args):
     far_words = _parse_frame_range(args.frames, geometry)
     smap = SensitivityMap.load(args.map) if args.map else SensitivityMap()
     variant = "with_idf" if args.variant == "idf" else "without_idf"
+    # Before the run: a bad --out fails fast, and --log may lie inside it.
+    os.makedirs(args.out, exist_ok=True)
     device = devc.boot_device(geometry)
     dut = DutModel(DutConfig(variant=variant), smap)
     log = open(args.log, "w", encoding="utf-8") if args.log else None
@@ -275,7 +278,6 @@ def _cmd_campaign(args):
     finally:
         if log is not None:
             log.close()
-    os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "frames.csv"), "w", encoding="utf-8") as f:
         f.write(campaign_mod.frame_rows_csv(rows))
     with open(os.path.join(args.out, "summary.txt"), "w", encoding="utf-8") as f:

@@ -104,9 +104,8 @@ class Dram:
 
     Storage is 4 KB pages of big-endian bytes, matching the on-disk
     sequence format, created on first write; a read never creates one.
-    Word reads and writes whose span lies inside one page work on that
-    page directly with `struct`; a span that crosses a page goes through
-    the byte API.
+    A single-word read or write inside one page works on that page
+    directly with `struct`; everything else goes through the byte API.
     """
 
     def __init__(self):
@@ -160,22 +159,11 @@ class Dram:
 
     def write_words(self, addr, words):
         # Packed before any page is touched: a word that does not fit
-        # raises struct.error and changes nothing (pack_into would not).
-        data = struct.pack(f">{len(words)}I", *words)
-        off = addr & (_PAGE - 1)
-        if not data or off + len(data) > _PAGE:
-            self.write_bytes(addr, data)
-            return
-        self._page_for(addr, create=True)[1][off:off + len(data)] = data
+        # raises struct.error and changes nothing.
+        self.write_bytes(addr, struct.pack(f">{len(words)}I", *words))
 
     def read_words(self, addr, count):
-        off = addr & (_PAGE - 1)
-        if off + 4 * count > _PAGE:
-            return list(struct.unpack(f">{count}I", self.read_bytes(addr, count * 4)))
-        page = self._pages.get(addr - off)
-        if page is None:
-            return [0] * count
-        return list(struct.unpack_from(f">{count}I", page, off))
+        return list(struct.unpack(f">{count}I", self.read_bytes(addr, 4 * count)))
 
     def load_image(self, path, addr):
         with open(path, "rb") as f:
@@ -344,8 +332,8 @@ class Device:
         return events
 
     def _transfer_ps2pl(self, desc):
-        words = self.dram.read_words(desc.src, desc.src_len)
-        readback, events = self.engine.execute(words)
+        data = self.dram.read_bytes(desc.src, 4 * desc.src_len)
+        readback, events = self.engine.execute(data)
         for ev in events:
             self._event(f"ENGINE {ev}")
             if ev == "desync":
@@ -368,11 +356,12 @@ class Device:
                                 f"divisor {self.clock_divisor}")
         if self.pending_readback is None:
             raise TransferError("width", "no read-back data pending")
-        if len(self.pending_readback) != desc.dst_len:
+        pending = len(self.pending_readback) // 4
+        if pending != desc.dst_len:
             raise TransferError("width", "a read-back cannot be split: "
-                                f"{len(self.pending_readback)} words pending, "
+                                f"{pending} words pending, "
                                 f"{desc.dst_len} requested")
-        self.dram.write_words(desc.dst, self.pending_readback)
+        self.dram.write_bytes(desc.dst, self.pending_readback)
         self.pending_readback = None
         return []
 

@@ -14,11 +14,9 @@ module, and the match line routed back.
 import random
 from dataclasses import dataclass
 from enum import Enum
-from itertools import compress
-from operator import xor
 
 from .aes import aes256_encrypt
-from .fabric import FRAME_BITS
+from .fabric import FRAME_BITS, ZERO_FRAME
 
 DEFAULT_KEY = bytes(range(32))
 
@@ -180,8 +178,7 @@ def sensitivity_generate(seed, geometry, frames, critical_count,
     return smap
 
 
-_ZERO_FRAME = [0] * (FRAME_BITS // 32)
-_WORD_RANGE = range(FRAME_BITS // 32)
+_TOP_WORD_POS = FRAME_BITS - 32  # position of word 0, bit 0 in a frame int
 
 _XS_MULT = 0x2545F4914F6CDD1D
 _M64 = (1 << 64) - 1
@@ -217,8 +214,11 @@ class DutModel:
 
     The golden reference defaults to the all-zero configuration (an
     untouched fabric); `capture_baseline` rebases it on the engine's
-    current memory.  Each check rescans only the mapped frames changed
-    since the previous one, newest first in `engine.frame_versions`.
+    current memory, sharing its immutable frames.  Each check rescans only
+    the mapped frames changed since the previous one, newest first in
+    `engine.frame_versions`, and costs one map lookup per bit by which
+    such a frame differs from its baseline: after an injection's fault
+    write that is one bit, after its restore none.
     """
 
     def __init__(self, config=None, sensitivity_map=None):
@@ -228,16 +228,9 @@ class DutModel:
         self.baseline_captured = False
         self._cipher_cache = {}
         self._track(None, 0)
-        # per frame: word index -> [(bit, class), ...] for fast flip scans
-        self._word_index = {}
-        for far_word in self.smap.frames:
-            by_word = {}
-            for bit, crit in self.smap.bits_for(far_word).items():
-                by_word.setdefault(bit >> 5, []).append((bit, crit))
-            self._word_index[far_word] = by_word
 
     def capture_baseline(self, engine):
-        self.baseline = {far: list(words) for far, words in engine.memory.items()}
+        self.baseline = dict(engine.memory)
         self.baseline_captured = True
         # memory equals the baseline now: nothing is flipped
         self._track(engine, next(reversed(engine.frame_versions.values()), 0))
@@ -257,18 +250,21 @@ class DutModel:
 
     def _frame_flips(self, engine, far_word):
         """Critical bits currently flipped in one mapped frame, sorted."""
-        cur = engine.memory.get(far_word, _ZERO_FRAME)
-        ref = self.baseline.get(far_word, _ZERO_FRAME)
+        cur = engine.memory.get(far_word, ZERO_FRAME)
+        ref = self.baseline.get(far_word, ZERO_FRAME)
         flips = []
         if cur != ref:
-            # only changed words carrying critical bits can matter
-            by_word = self._word_index[far_word]
-            for w in compress(_WORD_RANGE, map(xor, cur, ref)):
-                bits = by_word.get(w)
-                if bits:
-                    diff = cur[w] ^ ref[w]
-                    flips.extend((bit, crit) for bit, crit in bits
-                                 if diff & (1 << (bit & 31)))
+            bits = self.smap.bits_for(far_word)
+            diff = int.from_bytes(cur, "big") ^ int.from_bytes(ref, "big")
+            while diff:
+                pos = diff.bit_length() - 1
+                diff ^= 1 << pos
+                # Word w's bit k sits at position 32 * (100 - w) + k of the
+                # big-endian frame; the same map turns it back.
+                bit = (_TOP_WORD_POS - (pos & ~31)) | (pos & 31)
+                crit = bits.get(bit)
+                if crit is not None:
+                    flips.append((bit, crit))
             flips.sort()
         return flips
 
@@ -285,7 +281,7 @@ class DutModel:
                 break
             changed.append(far_word)
         for far_word in changed:
-            if far_word in self._word_index:
+            if self.smap.bits_for(far_word):
                 flips = self._frame_flips(engine, far_word)
                 if flips:
                     self._flipped[far_word] = flips

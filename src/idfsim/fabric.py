@@ -1,7 +1,8 @@
 """Simulated PL configuration plane.
 
 Frame memory is addressed by FAR (frame address register) values.  A frame
-is exactly 101 32-bit words (3232 bits).  The configuration engine consumes
+is exactly 101 32-bit words (3232 bits), held as 404 big-endian bytes from
+DRAM through the engine to the DUT.  The configuration engine consumes
 packet streams: writes go through a one-frame buffer and commit a frame only
 once the first word of the next frame arrives, so the trailing all-zero
 flush frame in a write sequence is what pushes the last real frame into
@@ -17,6 +18,8 @@ first_far, next_far, is_valid_far and far_words depend on the bit positions.
 
 import hashlib
 import struct
+import sys
+from array import array
 from dataclasses import dataclass
 
 from .packets import (
@@ -29,6 +32,12 @@ from .packets import (
 )
 
 FRAME_BITS = FRAME_WORDS * 32
+FRAME_BYTES = FRAME_WORDS * 4
+ZERO_FRAME = bytes(FRAME_BYTES)
+
+# ConfigEngine.execute reads a stream's header words through one native
+# array("I") view, byteswapped from big-endian where the host is not.
+_BYTESWAP = sys.byteorder == "little"
 
 # ConfigEngine.execute dispatches on REGISTERS_BY_ADDR and these, bound
 # once: on Python 3.11 a ConfigRegister(addr) call or a member read costs
@@ -239,17 +248,19 @@ class ConfigEngine:
     """The PL-side configuration state machine.
 
     One engine is exclusively owned by one caller at a time.  `execute`
-    consumes a word stream and returns (readback_words, events); everything
-    before a sync word is ignored, and a DESYNC command drops sync again.
-    Events are stable lowercase strings.
+    consumes a stream of big-endian 32-bit words and returns (readback,
+    events), the read-back data as big-endian bytes; everything before a
+    sync word is ignored, and a DESYNC command drops sync again.  Events
+    are stable lowercase strings.
 
     `current_far` is the integer FAR word the next frame commits to or
     reads from, or None once the last frame is passed.  A full frame
     commits only when the next frame's first word arrives.  `_write_fdri`
-    commits every such frame as a fresh slice of the incoming payload, so a
+    commits every such frame as a fresh slice of the incoming stream, so a
     write takes time linear in its words, and afterwards `frame_buffer`
-    holds only the frame still being received, at most FRAME_WORDS words.
-    No two FARs in `memory` share a frame list, and no caller holds one.
+    holds only the frame still being received, at most FRAME_BYTES bytes.
+    Frames in `memory` are immutable FRAME_BYTES-byte `bytes`, so callers
+    and the DUT baseline share them without copying.
 
     `frame_versions` maps each FAR word written to the mutation count of
     its last change, in that order: versions increase from first to last.
@@ -264,25 +275,24 @@ class ConfigEngine:
         self.cfg_cmd = None
         self.current_far = geometry.first_far()
         self.last_type1_reg = None
-        self.frame_buffer = []
-        # FAR word -> list of 101 words; absent frames read as zero.
+        self.frame_buffer = b""
+        # FAR word -> frame bytes; absent frames read as zero.
         self.memory = {}
         self.frame_versions = {}
         self._mutations = 0
-        self._zero_frame = [0] * FRAME_WORDS
 
     # -- frame memory ------------------------------------------------------
 
     def read_frame(self, far_word):
-        frame = self.memory.get(far_word)
-        return list(frame) if frame is not None else [0] * FRAME_WORDS
+        return self.memory.get(far_word, ZERO_FRAME)
 
     def flip_bit(self, far_word, word_index, bit):
-        """XOR one configuration bit in place (test/fault bookkeeping)."""
+        """XOR one configuration bit (test/fault bookkeeping)."""
         if not 0 <= word_index < FRAME_WORDS or not 0 <= bit < 32:
             raise ValueError("bit position outside a frame")
-        frame = self.memory.setdefault(far_word, [0] * FRAME_WORDS)
-        frame[word_index] ^= 1 << bit
+        frame = bytearray(self.read_frame(far_word))
+        frame[4 * word_index + 3 - (bit >> 3)] ^= 1 << (bit & 7)
+        self.memory[far_word] = bytes(frame)
         self._bump(far_word)
 
     def _bump(self, far_word):
@@ -290,19 +300,24 @@ class ConfigEngine:
         self.frame_versions.pop(far_word, None)
         self.frame_versions[far_word] = self._mutations
 
-    def _commit_frame(self, words, events):
-        """Store `words`, a list no one else holds, at the current FAR."""
+    def _commit_frame(self, frame, events):
         far_word = self.current_far
         if far_word is None:
             events.append("far_overrun")
             return
-        self.memory[far_word] = words
+        self.memory[far_word] = frame
         self._bump(far_word)
         self.current_far = self.geometry.next_far(far_word)
 
     # -- stream execution --------------------------------------------------
 
-    def execute(self, words):
+    def execute(self, data):
+        if not isinstance(data, bytes):
+            # Frames are slices of `data`: a mutable buffer is copied first.
+            data = bytes(memoryview(data))
+        words = array("I", data)
+        if _BYTESWAP:
+            words.byteswap()
         readback = []
         events = []
         i = 0
@@ -318,16 +333,16 @@ class ConfigEngine:
                     self.idcode_ok = False
                     self.cfg_cmd = None
                     self.last_type1_reg = None
-                    self.frame_buffer = []
+                    self.frame_buffer = b""
                     events.append("sync")
                 i += 1
                 continue
             ptype = w >> 29
             op = (w >> 27) & 0x3
+            i += 1
             if ptype == 0b001:
                 reg_addr = (w >> 13) & 0x3FFF
                 count = w & 0x7FF
-                i += 1
                 reg = REGISTERS_BY_ADDR.get(reg_addr)
                 if reg is None:
                     events.append(f"ignored_register addr={reg_addr}")
@@ -335,58 +350,48 @@ class ConfigEngine:
                         i += count
                     continue
                 self.last_type1_reg = reg
-                if op == 2:
-                    payload = words[i:i + count]
-                    if len(payload) < count:
-                        events.append(f"truncated_payload reg={reg.name.lower()}")
-                    i += count
-                    self._write(reg, payload, events)
-                elif op == 1:
-                    self._read(reg, count, readback, events)
-                else:
-                    events.append(f"ignored_word word=0x{w:08x}")
-                continue
-            if ptype == 0b010:
+            elif ptype == 0b010:
                 count = w & 0x7FFFFFF
-                i += 1
                 reg = self.last_type1_reg
-                if op == 2:
-                    payload = words[i:i + count]
-                    if len(payload) < count:
-                        events.append("truncated_payload reg=type2")
-                    i += count
-                    self._write(reg, payload, events)
-                elif op == 1:
-                    self._read(reg, count, readback, events)
-                else:
-                    events.append(f"ignored_word word=0x{w:08x}")
+            else:
+                events.append(f"ignored_word word=0x{w:08x}")
                 continue
-            events.append(f"ignored_word word=0x{w:08x}")
-            i += 1
-        return readback, events
+            if op == 2:
+                end = i + count
+                if end > n:
+                    name = reg.name.lower() if ptype == 0b001 else "type2"
+                    events.append(f"truncated_payload reg={name}")
+                if reg is _FDRI:
+                    self._write_fdri(data[4 * i:4 * end], events)
+                else:
+                    self._write(reg, words[i] if count and i < n else None, events)
+                i = end
+            elif op == 1:
+                self._read(reg, count, readback, events)
+            else:
+                events.append(f"ignored_word word=0x{w:08x}")
+        return b"".join(readback), events
 
-    def _write(self, reg, payload, events):
-        if reg is _FDRI:
-            self._write_fdri(payload, events)
-            return
+    def _write(self, reg, word, events):
+        """A write to any register but FDRI; `word` is the first payload
+        word, or None for an empty payload."""
         if reg is _CMD:
-            if payload:
-                self._command(payload[0], events)
+            if word is not None:
+                self._command(word, events)
             return
         if reg is _IDCODE:
-            if payload and payload[0] == self.device_id:
+            if word == self.device_id:
                 self.idcode_ok = True
             else:
                 self.idcode_ok = False
-                got = payload[0] if payload else 0
-                events.append(f"idcode_mismatch got=0x{got:08x}")
+                events.append(f"idcode_mismatch got=0x{word or 0:08x}")
             return
         if reg is _FAR:
-            if payload:
-                if self.geometry.is_valid_far(payload[0]):
-                    self.current_far = payload[0]
+            if word is not None:
+                if self.geometry.is_valid_far(word):
+                    self.current_far = word
                 else:
-                    events.append(f"bad_far word=0x{payload[0]:08x}")
+                    events.append(f"bad_far word=0x{word:08x}")
             return
         if reg in _UNMODELED:
             # Accepted but not modeled: the desync footer writes MASK/CTL0.
@@ -401,7 +406,7 @@ class ConfigEngine:
         elif code == _DESYNC:
             self.synced = False
             self.cfg_cmd = None
-            self.frame_buffer = []
+            self.frame_buffer = b""
             events.append("desync")
 
     def _write_fdri(self, payload, events):
@@ -415,15 +420,15 @@ class ConfigEngine:
         # Word-at-a-time equivalent: a full buffered frame commits as soon
         # as the next frame's first word arrives, so every frame but the
         # last one received commits now, sliced straight from the payload.
-        n = (len(buf) + len(payload) - 1) // FRAME_WORDS
+        n = (len(buf) + len(payload) - 4) // FRAME_BYTES
         if n <= 0:
-            buf.extend(payload)
+            self.frame_buffer = buf + payload
             return
-        i = FRAME_WORDS - len(buf)
+        i = FRAME_BYTES - len(buf)
         self._commit_frame(buf + payload[:i], events)
         for _ in range(n - 1):
-            self._commit_frame(payload[i:i + FRAME_WORDS], events)
-            i += FRAME_WORDS
+            self._commit_frame(payload[i:i + FRAME_BYTES], events)
+            i += FRAME_BYTES
         self.frame_buffer = payload[i:]
 
     def _read(self, reg, count, readback, events):
@@ -435,52 +440,46 @@ class ConfigEngine:
         if self.cfg_cmd is not _RCFG:
             events.append("fdro_without_rcfg")
             return
-        out = [0] * FRAME_WORDS
-        while len(out) < count:
+        size = 4 * count
+        frames = [ZERO_FRAME]  # the frame buffer's dummy frame
+        have = FRAME_BYTES
+        while have < size:
             if self.current_far is None:
                 events.append("read_overrun")
-                out.extend([0] * (count - len(out)))
+                frames.append(bytes(size - have))
                 break
-            frame = self.memory.get(self.current_far)
-            out.extend(frame if frame is not None else self._zero_frame)
+            frames.append(self.memory.get(self.current_far, ZERO_FRAME))
+            have += FRAME_BYTES
             self.current_far = self.geometry.next_far(self.current_far)
-        readback.extend(out[:count])
+        readback.append(b"".join(frames)[:size])
 
 
 def snapshot_digest(engine):
     """SHA-256 over every frame in FAR enumeration order."""
     h = hashlib.sha256()
-    zero = struct.pack(f">{FRAME_WORDS}I", *([0] * FRAME_WORDS))
     memory = engine.memory
     for far_word in engine.geometry.far_words():
-        frame = memory.get(far_word)
-        if frame is None:
-            h.update(zero)
-        else:
-            h.update(struct.pack(f">{FRAME_WORDS}I", *frame))
+        h.update(memory.get(far_word, ZERO_FRAME))
     return h.hexdigest()
 
 
 def dump_frames(engine, path):
     """Binary frame dump: 101 big-endian words per frame, FAR order."""
+    memory = engine.memory
     with open(path, "wb") as f:
         for far_word in engine.geometry.far_words():
-            frame = engine.memory.get(far_word)
-            if frame is None:
-                frame = [0] * FRAME_WORDS
-            f.write(struct.pack(f">{FRAME_WORDS}I", *frame))
+            f.write(memory.get(far_word, ZERO_FRAME))
 
 
 def load_frame_dump(path, geometry):
-    """Read a frame dump back into a FAR-word keyed dict."""
+    """Read a frame dump back into a FAR-word keyed dict of word lists."""
     frames = {}
-    frame_bytes = FRAME_WORDS * 4
     with open(path, "rb") as f:
         data = f.read()
-    expected = geometry.total_frames * frame_bytes
+    expected = geometry.total_frames * FRAME_BYTES
     if len(data) != expected:
         raise ValueError(f"{path}: expected {expected} bytes, found {len(data)}")
+    frame = struct.Struct(f">{FRAME_WORDS}I")
     for i, far_word in enumerate(geometry.far_words()):
-        chunk = data[i * frame_bytes:(i + 1) * frame_bytes]
-        frames[far_word] = list(struct.unpack(f">{FRAME_WORDS}I", chunk))
+        frames[far_word] = list(frame.unpack_from(data, i * FRAME_BYTES))
     return frames

@@ -271,7 +271,27 @@ def decode_stream(words):
 
 
 def _cmd_write(code):
-    return [encode_type1(OpCode.WRITE, ConfigRegister.CMD, 1), int(code)]
+    return (encode_type1(OpCode.WRITE, ConfigRegister.CMD, 1), int(code))
+
+
+# The builders' argument-independent words, encoded once: each encode_type1
+# call costs two enum constructor calls.
+DESYNC_WRITE = _cmd_write(CmdCode.DESYNC)
+_FAR_WRITE = encode_type1(OpCode.WRITE, ConfigRegister.FAR, 1)
+_WRITE_HEAD = (DUMMY_WORD, SYNC_WORD, NOOP_WORD,
+               encode_type1(OpCode.WRITE, ConfigRegister.IDCODE, 1))
+_WCFG_FDRI = (*_cmd_write(CmdCode.WCFG),
+              encode_type1(OpCode.WRITE, ConfigRegister.FDRI, 0))
+_READBACK_HEAD = (
+    DUMMY_WORD, BUS_WIDTH_SYNC_WORD, BUS_WIDTH_DETECT_WORD, DUMMY_WORD,
+    SYNC_WORD, NOOP_WORD,
+    *_cmd_write(CmdCode.SHUTDOWN), NOOP_WORD,
+    *_cmd_write(CmdCode.RCRC), NOOP_WORD,
+    NOOP_WORD, NOOP_WORD, NOOP_WORD, NOOP_WORD, NOOP_WORD,
+    *_cmd_write(CmdCode.RCFG), NOOP_WORD,
+    _FAR_WRITE,
+)
+_FDRO_READ = encode_type1(OpCode.READ, ConfigRegister.FDRO, 0)
 
 
 def build_write_frame_sequence(device_id, far, frames):
@@ -289,19 +309,15 @@ def build_write_frame_sequence(device_id, far, frames):
         if len(f) != FRAME_WORDS:
             raise RangeError(f"frames must be exactly {FRAME_WORDS} words")
     words = [
-        DUMMY_WORD,
-        SYNC_WORD,
-        NOOP_WORD,
-        encode_type1(OpCode.WRITE, ConfigRegister.IDCODE, 1), device_id & WORD_MASK,
-        encode_type1(OpCode.WRITE, ConfigRegister.FAR, 1), far & WORD_MASK,
-        *_cmd_write(CmdCode.WCFG),
-        encode_type1(OpCode.WRITE, ConfigRegister.FDRI, 0),
+        *_WRITE_HEAD, device_id & WORD_MASK,
+        _FAR_WRITE, far & WORD_MASK,
+        *_WCFG_FDRI,
         encode_type2(OpCode.WRITE, (len(frames) + 1) * FRAME_WORDS),
     ]
     for f in frames:
         words.extend(f)
     words.extend([FLUSH_WORD] * FRAME_WORDS)
-    words.extend(_cmd_write(CmdCode.DESYNC))
+    words.extend(DESYNC_WRITE)
     return CommandSequence(words)
 
 
@@ -318,18 +334,8 @@ def build_readback_sequence(far, n_frames, word_count=None):
             raise RangeError("read-back needs at least one frame")
         word_count = (n_frames + 1) * FRAME_WORDS
     words = [
-        DUMMY_WORD,
-        BUS_WIDTH_SYNC_WORD,
-        BUS_WIDTH_DETECT_WORD,
-        DUMMY_WORD,
-        SYNC_WORD,
-        NOOP_WORD,
-        *_cmd_write(CmdCode.SHUTDOWN), NOOP_WORD,
-        *_cmd_write(CmdCode.RCRC), NOOP_WORD,
-        NOOP_WORD, NOOP_WORD, NOOP_WORD, NOOP_WORD, NOOP_WORD,
-        *_cmd_write(CmdCode.RCFG), NOOP_WORD,
-        encode_type1(OpCode.WRITE, ConfigRegister.FAR, 1), far & WORD_MASK,
-        encode_type1(OpCode.READ, ConfigRegister.FDRO, 0),
+        *_READBACK_HEAD, far & WORD_MASK,
+        _FDRO_READ,
         encode_type2(OpCode.READ, word_count),
     ]
     words.extend([NOOP_WORD] * 32)

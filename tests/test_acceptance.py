@@ -48,9 +48,11 @@ from idfsim.packets import (
     build_desync_footer,
     build_readback_sequence,
     build_write_frame_sequence,
+    bytes_to_words,
     decode_stream,
     encode_packets,
     read_sequence_file,
+    words_to_bytes,
 )
 from idfsim.verifier import (
     UNCROSSABLE,
@@ -161,9 +163,11 @@ def test_criterion_03_fabric_identity():
         rng = random.Random(3)
         for far_word in geo.far_words():
             frame = [rng.getrandbits(32) for _ in range(FRAME_WORDS)]
-            engine.execute(
-                build_write_frame_sequence(ZEDBOARD_IDCODE, far_word, [frame]).words)
-            out, _ = engine.execute(build_readback_sequence(far_word, 1).words)
+            engine.execute(words_to_bytes(
+                build_write_frame_sequence(ZEDBOARD_IDCODE, far_word, [frame]).words))
+            out, _ = engine.execute(words_to_bytes(
+                build_readback_sequence(far_word, 1).words))
+            out = bytes_to_words(out)
             assert out[:FRAME_WORDS] == [0] * FRAME_WORDS
             assert out[FRAME_WORDS:] == frame
 

@@ -31,7 +31,7 @@ from idfsim.fabric import (
     snapshot_digest,
     z7020like_geometry,
 )
-from idfsim.packets import ZEDBOARD_IDCODE
+from idfsim.packets import ZEDBOARD_IDCODE, bytes_to_words
 
 
 def _fresh(smap=None, **kwargs):
@@ -159,6 +159,18 @@ class TestInjectAndCheck:
             c.inject_and_check(0x00300000, 0, 0)  # row 24 on desk
         assert snapshot_digest(dev.engine) == before
         assert counters(dev) == (0, 0)
+
+    def test_resident_image_goes_to_the_target_far(self):
+        # Without refresh the template still names the FAR of the previous
+        # injection; the fault must land at far_word all the same.
+        smap = SensitivityMap()
+        smap.add(1, 0, Criticality.MODULE0)
+        dev, c = _fresh(smap)
+        before = snapshot_digest(dev.engine)
+        assert not c.inject_and_check(0, 0, 1).detected
+        assert c.inject_and_check(1, 0, 0, refresh=False).detected
+        assert counters(dev) == (1, 1)
+        assert snapshot_digest(dev.engine) == before
 
     def test_read_back_leaves_the_engine_desynced(self):
         # The read-back request closes with DESYNC, so the template write
@@ -291,7 +303,7 @@ class TestCampaignManual:
         report = c.run_manual(0, use_dram_frame=True)
         assert len(report.records) == 3232
         # the externally loaded image is what lands in the fabric
-        assert dev.engine.read_frame(0) == image
+        assert bytes_to_words(dev.engine.read_frame(0)) == image
 
 
 def test_compare_summaries():

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import shlex
 from pathlib import Path
@@ -210,6 +211,55 @@ class TestGenMapAndCampaign:
         status = main(["campaign", "--variant", "noidf", "--frames", "1-1",
                        "--out", str(outdir)])
         assert status == EXIT_OK
+
+
+    def test_out_that_is_a_file_fails_before_the_run(self, tmp_path):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        log = tmp_path / "run.log"
+        status = main(["campaign", "--variant", "idf", "--frames", "0",
+                       "--out", str(taken), "--log", str(log)])
+        assert status == EXIT_IO
+        assert not log.exists()  # no device was booted, nothing ran
+
+    def test_log_inside_new_out(self, tmp_path):
+        outdir = tmp_path / "run"
+        status = main(["campaign", "--variant", "idf", "--frames", "0",
+                       "--out", str(outdir), "--log", str(outdir / "run.log")])
+        assert status == EXIT_OK
+        assert sorted(p.name for p in outdir.iterdir()) == [
+            "frames.csv", "run.log", "summary.csv", "summary.txt"]
+        assert "DMA PS2PL DONE" in (outdir / "run.log").read_text()
+
+
+# sha256 of the reference run's outputs, pinned when frames were still word
+# lists: a change to the PCAP path must leave every byte as it was.
+REFERENCE_OUTPUT_SHA256 = {
+    "frames.csv": "433f847b9f16f6d64448b6de3f6ab4d07884e6d7b19e0adecccdffe83ac5fea1",
+    "summary.txt": "a26f0c79924cf9e62efd48a41063d737115aa751f19c1cbe250b99e5dcc604c2",
+    "summary.csv": "34225266c965a3112cc7abb7810fb538d8f719b8585e0004a3b12e8da20c2324",
+    "run.log": "f9b0bc474876102f8fca4d82848f428286ea06e7321e93bc70e8d2a06123535b",
+}
+
+
+def test_reference_campaign_outputs_pinned(tmp_path, capsys):
+    mp = tmp_path / "ref.map"
+    assert main(["gen-map", "--geometry", "z7020like", "--seed", "7",
+                 "--frames", "20", "--critical", "25911",
+                 "--out", str(mp)]) == EXIT_OK
+    outdir = tmp_path / "out"
+    log = tmp_path / "run.log"
+    status = main(["campaign", "--variant", "idf", "--geometry", "z7020like",
+                   "--map", str(mp), "--frames", "0-1", "--out", str(outdir),
+                   "--log", str(log)])
+    assert status == EXIT_FINDINGS
+    files = {name: outdir / name for name in ("frames.csv", "summary.txt",
+                                               "summary.csv")}
+    files["run.log"] = log
+    digests = {name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for name, path in files.items()}
+    assert digests == REFERENCE_OUTPUT_SHA256
+    assert len(log.read_text().splitlines()) == 129_282
 
 
 class TestOverheadCommand:

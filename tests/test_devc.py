@@ -261,7 +261,7 @@ class TestUnmodeledRegisters:
     @_UNMODELED_WRITE_STREAMS
     def test_engine_reports_no_ignored_write(self, words):
         engine = ConfigEngine(desk_geometry(), ZEDBOARD_IDCODE)
-        _readback, events = engine.execute(words)
+        _readback, events = engine.execute(words_to_bytes(words))
         assert events == ["sync", "desync"]
 
     @_UNMODELED_WRITE_STREAMS

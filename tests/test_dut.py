@@ -27,7 +27,12 @@ from idfsim.fabric import (
     desk_geometry,
     z7020like_geometry,
 )
-from idfsim.packets import ZEDBOARD_IDCODE, build_write_frame_sequence
+from idfsim.packets import (
+    ZEDBOARD_IDCODE,
+    build_write_frame_sequence,
+    bytes_to_words,
+    words_to_bytes,
+)
 
 
 def _oracle_encrypt(key, block):
@@ -308,8 +313,9 @@ class TestDutRunCheck:
 
 
 # Differential check of the incremental scan against a full rescan.  The map
-# covers the first 12 desk frames, every third bit of words 0-3; operations
-# toggle bits 0-127, so about a third of them hit a mapped bit.
+# covers the first 12 desk frames, every third bit of all 101 words;
+# operations toggle any bit, so about a third of them hit a mapped bit, or
+# rewrite a frame with random words, hundreds of bits away from its baseline.
 _FARS = desk_geometry().far_words()
 _CLASSES = [Criticality.MODULE0, Criticality.MODULE1, Criticality.COMPARATOR]
 
@@ -317,7 +323,7 @@ _CLASSES = [Criticality.MODULE0, Criticality.MODULE1, Criticality.COMPARATOR]
 def _diff_map():
     smap = SensitivityMap()
     for i, far in enumerate(_FARS[:12]):
-        for bit in range(i % 3, 128, 3):
+        for bit in range(i % 3, FRAME_BITS, 3):
             smap.add(far, bit, _CLASSES[(i + bit) % 3])
     return smap
 
@@ -328,22 +334,33 @@ _DIFF_MAP = _diff_map()
 def _oracle_flips(model, engine):
     grouped = {crit: [] for crit in _CLASSES}
     zero = [0] * FRAME_WORDS
+    memory = {far: bytes_to_words(f) for far, f in engine.memory.items()}
+    baseline = {far: bytes_to_words(f) for far, f in model.baseline.items()}
     for far, bit, crit in model.smap.iter_entries():
-        cur = engine.memory.get(far, zero)[bit >> 5]
-        ref = model.baseline.get(far, zero)[bit >> 5]
+        cur = memory.get(far, zero)[bit >> 5]
+        ref = baseline.get(far, zero)[bit >> 5]
         if (cur ^ ref) >> (bit & 31) & 1:
             grouped[crit].append((far, bit))
     return grouped
 
 
+def _write(engine, far, frames):
+    _, events = engine.execute(words_to_bytes(build_write_frame_sequence(
+        ZEDBOARD_IDCODE, far, frames).words))
+    assert events == ["sync", "desync"]
+
+
 _MODEL = st.integers(0, 2)
 _SLOT = st.integers(0, 1)
+_BIT = st.integers(0, FRAME_BITS - 1)
 _OPS = st.one_of(
-    st.tuples(st.just("flip"), _SLOT, st.sampled_from(_FARS),
-              st.integers(0, 127)),
+    st.tuples(st.just("flip"), _SLOT, st.sampled_from(_FARS), _BIT),
     # rewrite 1-2 consecutive frames with some bits toggled
     st.tuples(st.just("write"), _SLOT, st.integers(0, len(_FARS) - 2),
-              st.integers(1, 2), st.lists(st.integers(0, 127), max_size=3)),
+              st.integers(1, 2), st.lists(_BIT, max_size=3)),
+    # rewrite one frame with random words
+    st.tuples(st.just("scramble"), _SLOT, st.sampled_from(_FARS),
+              st.integers(0, 2**32 - 1)),
     st.tuples(st.just("check"), _MODEL),
     st.tuples(st.just("capture"), _MODEL),
     st.tuples(st.just("new_model"), _MODEL, _SLOT),
@@ -365,13 +382,17 @@ def test_flipped_bits_match_full_rescan(ops):
         elif op == "write":
             slot, start, count, toggles = args
             engine = engines[slot]
-            frames = [engine.read_frame(far) for far in _FARS[start:start + count]]
+            frames = [bytes_to_words(engine.read_frame(far))
+                      for far in _FARS[start:start + count]]
             for frame in frames:
                 for bit in toggles:
                     frame[bit >> 5] ^= 1 << (bit & 31)
-            _, events = engine.execute(build_write_frame_sequence(
-                ZEDBOARD_IDCODE, _FARS[start], frames).words)
-            assert events == ["sync", "desync"]
+            _write(engine, _FARS[start], frames)
+        elif op == "scramble":
+            slot, far, seed = args
+            rng = random.Random(seed)
+            _write(engines[slot], far,
+                   [[rng.getrandbits(32) for _ in range(FRAME_WORDS)]])
         elif op == "fresh_engine":
             engines[args[0]] = _engine()
         else:

@@ -28,9 +28,22 @@ from idfsim.packets import (
     ZEDBOARD_IDCODE,
     build_readback_sequence,
     build_write_frame_sequence,
+    bytes_to_words,
     encode_type1,
     encode_type2,
+    words_to_bytes,
 )
+
+
+def _execute(engine, words):
+    """engine.execute on a word list; the read-back comes back as words."""
+    out, events = engine.execute(words_to_bytes(words))
+    return bytes_to_words(out), events
+
+
+def _memory_words(engine):
+    """engine.memory with each frame as a word list."""
+    return {far: bytes_to_words(frame) for far, frame in engine.memory.items()}
 
 
 def _frame(fill):
@@ -167,7 +180,7 @@ class TestGeometry:
 
 def _write_frames(engine, far_word, frames, device_id=ZEDBOARD_IDCODE):
     seq = build_write_frame_sequence(device_id, far_word, frames)
-    return engine.execute(seq.words)
+    return _execute(engine, seq.words)
 
 
 class TestConfigEngine:
@@ -177,14 +190,14 @@ class TestConfigEngine:
         for i, far_word in enumerate(geo.far_words()):
             frame = _frame(i + 1)
             _write_frames(engine, far_word, [frame])
-            out, events = engine.execute(build_readback_sequence(far_word, 1).words)
+            out, events = _execute(engine, build_readback_sequence(far_word, 1).words)
             assert out[:FRAME_WORDS] == [0] * FRAME_WORDS
             assert out[FRAME_WORDS:] == frame
 
     def test_readback_is_202_words(self):
         geo = desk_geometry()
         engine = ConfigEngine(geo, ZEDBOARD_IDCODE)
-        out, _ = engine.execute(build_readback_sequence(0, 1).words)
+        out, _ = _execute(engine, build_readback_sequence(0, 1).words)
         assert len(out) == 202
 
     def test_wrong_idcode_leaves_memory_unchanged(self):
@@ -203,7 +216,7 @@ class TestConfigEngine:
             encode_type1(OpCode.WRITE, ConfigRegister.FDRI, 0),
             encode_type2(OpCode.WRITE, 202), *([5] * 202),
         ]
-        _, events = engine.execute(words)
+        _, events = _execute(engine, words)
         assert "fdri_without_wcfg" in events
         assert engine.memory == {}
 
@@ -214,7 +227,7 @@ class TestConfigEngine:
             encode_type1(OpCode.READ, ConfigRegister.FDRO, 0),
             encode_type2(OpCode.READ, 202),
         ]
-        out, events = engine.execute(words)
+        out, events = _execute(engine, words)
         assert "fdro_without_rcfg" in events
         assert out == []
 
@@ -232,7 +245,7 @@ class TestConfigEngine:
             encode_type1(OpCode.READ, ConfigRegister.FDRO, 0),
             encode_type2(OpCode.READ, 202),
         ]
-        out, events = engine.execute(words)
+        out, events = _execute(engine, words)
         # the zero-count Type-1 FDRI header is a write of its own
         assert events == ["sync", "desync", "sync", "fdri_without_wcfg",
                           "fdri_without_wcfg", "desync", "sync",
@@ -247,7 +260,7 @@ class TestConfigEngine:
             encode_type1(OpCode.WRITE, ConfigRegister.FAR, 1), 0x00300000,
             encode_type1(OpCode.WRITE, ConfigRegister.FAR, 1), 0x04000000,
         ]
-        _, events = engine.execute(words)
+        _, events = _execute(engine, words)
         assert any(e.startswith("bad_far") for e in events)
         assert events == ["sync", "bad_far word=0x00300000",
                           "bad_far word=0x04000000"]
@@ -270,7 +283,7 @@ class TestConfigEngine:
             (0b001 << 29) | (1 << 27) | (unknown << 13) | 4,
             encode_type1(OpCode.WRITE, ConfigRegister.FAR, 1), 0x00000001,
         ]
-        out, events = engine.execute(words)
+        out, events = _execute(engine, words)
         assert out == []
         assert events == ["sync", "ignored_register addr=31",
                           "ignored_register addr=31"]
@@ -283,7 +296,7 @@ class TestConfigEngine:
         frames = [_frame(i) for i in range(3)]
         _write_frames(engine, geo.far_words()[0], frames)
         expected = dict(zip(geo.far_words()[:3], frames))
-        assert engine.memory == expected
+        assert _memory_words(engine) == expected
 
     def test_flush_frame_is_load_bearing(self):
         # A bare 101-word payload stays in the frame buffer: nothing commits
@@ -297,7 +310,7 @@ class TestConfigEngine:
             encode_type1(OpCode.WRITE, ConfigRegister.FDRI, 0),
             encode_type2(OpCode.WRITE, FRAME_WORDS), *_frame(9),
         ]
-        engine.execute(words)
+        _execute(engine, words)
         assert engine.memory == {}
 
     def test_never_commits_partial_frame(self):
@@ -310,15 +323,15 @@ class TestConfigEngine:
             encode_type1(OpCode.WRITE, ConfigRegister.FDRI, 0),
             encode_type2(OpCode.WRITE, 150), *range(150),
         ]
-        engine.execute(words)
+        _execute(engine, words)
         assert list(engine.memory) == [0]
-        assert all(len(f) == FRAME_WORDS for f in engine.memory.values())
+        assert all(len(f) == 4 * FRAME_WORDS for f in engine.memory.values())
 
     def test_desync_leaves_memory_unchanged(self):
         engine = ConfigEngine(desk_geometry(), ZEDBOARD_IDCODE)
         _write_frames(engine, 0, [_frame(3)])
         before = snapshot_digest(engine)
-        engine.execute([0xAA995566,
+        _execute(engine, [0xAA995566,
                         encode_type1(OpCode.WRITE, ConfigRegister.CMD, 1),
                         CmdCode.DESYNC])
         assert snapshot_digest(engine) == before
@@ -326,7 +339,7 @@ class TestConfigEngine:
 
     def test_pre_sync_words_ignored(self):
         engine = ConfigEngine(desk_geometry(), ZEDBOARD_IDCODE)
-        _, events = engine.execute([0x12345678, 0xFFFFFFFF, 0x000000BB])
+        _, events = _execute(engine, [0x12345678, 0xFFFFFFFF, 0x000000BB])
         assert events == []
         assert not engine.synced
 
@@ -335,7 +348,7 @@ class TestConfigEngine:
         engine = ConfigEngine(geo, ZEDBOARD_IDCODE)
         last = geo.far_words()[-1]
         _write_frames(engine, last, [_frame(8)])
-        out, events = engine.execute(build_readback_sequence(last, 2).words)
+        out, events = _execute(engine, build_readback_sequence(last, 2).words)
         assert "read_overrun" in events
         assert len(out) == 303
         assert out[FRAME_WORDS:2 * FRAME_WORDS] == _frame(8)
@@ -343,7 +356,7 @@ class TestConfigEngine:
 
     def test_execute_sync_word_only(self):
         engine = ConfigEngine(desk_geometry(), ZEDBOARD_IDCODE)
-        readback, events = engine.execute([0xAA995566])
+        readback, events = _execute(engine, [0xAA995566])
         assert readback == []
         assert events == ["sync"]
 
@@ -596,10 +609,10 @@ def _assert_engines_agree(geo, calls):
     engine = ConfigEngine(geo, ZEDBOARD_IDCODE)
     ref = _WordEngine(geo, ZEDBOARD_IDCODE)
     for words in calls:
-        assert engine.execute(words) == ref.execute(words)
-        assert engine.frame_buffer == ref.buf
+        assert _execute(engine, words) == ref.execute(words)
+        assert bytes_to_words(engine.frame_buffer) == ref.buf
         assert engine.current_far == ref.current_far
-    assert engine.memory == ref.memory
+    assert _memory_words(engine) == ref.memory
     assert list(engine.frame_versions) == list(ref.changed)
     return ref
 
@@ -633,7 +646,7 @@ def test_execute_matches_word_at_a_time_reference(geo_name, twoblock_geometry):
     check()
 
 
-def test_frames_share_no_list_with_callers():
+def test_frames_are_immutable_bytes():
     geo = desk_geometry()
     fars = geo.far_words()
     engine = ConfigEngine(geo, ZEDBOARD_IDCODE)
@@ -646,20 +659,25 @@ def test_frames_share_no_list_with_callers():
     rest = words[cut:]
     rest[:0] = [encode_type1(OpCode.WRITE, ConfigRegister.FDRI, 0),
                 encode_type2(OpCode.WRITE, len(rest) - 2)]
-    engine.execute(words[:cut])
-    engine.execute(rest)
-    expected = dict(zip(fars, frames))
-    assert engine.memory == expected
-    words[:] = rest[:] = [0xFFFFFFFF] * len(rest)
-    engine.read_frame(fars[1])[0] ^= 1
-    engine.read_frame(fars[5])[0] ^= 1  # never written
-    assert engine.memory == expected
-    engine.flip_bit(fars[6], 0, 0)
-    engine.flip_bit(fars[7], 0, 1)
-    assert len({id(f) for f in engine.memory.values()}) == len(engine.memory) == 5
-    engine.flip_bit(fars[0], 0, 0)
-    assert engine.memory[fars[1]] == frames[1]
-    assert engine.memory[fars[6]] != engine.memory[fars[7]]
+    streams = [bytearray(words_to_bytes(words[:cut])),
+               bytearray(words_to_bytes(rest))]
+    engine.execute(streams[0])
+    assert type(engine.frame_buffer) is bytes
+    assert len(engine.frame_buffer) == 4 * 40
+    engine.execute(memoryview(streams[1]))
+    for data in streams:
+        data[:] = b"\xff" * len(data)
+    assert _memory_words(engine) == dict(zip(fars, frames))
+    assert {type(f) for f in engine.memory.values()} == {bytes}
+    written, unwritten = engine.read_frame(fars[1]), engine.read_frame(fars[5])
+    engine.flip_bit(fars[1], 0, 0)
+    engine.flip_bit(fars[5], 0, 0)
+    assert written == words_to_bytes(frames[1])
+    assert unwritten == bytes(4 * FRAME_WORDS)
+    assert bytes_to_words(engine.read_frame(fars[1]))[0] == frames[1][0] ^ 1
+    assert bytes_to_words(engine.read_frame(fars[5]))[0] == 1
+    with pytest.raises(TypeError):
+        engine.execute([SYNC_WORD])  # a word list is not a byte stream
 
 
 def test_whole_device_round_trip():
@@ -670,16 +688,20 @@ def test_whole_device_round_trip():
               for i in range(len(fars))]
     words = build_write_frame_sequence(ZEDBOARD_IDCODE, fars[0], frames).words
     start = time.perf_counter()
-    _, events = engine.execute(words)
+    _, events = _execute(engine, words)
     elapsed = time.perf_counter() - start
     assert events == ["sync", "desync"]
     assert elapsed < 1.0, f"full-device write took {elapsed:.2f} s"
+    # Pinned: the digest hashes the same frame bytes as before frames
+    # became bytes.
+    assert snapshot_digest(engine) == (
+        "0d3eaa70bd8c502a651c814adcdd3fb0cac733a5dd56a9bc20698e4427b68fa4")
     for k in range(0, len(fars), 9):
         n = min(9, len(fars) - k)
-        out, _ = engine.execute(build_readback_sequence(fars[k], n).words)
+        out, _ = _execute(engine, build_readback_sequence(fars[k], n).words)
         assert out[:FRAME_WORDS] == [0] * FRAME_WORDS
         assert out[FRAME_WORDS:] == [w for f in frames[k:k + n] for w in f]
     # One frame more than the device has left: the flush commits past the end.
     _, events = _write_frames(engine, fars[-1], [_frame(1), _frame(2)])
     assert events.count("far_overrun") == 1
-    assert engine.memory[fars[-1]] == _frame(1)
+    assert bytes_to_words(engine.memory[fars[-1]]) == _frame(1)

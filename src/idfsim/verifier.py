@@ -9,17 +9,25 @@ The floorplan file is line-oriented text (`#` comments):
     PIN <name> GROUP <g> SITE <x> <y> BANK <b> PKG <prow> <pcol>
     NET <name> [CLOCK] SRC <region> LOADS <r1,r2,...> PIPS <x:y:used|unused;...>
 
-Checks (one per rule class):
+Checks (one per rule class), with their cost for P pins, R regions, T
+declared tiles, and N nets with K PIPs in all:
 
-    IDF-1  provenance header (never a violation)
-    IDF-2  pins of multiple isolation groups sharing an IOB bank
-    IDF-3  package-adjacent pins (8 compass directions) of different groups
-    IDF-4  isolation regions overlapping or in 8-way contact
-    IDF-5  4-way adjacent occupied tiles of different groups
-    IDF-6  routing: multi-region loads / fence PIPs / shared-tile nets
+    IDF-1  provenance header (never a violation)                  O(1)
+    IDF-2  pins of multiple isolation groups sharing an IOB bank  O(P log P)
+    IDF-3  package-adjacent pins (8 compass directions) of        O(P)
+           different groups
+    IDF-4  isolation regions overlapping or in 8-way contact      O(R^2)
+    IDF-5  4-way adjacent occupied tiles of different groups      O(T log T + R T)
+    IDF-6  routing: multi-region loads / fence PIPs / shared-tile O(N + K log K)
+           nets
+
+IDF-3 looks up each pin's neighbours by package ball; the parser allows
+one pin per ball.  IDF-5's R T is a worst case, reached only when every
+region's rectangle has at least T cells.
 
 Tiles default to NULL (vacant); only declared non-NULL tiles inside a
-region rectangle count as occupied logic.  All checks are pure: they never
+region rectangle count as occupied logic, owned by the first region in
+file order whose rectangle holds them.  All checks are pure: they never
 modify the floorplan.
 """
 
@@ -127,6 +135,7 @@ def parse_floorplan(text):
     plan = None
     pending = []  # (lineno, tokens) gathered before full validation
     names = set()
+    balls = {}  # package ball -> name of the pin on it
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -198,6 +207,10 @@ def parse_floorplan(text):
                 raise FloorplanError(lineno, "PIN fields must be integers") from None
             if not (0 <= site[0] < plan.cols and 0 <= site[1] < plan.rows):
                 raise FloorplanError(lineno, f"pin site {site} outside grid")
+            if package in balls:
+                raise FloorplanError(lineno, f"pin {name!r} is on package ball "
+                                             f"{package} of pin {balls[package]!r}")
+            balls[package] = name
             plan.pins.append(PinPlacement(name, tokens[3], site, bank, package))
         elif kw == "NET":
             pending.append((lineno, tokens))
@@ -213,8 +226,13 @@ def parse_floorplan(text):
             raise FloorplanError(1, f"non-NULL tile {xy} inside the fence")
 
     region_names = {r.name for r in plan.regions}
+    net_names = set()
     for lineno, tokens in pending:
-        plan.nets.append(_parse_net(tokens, lineno, region_names, plan))
+        net = _parse_net(tokens, lineno, region_names, plan)
+        if net.name in net_names:
+            raise FloorplanError(lineno, f"duplicate net name {net.name!r}")
+        net_names.add(net.name)
+        plan.nets.append(net)
     return plan
 
 
@@ -253,6 +271,8 @@ def _parse_net(tokens, lineno, region_names, plan):
                     x, y = int(parts[0]), int(parts[1])
                 except ValueError:
                     raise FloorplanError(lineno, f"bad PIP entry {entry!r}") from None
+                if not (0 <= x < plan.cols and 0 <= y < plan.rows):
+                    raise FloorplanError(lineno, f"PIP ({x},{y}) outside grid")
                 pips.append((x, y, parts[2].lower() == "used"))
     for region in (source, *loads):
         if region not in region_names:
@@ -294,17 +314,22 @@ def check_idf2(plan, strict=False):
 # -- IDF-3: package pin adjacency -----------------------------------------
 
 
+_COMPASS8 = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
+
+
 def check_idf3(plan):
-    violations = []
     pins = plan.pins
-    for i in range(len(pins)):
-        for j in range(i + 1, len(pins)):
-            a, b = pins[i], pins[j]
-            if a.group == b.group:
-                continue
-            dr = abs(a.package[0] - b.package[0])
-            dc = abs(a.package[1] - b.package[1])
-            if max(dr, dc) == 1:
+    at = {pin.package: i for i, pin in enumerate(pins)}
+    violations = []
+    for i, a in enumerate(pins):
+        r, c = a.package
+        # Partners after pin i, in pin order: each pair reports once, in
+        # (i, j) order.
+        partners = sorted(j for dr, dc in _COMPASS8
+                          if (j := at.get((r + dr, c + dc), -1)) > i)
+        for j in partners:
+            b = pins[j]
+            if a.group != b.group:
                 violations.append(DrcViolation(
                     "IDF-3", SEVERITY_ERROR, (a.name, b.name),
                     f"package pins {a.package} and {b.package} of groups "
@@ -349,16 +374,23 @@ def check_idf4(plan):
 
 
 def _occupied_tiles(plan):
-    """(x, y) -> group for every non-NULL tile inside a region rectangle."""
+    """(x, y) -> group for every non-NULL tile inside a region rectangle.
+
+    The first region in file order that holds a tile owns it.  Each region
+    walks its rectangle's cells or the logic tiles, whichever are fewer.
+    """
+    logic = {xy for xy, kind in plan.tiles.items() if kind != "NULL"}
     owned = {}
-    for (x, y), kind in plan.tiles.items():
-        if kind == "NULL":
-            continue
-        for region in plan.regions:
-            x0, y0, x1, y1 = region.rect
-            if x0 <= x <= x1 and y0 <= y <= y1:
-                owned[(x, y)] = region.group
-                break
+    for region in plan.regions:
+        x0, y0, x1, y1 = region.rect
+        if (x1 - x0 + 1) * (y1 - y0 + 1) <= len(logic):
+            inside = [(x, y) for x in range(x0, x1 + 1)
+                      for y in range(y0, y1 + 1) if (x, y) in logic]
+        else:
+            inside = [(x, y) for (x, y) in logic
+                      if x0 <= x <= x1 and y0 <= y <= y1]
+        for xy in inside:
+            owned.setdefault(xy, region.group)
     return owned
 
 
@@ -446,7 +478,7 @@ def fence_consequence(width, orientation):
     """Routing spans removed by a fence of the given width, or UNCROSSABLE."""
     if width < 1:
         raise ValueError("fence width must be >= 1")
-    o = orientation.lower()[0]
+    o = orientation.lower()[:1]
     if o == "h":
         table, limit = _H_CONSEQUENCES, _H_UNCROSSABLE_FROM
     elif o == "v":

@@ -1,8 +1,11 @@
 import copy
+import hashlib
+import importlib.util
 import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from idfsim.verifier import (
     DrcViolation,
@@ -24,6 +27,7 @@ from idfsim.verifier import (
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
+PERFBENCH_GEN = Path(__file__).parent.parent / "perfbench" / "gen.py"
 
 
 def load(name):
@@ -74,6 +78,33 @@ class TestParseFloorplan:
     def test_unknown_tile_kind(self):
         with pytest.raises(FloorplanError, match="kind"):
             plan_from("DEVICE 4 4\nTILE 0 0 WAT\n")
+
+    def test_duplicate_net_name(self):
+        text = ("DEVICE 20 20\n"
+                "REGION a GROUP g RECT 0 0 3 3\n"
+                "REGION b GROUP h RECT 8 8 11 11\n"
+                "REGION c GROUP k RECT 14 14 17 17\n"
+                "NET n1 SRC a LOADS b PIPS 5:5:used\n"
+                "NET {} SRC a LOADS c PIPS 5:5:used\n")
+        assert len(check_idf6(plan_from(text.format("n2")))) == 1
+        with pytest.raises(FloorplanError, match="duplicate net") as excinfo:
+            plan_from(text.format("n1"))
+        assert excinfo.value.lineno == 6
+
+    def test_two_pins_on_one_package_ball(self):
+        with pytest.raises(FloorplanError, match="'p1'") as excinfo:
+            plan_from("DEVICE 8 8\n"
+                      "PIN p1 GROUP a SITE 0 0 BANK 34 PKG 3 4\n"
+                      "PIN p2 GROUP b SITE 1 1 BANK 35 PKG 3 4\n")
+        assert excinfo.value.lineno == 3
+
+    def test_pip_outside_grid(self):
+        with pytest.raises(FloorplanError, match="outside grid") as excinfo:
+            plan_from("DEVICE 20 20\n"
+                      "REGION a GROUP g RECT 0 0 3 3\n"
+                      "REGION b GROUP h RECT 8 8 11 11\n"
+                      "NET n1 SRC a LOADS b PIPS 5:5:used;500:-3:used\n")
+        assert excinfo.value.lineno == 4
 
     def test_clean_fixture_parses(self):
         plan = load("clean.fp")
@@ -323,6 +354,10 @@ class TestFenceConsequence:
         with pytest.raises(ValueError):
             fence_consequence(0, "h")
 
+    def test_empty_orientation_rejected(self):
+        with pytest.raises(ValueError, match="orientation"):
+            fence_consequence(2, "")
+
     def test_monotone_until_uncrossable(self):
         for orient, limit in (("h", 6), ("v", 9)):
             previous = set()
@@ -358,3 +393,100 @@ class TestMinFenceBetween:
         plan = plan_from("DEVICE 12 12\nREGION a GROUP g RECT 0 0 3 3\n"
                          "REGION b GROUP h RECT 0 6 3 9\n")
         assert min_fence_between(plan, "a", "b") == (math.inf, 2)
+
+
+# -- differential check against the all-pairs scans --------------------------
+
+
+def reference_idf3(plan):
+    """IDF-3 as an all-pairs scan of the pins."""
+    violations = []
+    pins = plan.pins
+    for i in range(len(pins)):
+        for j in range(i + 1, len(pins)):
+            a, b = pins[i], pins[j]
+            if a.group == b.group:
+                continue
+            dr = abs(a.package[0] - b.package[0])
+            dc = abs(a.package[1] - b.package[1])
+            if max(dr, dc) == 1:
+                violations.append(DrcViolation(
+                    "IDF-3", SEVERITY_ERROR, (a.name, b.name),
+                    f"package pins {a.package} and {b.package} of groups "
+                    f"{a.group}/{b.group} are adjacent"))
+    return violations
+
+
+def reference_idf5(plan):
+    """IDF-5 with tile ownership found by testing every tile against every
+    region, first region wins."""
+    owned = {}
+    for (x, y), kind in plan.tiles.items():
+        if kind == "NULL":
+            continue
+        for region in plan.regions:
+            x0, y0, x1, y1 = region.rect
+            if x0 <= x <= x1 and y0 <= y <= y1:
+                owned[(x, y)] = region.group
+                break
+    violations = []
+    for (x, y) in sorted(owned):
+        group = owned[(x, y)]
+        for nx, ny in ((x + 1, y), (x, y + 1)):
+            other = owned.get((nx, ny))
+            if other is not None and other != group:
+                violations.append(DrcViolation(
+                    "IDF-5", SEVERITY_ERROR,
+                    (f"({x},{y})", f"({nx},{ny})"),
+                    f"occupied tiles ({x},{y})[{group}] and ({nx},{ny})"
+                    f"[{other}] are adjacent"))
+    return violations
+
+
+GROUP_NAMES = ("red", "blue", "green")
+PKG_SIDE = 5  # small, so that most pins sit on an edge or a corner
+
+
+@st.composite
+def small_floorplans(draw):
+    cols = draw(st.integers(2, 10))
+    rows = draw(st.integers(2, 10))
+    lines = [f"DEVICE {cols} {rows}"]
+    for i in range(draw(st.integers(0, 6))):
+        x0, x1 = sorted(draw(st.integers(0, cols - 1)) for _ in range(2))
+        y0, y1 = sorted(draw(st.integers(0, rows - 1)) for _ in range(2))
+        group = draw(st.sampled_from(GROUP_NAMES))
+        lines.append(f"REGION r{i} GROUP {group} RECT {x0} {y0} {x1} {y1}")
+    cells = st.tuples(st.integers(0, cols - 1), st.integers(0, rows - 1))
+    kinds = st.sampled_from(("CLB", "INT", "BRAM", "DSP", "IOB", "NULL"))
+    tiles = draw(st.dictionaries(cells, kinds, max_size=cols * rows))
+    lines.extend(f"TILE {x} {y} {kind}" for (x, y), kind in tiles.items())
+    balls = draw(st.lists(st.tuples(st.integers(0, PKG_SIDE - 1),
+                                    st.integers(0, PKG_SIDE - 1)),
+                          unique=True, max_size=PKG_SIDE * PKG_SIDE))
+    for i, (prow, pcol) in enumerate(balls):
+        group = draw(st.sampled_from(GROUP_NAMES))
+        lines.append(f"PIN p{i} GROUP {group} SITE 0 0 BANK 0 PKG {prow} {pcol}")
+    return parse_floorplan("\n".join(lines) + "\n")
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(small_floorplans())
+def test_idf3_and_idf5_match_the_scans(plan):
+    assert check_idf3(plan) == reference_idf3(plan)
+    assert check_idf5(plan) == reference_idf5(plan)
+
+
+def test_large_floorplan_report_pinned():
+    # The drc_large benchmark input for seed 7: 100 regions, 700 pins,
+    # 550 nets and about 4k tiles.
+    spec = importlib.util.spec_from_file_location("perfbench_gen", PERFBENCH_GEN)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    text, _counts = gen.floorplan(7)
+    env = {k: "pinned" for k in ("tool_version", "date", "design", "directory",
+                                 "user", "platform", "host")}
+    header, violations = run_all_checks(parse_floorplan(text), env)
+    report = render_report(header, violations)
+    assert hashlib.sha256(report.encode()).hexdigest() == (
+        "ef64fa00c21f30a942278842fc4b9d95929962387b044b2382ad3276456e136a")

@@ -13,10 +13,13 @@ It has no desync footer, which its own closing DESYNC would leave unread.
 Injections patch the FAR payload and the 101 data words in place and
 stream the whole template to the PL.
 
-A read-back request is `build_readback_sequence` plus a closing DESYNC
-command, so the engine is out of sync again before the template arrives
-and the template's SYNC word syncs it afresh; the DESYNC releases PCAP,
-which is acquired again to drain the read-back data.
+The read-back request is resident the same way: the one-frame
+`build_readback_sequence` plus a closing DESYNC command, 58 words uploaded
+to 0x00280000 during initialization.  Each read patches its FAR payload
+in place and streams it to the PL.  The DESYNC leaves the engine out of
+sync before the template arrives, so the template's SYNC word syncs it
+afresh; it also releases PCAP, which is acquired again to drain the
+read-back data.
 """
 
 import csv
@@ -38,7 +41,6 @@ from .packets import (
     DESYNC_WRITE,
     build_readback_sequence,
     build_write_frame_sequence,
-    words_to_bytes,
 )
 
 TEMPLATE_ADDR = 0x00200000
@@ -50,6 +52,8 @@ OK_COUNTER_ADDR = 0xFFFF0008
 # Template word indices: FAR payload and first frame-data word.
 TPL_FAR_INDEX = 6
 TPL_DATA_INDEX = 11
+# Read-back request word index: FAR payload.
+REQ_FAR_INDEX = 21
 
 REFERENCE_INJECTIONS = 64640   # 20 frames x 3232 bits
 REFERENCE_MINUTES = 440.0
@@ -109,15 +113,19 @@ def frame_template_words(device_id, far_word=0):
 
 
 def campaign_init(device):
-    """Load the frame template, zero both counters, enable the DUT clock."""
+    """Load the frame template and the read-back request, zero both
+    counters, enable the DUT clock; returns both sequences' word counts."""
     if not device.cfg_done:
         raise DevcError("device not initialized: run the bring-up sequence first")
     template = frame_template_words(device.engine.device_id)
+    request = build_readback_sequence(0, 1).words
+    request.extend(DESYNC_WRITE)  # see the module docstring
     device.dram.write_words(TEMPLATE_ADDR, template)
+    device.dram.write_words(READBACK_REQ_ADDR, request)
     device.dram.write_word(ERROR_COUNTER_ADDR, 0)
     device.dram.write_word(OK_COUNTER_ADDR, 0)
     device.set_pin(PIN_CLK_EN, 1)
-    return len(template)
+    return len(template), len(request)
 
 
 class Campaign:
@@ -129,8 +137,7 @@ class Campaign:
         self.input4 = input4
         self.fail_fast = fail_fast
         self.log = log
-        self._template_len = campaign_init(device)
-        self._request_cache = {}
+        self._template_len, self._request_len = campaign_init(device)
         if not dut.baseline_captured:
             dut.capture_baseline(device.engine)
 
@@ -142,49 +149,49 @@ class Campaign:
             for line in events:
                 self.log.write(line + "\n")
 
-    def _acquire_pcap(self):
-        if not self.device.interface_acquire(_PCAP):
+    def _transfer(self, src, dst, nwords):
+        """Acquire PCAP and run one DMA of `nwords` words."""
+        dev = self.device
+        if not dev.interface_acquire(_PCAP):
             raise TransferError("not-owner", "PCAP could not acquire the "
                                 "configuration interface")
-
-    def _request_bytes(self, far_word):
-        blob = self._request_cache.get(far_word)
-        if blob is None:
-            # Closed by DESYNC (see the module docstring).
-            words = build_readback_sequence(far_word, 1).words
-            words.extend(DESYNC_WRITE)
-            blob = (words_to_bytes(words), len(words))
-            self._request_cache[far_word] = blob
-        return blob
+        dev.dma_enqueue(src, dst, nwords, nwords)
+        dev.dma_process()
 
     def read_frame(self, far_word):
         """Read one frame over PCAP; lands at READBACK_DST_ADDR in DRAM."""
-        dev = self.device
-        data, nwords = self._request_bytes(far_word)
-        dev.dram.write_bytes(READBACK_REQ_ADDR, data)
-        self._acquire_pcap()
-        dev.dma_enqueue(READBACK_REQ_ADDR, devc.PL_ADDR, nwords, nwords)
-        dev.dma_process()
+        dram = self.device.dram
+        dram.write_word(READBACK_REQ_ADDR + 4 * REQ_FAR_INDEX, far_word)
+        self._transfer(READBACK_REQ_ADDR, devc.PL_ADDR, self._request_len)
         # The request's closing DESYNC released PCAP; take it back to drain.
-        self._acquire_pcap()
-        dev.dma_enqueue(devc.PL_ADDR, READBACK_DST_ADDR,
-                        2 * FRAME_WORDS, 2 * FRAME_WORDS)
-        dev.dma_process()
+        self._transfer(devc.PL_ADDR, READBACK_DST_ADDR, 2 * FRAME_WORDS)
         # The first frame is the frame buffer's dummy frame.
-        return dev.dram.read_bytes(READBACK_DST_ADDR + FRAME_BYTES, FRAME_BYTES)
+        return dram.read_bytes(READBACK_DST_ADDR + FRAME_BYTES, FRAME_BYTES)
 
     def write_template_frame(self):
         """Stream the resident template (current FAR + data words) to the PL."""
-        dev = self.device
-        self._acquire_pcap()
-        dev.dma_enqueue(TEMPLATE_ADDR, devc.PL_ADDR,
-                        self._template_len, self._template_len)
-        dev.dma_process()
+        self._transfer(TEMPLATE_ADDR, devc.PL_ADDR, self._template_len)
 
-    def stage_frame(self, far_word, frame):
+    def stage_frame(self, far_word, frame=None):
+        """Point the template at `far_word`; load `frame` as its data if given."""
         dram = self.device.dram
         dram.write_word(TEMPLATE_ADDR + 4 * TPL_FAR_INDEX, far_word)
-        dram.write_bytes(TEMPLATE_ADDR + 4 * TPL_DATA_INDEX, frame)
+        if frame is not None:
+            dram.write_bytes(TEMPLATE_ADDR + 4 * TPL_DATA_INDEX, frame)
+
+    def check_design(self):
+        """Pulse both start lines and sample the match line; True on an error."""
+        dev = self.device
+        dev.set_pin(PIN_START0, 1)
+        dev.set_pin(PIN_START1, 1)
+        lines = ControlLines(clk_en=dev.get_pin(PIN_CLK_EN),
+                             start_0=1, start_1=1)
+        result = self.dut.run_check(dev.engine, lines, self.input4)
+        detected = result.match_line is _HIGH
+        dev.set_pin(PIN_MATCH, 1 if detected else 0)
+        dev.set_pin(PIN_START0, 0)
+        dev.set_pin(PIN_START1, 0)
+        return detected
 
     def _flip_template_bit(self, word_index, bit):
         addr = TEMPLATE_ADDR + 4 * (TPL_DATA_INDEX + word_index)
@@ -215,27 +222,15 @@ class Campaign:
             raise ValueError("bit position outside a frame")
         record = InjectionRecord(far_word, word_index, bit, False)
         dev.set_pin(PIN_CLK_EN, 0)
-        staged = not refresh
+        staged = False
         try:
-            if refresh:
-                frame = self.read_frame(far_word)
-                self.stage_frame(far_word, frame)
-                staged = True
-            else:
-                dev.dram.write_word(TEMPLATE_ADDR + 4 * TPL_FAR_INDEX, far_word)
+            frame = self.read_frame(far_word) if refresh else None
+            self.stage_frame(far_word, frame)
+            staged = True
             self._flip_template_bit(word_index, bit)
             self.write_template_frame()
             dev.set_pin(PIN_CLK_EN, 1)
-            dev.set_pin(PIN_START0, 1)
-            dev.set_pin(PIN_START1, 1)
-            lines = ControlLines(clk_en=dev.get_pin(PIN_CLK_EN),
-                                 start_0=1, start_1=1)
-            result = self.dut.run_check(dev.engine, lines, self.input4)
-            detected = result.match_line is _HIGH
-            dev.set_pin(PIN_MATCH, 1 if detected else 0)
-            dev.set_pin(PIN_START0, 0)
-            dev.set_pin(PIN_START1, 0)
-            record.detected = detected
+            record.detected = self.check_design()
         except (TransferError, DevcError) as exc:
             record.error = str(exc)
         finally:

@@ -17,14 +17,7 @@ import socket
 import sys
 
 from . import __version__, campaign as campaign_mod, devc, verifier
-from .dut import (
-    ControlLines,
-    DutConfig,
-    DutModel,
-    MatchLine,
-    SensitivityMap,
-    sensitivity_generate,
-)
+from .dut import DutConfig, DutModel, SensitivityMap, sensitivity_generate
 from .fabric import FRAME_WORDS, load_geometry
 from .packets import (
     DUMMY_WORD,
@@ -82,11 +75,12 @@ def _parse_frame_range(selection, geometry):
     """Frame index selection over the geometry's FAR enumeration order.
 
     Accepts `all`, single indices, and inclusive ranges: `0-19`, `0,5,7-9`.
+    A frame may be named only once.
     """
     far_words = geometry.far_words()
     if selection == "all":
         return far_words
-    picked = []
+    picked = {}  # frame index -> FAR, in selection order
     for part in selection.split(","):
         part = part.strip()
         if not part:
@@ -98,10 +92,13 @@ def _parse_frame_range(selection, geometry):
             lo = hi = int(part)
         if lo > hi or lo < 0 or hi >= len(far_words):
             raise ValueError(f"frame range {part!r} outside 0..{len(far_words) - 1}")
-        picked.extend(far_words[lo:hi + 1])
+        for index in range(lo, hi + 1):
+            if index in picked:
+                raise ValueError(f"frame {index} selected more than once")
+            picked[index] = far_words[index]
     if not picked:
         raise ValueError("empty frame selection")
-    return picked
+    return list(picked.values())
 
 
 # -- interactive session ------------------------------------------------------
@@ -157,9 +154,7 @@ def interactive_session(stdin, stdout, device, dut, far_words, input4=0):
             far_word = prompt_far()
             if far_word is None:
                 continue
-            device.dram.write_word(
-                campaign_mod.TEMPLATE_ADDR + 4 * campaign_mod.TPL_FAR_INDEX,
-                far_word)
+            runner.stage_frame(far_word)
             try:
                 runner.write_template_frame()
             except devc.DevcError as exc:
@@ -167,17 +162,7 @@ def interactive_session(stdin, stdout, device, dut, far_words, input4=0):
                 continue
             say(f"Frame written to FAR 0x{far_word:08x}")
         elif choice == "3":
-            device.set_pin(campaign_mod.PIN_START0, 1)
-            device.set_pin(campaign_mod.PIN_START1, 1)
-            lines = ControlLines(clk_en=device.get_pin(campaign_mod.PIN_CLK_EN),
-                                 start_0=1, start_1=1)
-            result = dut.run_check(device.engine, lines, input4)
-            device.set_pin(campaign_mod.PIN_START0, 0)
-            device.set_pin(campaign_mod.PIN_START1, 0)
-            if result.match_line is MatchLine.LOW:
-                say("Match OK")
-            else:
-                say("Match ERROR")
+            say("Match ERROR" if runner.check_design() else "Match OK")
         elif choice == "4":
             say(f"Inject over {len(far_words)} frames "
                 f"({len(far_words) * FRAME_WORDS * 32} flips). Proceed? (y/n)")

@@ -190,10 +190,6 @@ class Device:
         self.clock_divisor = 1
         self.owner = None
         self.dma_queue = deque()
-        self.dma_src = 0
-        self.dma_dst = 0
-        self.dma_src_len = 0
-        self.dma_dst_len = 0
         self.gpio = {}
         self.events = []
         self.pending_readback = None
@@ -234,16 +230,6 @@ class Device:
             self.ctrl.pcap_pr = bool(value)
         elif name == "ctrl_pcap_mode":
             self.ctrl.pcap_mode = bool(value)
-        elif name == "dma_src":
-            self.dma_src = value & 0xFFFFFFFF
-        elif name == "dma_dst":
-            self.dma_dst = value & 0xFFFFFFFF
-        elif name == "dma_src_len":
-            self.dma_src_len = value
-        elif name == "dma_dst_len":
-            # Writing the destination length last is the enqueue trigger.
-            self.dma_dst_len = value
-            self._enqueue_descriptor()
         else:
             raise ValueError(f"unknown register {name!r}")
 
@@ -278,24 +264,28 @@ class Device:
     # -- DMA ---------------------------------------------------------------
 
     def dma_enqueue(self, src, dst, src_len, dst_len):
-        """Queue a transfer by writing the four descriptor registers in order."""
-        self.write_reg("dma_src", src)
-        self.write_reg("dma_dst", dst)
-        self.write_reg("dma_src_len", src_len)
-        self.write_reg("dma_dst_len", dst_len)
+        """Queue one transfer, as writing the four descriptor registers does.
 
-    def _enqueue_descriptor(self):
+        While the device is locked the four writes are dropped, each logged
+        as `REGWRITE DROPPED LOCKED`, and nothing is queued.  On a
+        `SequencingError` or `DescriptorError` nothing is queued either.
+        """
+        if self.locked:
+            for name in ("dma_src", "dma_dst", "dma_src_len", "dma_dst_len"):
+                self._event(f"REGWRITE DROPPED LOCKED {name}")
+            return
         if not self.cfg_done:
             raise SequencingError("not initialized: PL configuration not done")
-        src, dst = self.dma_src, self.dma_dst
+        src &= 0xFFFFFFFF
+        dst &= 0xFFFFFFFF
         if (src == PL_ADDR) == (dst == PL_ADDR):
             raise DescriptorError("exactly one of src/dst must be the PL "
                                   f"address 0x{PL_ADDR:08X}")
         direction = "ps2pl" if dst == PL_ADDR else "pl2ps"
-        self.dma_queue.append(DmaDescriptor(src, dst, self.dma_src_len,
-                                            self.dma_dst_len, direction))
+        self.dma_queue.append(DmaDescriptor(src, dst, src_len, dst_len,
+                                            direction))
         self._event(f"DMA QUEUED {direction.upper()} SRC=0x{src:08x} "
-                    f"DST=0x{dst:08x} LEN={self.dma_dst_len}")
+                    f"DST=0x{dst:08x} LEN={dst_len}")
 
     def dma_process(self):
         """Execute the oldest queued transfer; raises on any rule violation.

@@ -166,7 +166,10 @@ def parse_floorplan(text):
                 raise FloorplanError(lineno, "TILE coordinates must be integers") from None
             if not (0 <= x < plan.cols and 0 <= y < plan.rows):
                 raise FloorplanError(lineno, f"tile ({x},{y}) outside grid")
-            plan.tiles[(x, y)] = kind
+            site = (x, y)
+            if site in plan.tiles:
+                raise FloorplanError(lineno, f"duplicate tile ({x},{y})")
+            plan.tiles[site] = kind
         elif kw == "REGION":
             if len(tokens) != 9 or tokens[2].upper() != "GROUP" or tokens[4].upper() != "RECT":
                 raise FloorplanError(lineno, "REGION <name> GROUP <g> RECT <x0> <y0> <x1> <y1>")

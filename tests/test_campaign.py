@@ -7,6 +7,8 @@ from idfsim.campaign import (
     ERROR_COUNTER_ADDR,
     OK_COUNTER_ADDR,
     PIN_CLK_EN,
+    READBACK_REQ_ADDR,
+    REQ_FAR_INDEX,
     TEMPLATE_ADDR,
     TPL_DATA_INDEX,
     TPL_FAR_INDEX,
@@ -31,7 +33,12 @@ from idfsim.fabric import (
     snapshot_digest,
     z7020like_geometry,
 )
-from idfsim.packets import ZEDBOARD_IDCODE, bytes_to_words
+from idfsim.packets import (
+    DESYNC_WRITE,
+    ZEDBOARD_IDCODE,
+    build_readback_sequence,
+    bytes_to_words,
+)
 
 
 def _fresh(smap=None, **kwargs):
@@ -75,6 +82,25 @@ class TestCampaignInit:
         assert words[TPL_FAR_INDEX] == 0x42
         assert len(words) == 215
         assert words[TPL_DATA_INDEX:TPL_DATA_INDEX + FRAME_WORDS] == [0] * FRAME_WORDS
+
+    def test_readback_request_layout(self):
+        def request(far_word):
+            return build_readback_sequence(far_word, 1).words + list(DESYNC_WRITE)
+
+        words = request(0x42)
+        assert words[REQ_FAR_INDEX] == 0x42
+        assert len(words) == 58
+        assert tuple(words[-len(DESYNC_WRITE):]) == DESYNC_WRITE
+        dev = boot_device()
+        assert campaign_init(dev) == (215, 58)
+        assert dev.dram.read_words(READBACK_REQ_ADDR, 58) == request(0)
+        # Each read patches the resident request's FAR and nothing else.
+        a, b = desk_geometry().far_words()[5:7]
+        dev.engine.flip_bit(b, 9, 3)
+        c = Campaign(dev, DutModel(DutConfig(), SensitivityMap()))
+        c.read_frame(a)
+        assert c.read_frame(b) == dev.engine.read_frame(b)
+        assert dev.dram.read_words(READBACK_REQ_ADDR, 58) == request(b)
 
     def test_requires_initialized_device(self):
         with pytest.raises(DevcError):

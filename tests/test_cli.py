@@ -19,7 +19,7 @@ from idfsim.cli import (
 )
 from idfsim.devc import boot_device
 from idfsim.dut import Criticality, DutConfig, DutModel, SensitivityMap
-from idfsim.fabric import desk_geometry
+from idfsim.fabric import FRAME_BYTES, desk_geometry
 from idfsim.packets import read_sequence_file
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -90,6 +90,21 @@ class TestInteractiveSession:
     def test_write_frame(self):
         status, output = _session("2\n0x00000001\n0\n")
         assert "Frame written to FAR 0x00000001" in output
+
+    def test_write_frame_then_check_design(self):
+        # The baseline holds a set comparator bit at FAR 1; writing the zero
+        # template there clears it, and the next check reports the change.
+        smap = SensitivityMap()
+        smap.add(1, 0, Criticality.COMPARATOR)
+        dev = boot_device()
+        dev.engine.flip_bit(1, 0, 0)
+        dut = DutModel(DutConfig(), smap)
+        out = io.StringIO()
+        interactive_session(io.StringIO("3\n2\n0x00000001\n3\n0\n"), out,
+                            dev, dut, desk_geometry().far_words())
+        assert dev.engine.read_frame(1) == bytes(FRAME_BYTES)
+        assert [line for line in out.getvalue().splitlines()
+                if line.startswith("Match")] == ["Match OK", "Match ERROR"]
 
     def test_campaign_confirmation_declined(self):
         status, output = _session("4\nn\n0\n")
@@ -212,6 +227,16 @@ class TestGenMapAndCampaign:
                        "--out", str(outdir)])
         assert status == EXIT_OK
 
+
+    def test_frame_named_twice_is_rejected(self, tmp_path, capsys):
+        # Running frame 1 twice would write its FAR twice to frames.csv and
+        # count its critical bits twice.
+        outdir = tmp_path / "run"
+        status = main(["campaign", "--variant", "noidf", "--frames", "0-1,1",
+                       "--out", str(outdir)])
+        assert status == EXIT_IO
+        assert "frame 1 selected more than once" in capsys.readouterr().err
+        assert not (outdir / "frames.csv").exists()
 
     def test_out_that_is_a_file_fails_before_the_run(self, tmp_path):
         taken = tmp_path / "taken"

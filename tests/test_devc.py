@@ -69,10 +69,14 @@ class TestLockAndInit:
 
     def test_register_write_before_unlock_has_no_effect(self):
         dev = Device()
-        dev.write_reg("dma_src", 0x1234)
+        dev.dma_enqueue(0x00200000, PL_ADDR, 10, 10)
         dev.write_reg("ctrl_pcap_pr", 1)
-        assert dev.dma_src == 0
+        assert not dev.dma_queue
         assert not dev.ctrl.pcap_pr
+        assert dev.drain_events() == [
+            f"REGWRITE DROPPED LOCKED {name}"
+            for name in ("dma_src", "dma_dst", "dma_src_len", "dma_dst_len",
+                         "ctrl_pcap_pr")]
 
     def test_full_bringup(self):
         dev = Device()
@@ -133,14 +137,22 @@ class TestDmaDescriptor:
         with pytest.raises(DescriptorError):
             dev.dma_enqueue(PL_ADDR, PL_ADDR, 1, 1)
 
-    def test_dst_len_write_is_the_trigger(self):
+    def test_only_a_valid_descriptor_is_queued(self):
         dev = _ready_device()
-        dev.write_reg("dma_src", 0x00200000)
-        dev.write_reg("dma_dst", PL_ADDR)
-        dev.write_reg("dma_src_len", 10)
+        with pytest.raises(DescriptorError):
+            dev.dma_enqueue(0x00200000, 0x00300000, 10, 10)
         assert not dev.dma_queue
-        dev.write_reg("dma_dst_len", 10)
+        assert dev.drain_events() == []
+        dev.dma_enqueue(0x1_0020_0000, PL_ADDR, 10, 10)  # masked to 32 bits
         assert len(dev.dma_queue) == 1
+        assert dev.dma_queue[0].src == 0x00200000
+        assert dev.drain_events() == [
+            "DMA QUEUED PS2PL SRC=0x00200000 DST=0xffffffff LEN=10"]
+
+    def test_descriptor_registers_are_not_writable(self):
+        dev = _ready_device()
+        with pytest.raises(ValueError, match="unknown register"):
+            dev.write_reg("dma_src", 0x00200000)
 
 
 class TestDmaTransfers:

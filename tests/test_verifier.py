@@ -91,6 +91,19 @@ class TestParseFloorplan:
             plan_from(text.format("n1"))
         assert excinfo.value.lineno == 6
 
+    def test_duplicate_tile_site(self):
+        # A second TILE at a site must not replace the first: here the
+        # NULL would empty the tile and hide its IDF-5 contact.
+        text = ("DEVICE 12 8\n"
+                "REGION a GROUP g RECT 0 0 3 7\n"
+                "REGION b GROUP h RECT 4 0 7 7\n"
+                "TILE 3 2 CLB\n"
+                "TILE 4 2 CLB\n")
+        assert len(check_idf5(plan_from(text))) == 1
+        with pytest.raises(FloorplanError, match=r"duplicate tile \(4,2\)") as excinfo:
+            plan_from(text + "TILE 4 2 NULL\n")
+        assert excinfo.value.lineno == 6
+
     def test_two_pins_on_one_package_ball(self):
         with pytest.raises(FloorplanError, match="'p1'") as excinfo:
             plan_from("DEVICE 8 8\n"

@@ -91,19 +91,16 @@ class CampaignSummary:
     transfer_errors: int = 0
 
 
-@dataclass
-class FrameReport:
-    far: int
-    records: list
-    detected: int
-    estimated_minutes: float
-
-
-def estimate_time(injections, minutes_per_64640=REFERENCE_MINUTES):
+def estimate_time(injections):
     """Projected campaign minutes at the reference hardware rate."""
     if injections < 0:
         raise ValueError("injection count cannot be negative")
-    return injections * (minutes_per_64640 / REFERENCE_INJECTIONS)
+    return injections * (REFERENCE_MINUTES / REFERENCE_INJECTIONS)
+
+
+def _summary(variant, total, critical, errors):
+    return CampaignSummary(variant, total, total - critical, critical,
+                           estimate_time(total), errors)
 
 
 def frame_template_words(device_id, far_word=0):
@@ -202,17 +199,36 @@ class Campaign:
         dram = self.device.dram
         dram.write_word(addr, dram.read_word(addr) + 1)
 
+    def _restore(self, record):
+        """Write the staged, unflipped frame back, retrying once.
+
+        A frame left faulted would be read back as its own content by every
+        later injection, so a restore that fails twice ends the campaign.
+        """
+        try:
+            self.write_template_frame()
+            return
+        except (TransferError, DevcError) as exc:
+            if record.error is None:
+                record.error = f"restore failed: {exc}"
+        try:
+            self.write_template_frame()
+        except (TransferError, DevcError) as exc:
+            raise TransferError("restore", f"restore of FAR 0x{record.far:08x} "
+                                f"failed twice: {exc}") from exc
+
     # -- one injection ------------------------------------------------------
 
-    def inject_and_check(self, far_word, word_index, bit, refresh=True):
+    def inject_and_check(self, far_word, word_index, bit):
         """Flip one configuration bit, sample the match line, restore.
 
-        With `refresh` the frame is first read back from the PL into the
-        template (the automatic-mode procedure); without it the template's
-        resident frame image is written to `far_word` as-is (manual mode
-        with an externally loaded image).  Restoration is attempted
-        unconditionally once the frame is staged, so a failed transfer
-        never leaves the fabric modified.
+        The frame is read back from the PL over PCAP and staged in the
+        template, one bit of it is flipped and the template written to
+        `far_word`; the clocks restart and the match line is sampled.
+        Once the frame is staged the restore runs whatever happened, so a
+        failed transfer records its error on the injection, which is not
+        counted, and never leaves the fabric modified.  A restore that
+        fails twice raises `TransferError` with reason "restore".
         """
         dev = self.device
         if not dev.geometry.is_valid_far(far_word):
@@ -224,8 +240,7 @@ class Campaign:
         dev.set_pin(PIN_CLK_EN, 0)
         staged = False
         try:
-            frame = self.read_frame(far_word) if refresh else None
-            self.stage_frame(far_word, frame)
+            self.stage_frame(far_word, self.read_frame(far_word))
             staged = True
             self._flip_template_bit(word_index, bit)
             self.write_template_frame()
@@ -234,65 +249,46 @@ class Campaign:
         except (TransferError, DevcError) as exc:
             record.error = str(exc)
         finally:
-            if staged:
-                dev.set_pin(PIN_CLK_EN, 0)
-                self._flip_template_bit(word_index, bit)
-                try:
-                    self.write_template_frame()
-                except (TransferError, DevcError) as exc:
-                    if record.error is None:
-                        record.error = f"restore failed: {exc}"
-            dev.set_pin(PIN_CLK_EN, 1)
-            self._drain_events()
+            try:
+                if staged:
+                    dev.set_pin(PIN_CLK_EN, 0)
+                    self._flip_template_bit(word_index, bit)
+                    self._restore(record)
+            finally:
+                dev.set_pin(PIN_CLK_EN, 1)
+                self._drain_events()
         if record.error is None:
             self._bump_counter(ERROR_COUNTER_ADDR if record.detected
                                else OK_COUNTER_ADDR)
         return record
 
-    # -- campaign loops ------------------------------------------------------
-
-    def run_frame(self, far_word, refresh=True):
-        """All 3232 injections of one frame, word-major, bit 0 to 31."""
-        records = []
-        for word_index in range(FRAME_WORDS):
-            for bit in range(32):
-                record = self.inject_and_check(far_word, word_index, bit,
-                                               refresh=refresh)
-                if record.error is not None and self.fail_fast:
-                    raise TransferError("campaign", record.error)
-                records.append(record)
-        return records
+    # -- campaign loop -------------------------------------------------------
 
     def run_auto(self, far_words, variant="with_idf"):
-        """Full automatic campaign over a FAR list; returns (summary, rows)."""
-        rows = []
-        total = critical = errors = 0
-        for far_word in far_words:
-            records = self.run_frame(far_word)
-            ok_records = [r for r in records if r.error is None]
-            frame_critical = sum(1 for r in ok_records if r.detected)
-            rows.append(FrameRow(far_word, len(ok_records), frame_critical,
-                                 len(ok_records) - frame_critical))
-            total += len(ok_records)
-            critical += frame_critical
-            errors += len(records) - len(ok_records)
-        summary = CampaignSummary(
-            variant=variant,
-            total_injections=total,
-            non_critical=total - critical,
-            critical=critical,
-            estimated_minutes=estimate_time(total),
-            transfer_errors=errors,
-        )
-        return summary, rows
+        """Full automatic campaign over a FAR list; returns (summary, rows).
 
-    def run_manual(self, far_word, use_dram_frame=False):
-        """One-frame campaign; optionally trusts the frame image already in
-        DRAM (loaded externally) instead of reading it back per injection."""
-        records = self.run_frame(far_word, refresh=not use_dram_frame)
-        detected = sum(1 for r in records if r.error is None and r.detected)
-        return FrameReport(far_word, records, detected,
-                           estimate_time(len(records)))
+        Each frame's 3232 injections run word-major, bit 0 to 31.
+        """
+        rows = []
+        errors = 0
+        for far_word in far_words:
+            critical = non_critical = 0
+            for word_index in range(FRAME_WORDS):
+                for bit in range(32):
+                    record = self.inject_and_check(far_word, word_index, bit)
+                    if record.error is not None:
+                        if self.fail_fast:
+                            raise TransferError("campaign", record.error)
+                        errors += 1
+                    elif record.detected:
+                        critical += 1
+                    else:
+                        non_critical += 1
+            rows.append(FrameRow(far_word, critical + non_critical, critical,
+                                 non_critical))
+        summary = _summary(variant, sum(r.injections for r in rows),
+                           sum(r.critical for r in rows), errors)
+        return summary, rows
 
 
 def counters(device):
@@ -315,17 +311,10 @@ def merge_summaries(*summaries):
     variants = {s.variant for s in summaries}
     if len(variants) > 1:
         raise ValueError(f"cannot merge mixed variants {sorted(variants)}")
-    total = sum(s.total_injections for s in summaries)
-    critical = sum(s.critical for s in summaries)
-    errors = sum(s.transfer_errors for s in summaries)
-    return CampaignSummary(
-        variant=summaries[0].variant,
-        total_injections=total,
-        non_critical=total - critical,
-        critical=critical,
-        estimated_minutes=estimate_time(total),
-        transfer_errors=errors,
-    )
+    return _summary(summaries[0].variant,
+                    sum(s.total_injections for s in summaries),
+                    sum(s.critical for s in summaries),
+                    sum(s.transfer_errors for s in summaries))
 
 
 # -- report rendering ----------------------------------------------------------

@@ -5,7 +5,7 @@ batch subcommands cover campaigns, floorplan verification, sequence
 encoding/decoding and report arithmetic.
 
 Exit codes: 0 success, 1 violations or detected regression, 2 usage error,
-3 I/O or parse error.
+3 I/O, parse or device error.
 """
 
 import argparse
@@ -104,9 +104,9 @@ def _parse_frame_range(selection, geometry):
 # -- interactive session ------------------------------------------------------
 
 
-def interactive_session(stdin, stdout, device, dut, far_words, input4=0):
+def interactive_session(stdin, stdout, device, dut, far_words):
     """Operator menu loop; returns the exit status."""
-    runner = campaign_mod.Campaign(device, dut, input4=input4)
+    runner = campaign_mod.Campaign(device, dut)
 
     def say(line=""):
         stdout.write(line + "\n")
@@ -235,6 +235,8 @@ def _cmd_verify_idf(args):
 
 
 def _cmd_gen_map(args):
+    if args.frames < 1:
+        raise ValueError("--frames must be >= 1")
     geometry = load_geometry(args.geometry)
     far_words = geometry.far_words()[:args.frames]
     if len(far_words) < args.frames:
@@ -382,7 +384,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DecodeError, verifier.FloorplanError, ValueError, OSError) as exc:
+    except (DecodeError, devc.DevcError, verifier.FloorplanError, ValueError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -165,23 +165,13 @@ class Dram:
     def read_words(self, addr, count):
         return list(struct.unpack(f">{count}I", self.read_bytes(addr, 4 * count)))
 
-    def load_image(self, path, addr):
-        with open(path, "rb") as f:
-            data = f.read()
-        self.write_bytes(addr, data)
-        return len(data)
-
-    def store_image(self, path, addr, length):
-        with open(path, "wb") as f:
-            f.write(self.read_bytes(addr, length))
-
 
 class Device:
     """One exclusively-owned DevC + PCAP + engine + DRAM unit."""
 
-    def __init__(self, geometry=None, device_id=ZEDBOARD_IDCODE):
+    def __init__(self, geometry=None):
         self.geometry = geometry if geometry is not None else desk_geometry()
-        self.engine = ConfigEngine(self.geometry, device_id)
+        self.engine = ConfigEngine(self.geometry, ZEDBOARD_IDCODE)
         self.dram = Dram()
         self.ctrl = CtrlReg()
         self.int_sts = IntStatus()
@@ -268,7 +258,7 @@ class Device:
 
         While the device is locked the four writes are dropped, each logged
         as `REGWRITE DROPPED LOCKED`, and nothing is queued.  On a
-        `SequencingError` or `DescriptorError` nothing is queued either.
+        `SequencingError` or `DescriptorError` nothing is queued or logged.
         """
         if self.locked:
             for name in ("dma_src", "dma_dst", "dma_src_len", "dma_dst_len"):
@@ -281,6 +271,8 @@ class Device:
         if (src == PL_ADDR) == (dst == PL_ADDR):
             raise DescriptorError("exactly one of src/dst must be the PL "
                                   f"address 0x{PL_ADDR:08X}")
+        if src_len < 0 or dst_len < 0:
+            raise DescriptorError(f"negative transfer length {src_len}/{dst_len}")
         direction = "ps2pl" if dst == PL_ADDR else "pl2ps"
         self.dma_queue.append(DmaDescriptor(src, dst, src_len, dst_len,
                                             direction))
@@ -306,9 +298,9 @@ class Device:
                 raise TransferError("width", f"source length {desc.src_len} != "
                                     f"destination length {desc.dst_len}")
             if desc.direction == "ps2pl":
-                events = self._transfer_ps2pl(desc)
+                self._transfer_ps2pl(desc)
             else:
-                events = self._transfer_pl2ps(desc)
+                self._transfer_pl2ps(desc)
         except TransferError as exc:
             self.int_sts.dma_error = True
             self._event(f"DMA ERROR {exc.reason.upper()} LEN={desc.dst_len}")
@@ -319,7 +311,6 @@ class Device:
         rate = min(4 * self.pcap_clock_hz, PCAP_MAX_BYTES_PER_SEC)
         self.sim_seconds += (desc.dst_len * 4) / rate
         self._event(f"DMA {desc.direction.upper()} DONE WORDS={desc.dst_len}")
-        return events
 
     def _transfer_ps2pl(self, desc):
         data = self.dram.read_bytes(desc.src, 4 * desc.src_len)
@@ -334,7 +325,6 @@ class Device:
             if self.pending_readback is not None:
                 self._event("READBACK DROPPED UNREAD")
             self.pending_readback = readback
-        return events
 
     def _transfer_pl2ps(self, desc):
         if desc.dst_len > MAX_READ_WORDS:
@@ -353,7 +343,6 @@ class Device:
                                 f"{desc.dst_len} requested")
         self.dram.write_bytes(desc.dst, self.pending_readback)
         self.pending_readback = None
-        return []
 
     # -- arbitration ---------------------------------------------------------
 
@@ -388,9 +377,9 @@ class Device:
             self.owner = None
 
 
-def boot_device(geometry=None, device_id=ZEDBOARD_IDCODE):
+def boot_device(geometry=None):
     """Unlock, select PCAP and finish PL bring-up; ready for transfers."""
-    dev = Device(geometry, device_id)
+    dev = Device(geometry)
     dev.unlock(UNLOCK_KEY)
     dev.write_reg("ctrl_pcap_pr", 1)
     dev.write_reg("ctrl_pcap_mode", 1)

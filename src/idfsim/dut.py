@@ -154,8 +154,13 @@ def sensitivity_generate(seed, geometry, frames, critical_count,
 
     Bits are drawn without replacement from the given frames' 3232-bit
     positions and assigned MODULE0/MODULE1/COMPARATOR according to `split`
-    (fractions, normalized).
+    (fractions >= 0 with a positive sum, normalized).
     """
+    if any(not f >= 0 for f in split) or not sum(split) > 0:
+        raise ValueError(f"split {tuple(split)} needs fractions >= 0 with a "
+                         "positive sum")
+    if critical_count < 0:
+        raise ValueError("critical_count cannot be negative")
     frames = list(frames)
     space = len(frames) * FRAME_BITS
     if critical_count > space:

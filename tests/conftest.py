@@ -1,0 +1,26 @@
+import pytest
+
+from idfsim.devc import Device, TransferError
+
+
+@pytest.fixture
+def fail_dma_calls(monkeypatch):
+    """`fail_dma_calls(numbers)` fails those calls (counted from 1) of
+    `Device.dma_process`: each consumes its descriptor and raises, as a
+    failed transfer does."""
+    real = Device.dma_process
+
+    def install(numbers):
+        calls = []
+
+        def flaky(self):
+            calls.append(None)
+            if len(calls) in numbers:
+                self.dma_queue.popleft()
+                raise TransferError("test",
+                                    f"injected fault at DMA {len(calls)}")
+            return real(self)
+
+        monkeypatch.setattr(Device, "dma_process", flaky)
+
+    return install

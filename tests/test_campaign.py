@@ -37,7 +37,6 @@ from idfsim.packets import (
     DESYNC_WRITE,
     ZEDBOARD_IDCODE,
     build_readback_sequence,
-    bytes_to_words,
 )
 
 
@@ -186,18 +185,6 @@ class TestInjectAndCheck:
         assert snapshot_digest(dev.engine) == before
         assert counters(dev) == (0, 0)
 
-    def test_resident_image_goes_to_the_target_far(self):
-        # Without refresh the template still names the FAR of the previous
-        # injection; the fault must land at far_word all the same.
-        smap = SensitivityMap()
-        smap.add(1, 0, Criticality.MODULE0)
-        dev, c = _fresh(smap)
-        before = snapshot_digest(dev.engine)
-        assert not c.inject_and_check(0, 0, 1).detected
-        assert c.inject_and_check(1, 0, 0, refresh=False).detected
-        assert counters(dev) == (1, 1)
-        assert snapshot_digest(dev.engine) == before
-
     def test_read_back_leaves_the_engine_desynced(self):
         # The read-back request closes with DESYNC, so the template write
         # that follows syncs afresh instead of reading DUMMY and SYNC as
@@ -233,15 +220,56 @@ class TestTransferErrors:
         # errored injections do not count
         assert counters(dev) == (0, 0)
 
-    def test_fail_fast(self, monkeypatch):
+    def test_fail_fast(self, fail_dma_calls):
         dev, c = _fresh(fail_fast=True)
+        before = snapshot_digest(dev.engine)
+        fail_dma_calls({3})  # the first fault write
+        with pytest.raises(TransferError, match="injected fault") as info:
+            c.run_auto([0])
+        assert info.value.reason == "campaign"
+        assert snapshot_digest(dev.engine) == before
+        assert counters(dev) == (0, 0)
 
-        def boom(self):
-            raise TransferError("test", "injected fault")
+    # The four DMAs of one injection, in order.
+    @pytest.mark.parametrize("k", [1, 2, 3, 4],
+                             ids=["request", "drain", "fault_write", "restore"])
+    def test_failure_at_each_dma(self, fail_dma_calls, k):
+        smap = SensitivityMap()
+        smap.add(0, 0, Criticality.MODULE0)    # the injection that fails
+        smap.add(0, 100, Criticality.MODULE0)
+        dev, c = _fresh(smap)
+        before = snapshot_digest(dev.engine)
+        fail_dma_calls({k})
+        records = []
+        inject = c.inject_and_check
 
-        monkeypatch.setattr(Campaign, "write_template_frame", boom)
-        with pytest.raises(TransferError):
-            c.run_frame(0)
+        def keep(*args):
+            records.append(inject(*args))
+            return records[-1]
+
+        c.inject_and_check = keep
+        summary, rows = c.run_auto([0])
+        assert snapshot_digest(dev.engine) == before
+        assert sum(counters(dev)) == summary.total_injections
+        assert summary.total_injections + summary.transfer_errors == 3232
+        assert summary.transfer_errors == 1
+        # A fault left in the fabric would be read back by every later
+        # injection and make each of them critical.
+        assert summary.critical == rows[0].critical == 1
+        errored = [r for r in records if r.error is not None]
+        assert [(r.word_index, r.bit_index_in_word) for r in errored] == [(0, 0)]
+        assert errored[0].error.endswith(f"injected fault at DMA {k}")
+        assert errored[0].error.startswith("restore failed") == (k == 4)
+
+    def test_restore_failing_twice_ends_the_campaign(self, fail_dma_calls):
+        dev, c = _fresh()
+        fail_dma_calls({4, 5})  # the restore and its retry
+        with pytest.raises(TransferError, match="restore of FAR 0x00000000 "
+                           "failed twice: injected fault at DMA 5") as info:
+            c.run_auto([0])
+        assert info.value.reason == "restore"
+        assert counters(dev) == (0, 0)
+        assert dev.get_pin(PIN_CLK_EN) == 1
 
     def test_errors_skipped_not_dropped(self, monkeypatch):
         smap = SensitivityMap()
@@ -306,30 +334,6 @@ class TestCampaignAuto:
         before = snapshot_digest(dev.engine)
         c.run_auto([0])
         assert snapshot_digest(dev.engine) == before
-
-
-class TestCampaignManual:
-    def test_one_frame_3232_records(self):
-        _, c = _fresh()
-        report = c.run_manual(0)
-        assert len(report.records) == 3232
-        assert report.detected == 0
-        assert report.estimated_minutes == pytest.approx(22.0)
-
-    def test_invalid_far_rejected_before_injection(self):
-        dev, c = _fresh()
-        with pytest.raises(ValueError):
-            c.run_manual(0x00300000)  # row 24 on desk
-        assert counters(dev) == (0, 0)
-
-    def test_dram_frame_mode_writes_image(self):
-        dev, c = _fresh()
-        image = [0xA5A5A5A5] * FRAME_WORDS
-        dev.dram.write_words(TEMPLATE_ADDR + 4 * TPL_DATA_INDEX, image)
-        report = c.run_manual(0, use_dram_frame=True)
-        assert len(report.records) == 3232
-        # the externally loaded image is what lands in the fabric
-        assert bytes_to_words(dev.engine.read_frame(0)) == image
 
 
 def test_compare_summaries():

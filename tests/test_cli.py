@@ -205,8 +205,18 @@ class TestGenMapAndCampaign:
 
     def test_gen_map_too_many_frames(self, tmp_path):
         out = tmp_path / "m.map"
-        assert main(["gen-map", "--frames", "99", "--critical", "1",
-                     "--out", str(out)]) == EXIT_IO
+        for frames in ("99", "-3", "0"):  # desk has 18 frames
+            assert main(["gen-map", "--frames", frames, "--critical", "1",
+                         "--out", str(out)]) == EXIT_IO
+        assert not out.exists()
+
+    @pytest.mark.parametrize("split", [["0", "0", "0"], ["-1", "1", "1"]])
+    def test_gen_map_bad_split(self, tmp_path, capsys, split):
+        out = tmp_path / "m.map"
+        assert main(["gen-map", "--frames", "1", "--critical", "10",
+                     "--split", *split, "--out", str(out)]) == EXIT_IO
+        assert "error: split" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_campaign_writes_reports(self, tmp_path, capsys):
         mp = tmp_path / "m.map"
@@ -237,6 +247,20 @@ class TestGenMapAndCampaign:
         assert status == EXIT_IO
         assert "frame 1 selected more than once" in capsys.readouterr().err
         assert not (outdir / "frames.csv").exists()
+
+    @pytest.mark.parametrize("flags, failing, message", [
+        ([], {4, 5}, "error: restore of FAR 0x00000000 failed twice"),
+        (["--fail-fast"], {3}, "error: injected fault at DMA 3")],
+        ids=["restore_fails_twice", "fail_fast"])
+    def test_device_error_exit_three(self, tmp_path, capsys, fail_dma_calls,
+                                     flags, failing, message):
+        fail_dma_calls(failing)
+        outdir = tmp_path / "run"
+        status = main(["campaign", "--variant", "idf", "--frames", "0",
+                       "--out", str(outdir), *flags])
+        assert status == EXIT_IO
+        assert capsys.readouterr().err.startswith(message)
+        assert list(outdir.iterdir()) == []
 
     def test_out_that_is_a_file_fails_before_the_run(self, tmp_path):
         taken = tmp_path / "taken"

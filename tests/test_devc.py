@@ -149,6 +149,15 @@ class TestDmaDescriptor:
         assert dev.drain_events() == [
             "DMA QUEUED PS2PL SRC=0x00200000 DST=0xffffffff LEN=10"]
 
+    def test_negative_length_is_rejected(self):
+        dev = _ready_device()
+        for lengths in ((-5, -5), (-5, 5), (5, -5)):
+            with pytest.raises(DescriptorError, match="negative"):
+                dev.dma_enqueue(0x1000, PL_ADDR, *lengths)
+        assert not dev.dma_queue
+        assert dev.drain_events() == []
+        assert (dev.words_moved, dev.sim_seconds) == (0, 0.0)
+
     def test_descriptor_registers_are_not_writable(self):
         dev = _ready_device()
         with pytest.raises(ValueError, match="unknown register"):
@@ -392,17 +401,6 @@ class TestDram:
         dev.dram.write_words(0x1000, [1, 2, 3])
         assert dev.dram.read_words(0x1000, 3) == [1, 2, 3]
         assert dev.dram.read_bytes(0x1000, 4) == b"\x00\x00\x00\x01"
-
-    def test_image_round_trip(self, tmp_path):
-        dev = Device()
-        path = tmp_path / "img.bin"
-        path.write_bytes(words_to_bytes([0xFFFFFFFF, 0xAA995566]))
-        n = dev.dram.load_image(path, 0x00200000)
-        assert n == 8
-        assert dev.dram.read_word(0x00200000) == 0xFFFFFFFF
-        out = tmp_path / "out.bin"
-        dev.dram.store_image(out, 0x00200000, 8)
-        assert out.read_bytes() == path.read_bytes()
 
     def test_bad_word_changes_nothing(self):
         dram = Dram()

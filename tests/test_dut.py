@@ -129,6 +129,20 @@ class TestSensitivityMap:
         with pytest.raises(ValueError):
             sensitivity_generate(5, geo, geo.far_words()[:1], FRAME_BITS + 1)
 
+    @pytest.mark.parametrize("split, count", [
+        ((0, 0, 0), 10), ((-1, 1, 1), 10), ((float("nan"), 1, 1), 10),
+        ((0.45, 0.45, 0.10), -1)])
+    def test_bad_split_or_count_rejected(self, split, count):
+        geo = desk_geometry()
+        with pytest.raises(ValueError):
+            sensitivity_generate(5, geo, geo.far_words(), count, split=split)
+
+    def test_zero_fractions_allowed(self):
+        geo = desk_geometry()
+        smap = sensitivity_generate(5, geo, geo.far_words(), 10, split=(1, 0, 0))
+        assert {crit for _, _, crit in smap.iter_entries()} == {
+            Criticality.MODULE0}
+
     def test_deterministic(self):
         geo = desk_geometry()
         a = sensitivity_generate(42, geo, geo.far_words(), 500)

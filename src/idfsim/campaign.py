@@ -103,10 +103,10 @@ def _summary(variant, total, critical, errors):
                            estimate_time(total), errors)
 
 
-def frame_template_words(device_id, far_word=0):
+def frame_template_words(device_id):
     """Resident DRAM template: the 215-word one-frame write sequence."""
     zero_frame = [0] * FRAME_WORDS
-    return build_write_frame_sequence(device_id, far_word, [zero_frame]).words
+    return build_write_frame_sequence(device_id, 0, [zero_frame]).words
 
 
 def campaign_init(device):
@@ -143,8 +143,8 @@ class Campaign:
     def _drain_events(self):
         events = self.device.drain_events()
         if self.log is not None:
-            for line in events:
-                self.log.write(line + "\n")
+            for record in events:
+                self.log.write(devc.render_event(record) + "\n")
 
     def _transfer(self, src, dst, nwords):
         """Acquire PCAP and run one DMA of `nwords` words."""

@@ -15,6 +15,10 @@ Transfer rules modeled after the real PCAP path:
   clock slowed to 25 MHz (divisor >= 4); at full rate it overflows.
 
 All failed transfers are all-or-nothing: no PL or DRAM state changes.
+
+Device events are records, `(format, args)` pairs: nothing is formatted
+while a transfer runs.  `render_event` turns a record into its log line,
+and only a sink that wants text calls it.
 """
 
 import struct
@@ -74,6 +78,10 @@ class Interface(IntEnum):
 # Bound once for the DMA path: on Python 3.11 reading an enum member
 # costs several times as much as reading a module global.
 _PCAP = Interface.PCAP
+_RBCRC = Interface.RBCRC
+
+# A descriptor's direction as the DMA events spell it.
+_UPPER = {"ps2pl": "PS2PL", "pl2ps": "PL2PS"}
 
 
 @dataclass
@@ -104,35 +112,47 @@ class Dram:
 
     Storage is 4 KB pages of big-endian bytes, matching the on-disk
     sequence format, created on first write; a read never creates one.
-    A single-word read or write inside one page works on that page
-    directly with `struct`; everything else goes through the byte API.
+    A byte or single-word access inside one page works on that page
+    directly; a span that crosses pages goes page by page.
     """
 
     def __init__(self):
         self._pages = {}
 
-    def _page_for(self, addr, create):
-        base = addr & ~(_PAGE - 1)
-        page = self._pages.get(base)
-        if page is None and create:
-            page = self._pages[base] = bytearray(_PAGE)
-        return base, page
+    def _new_page(self, base):
+        page = self._pages[base] = bytearray(_PAGE)
+        return page
 
     def write_bytes(self, addr, data):
-        data = memoryview(bytes(data))
+        data = bytes(data)
+        off = addr & (_PAGE - 1)
+        if len(data) <= _PAGE - off:
+            if data:
+                base = addr - off
+                page = self._pages.get(base) or self._new_page(base)
+                page[off:off + len(data)] = data
+            return
+        data = memoryview(data)
         while data:
-            base, page = self._page_for(addr, create=True)
-            off = addr - base
+            off = addr & (_PAGE - 1)
+            base = addr - off
+            page = self._pages.get(base) or self._new_page(base)
             n = min(_PAGE - off, len(data))
             page[off:off + n] = data[:n]
             data = data[n:]
             addr += n
 
     def read_bytes(self, addr, length):
+        off = addr & (_PAGE - 1)
+        if 0 <= length <= _PAGE - off:
+            page = self._pages.get(addr - off)
+            return bytes(length) if page is None else bytes(page[off:off + length])
+        if length < 0:
+            raise ValueError(f"negative read length {length}")
         out = bytearray()
         while length:
-            base, page = self._page_for(addr, create=False)
-            off = addr - base
+            off = addr & (_PAGE - 1)
+            page = self._pages.get(addr - off)
             n = min(_PAGE - off, length)
             if page is None:
                 out.extend(b"\x00" * n)
@@ -148,7 +168,8 @@ class Dram:
         if off > _PAGE - 4:
             self.write_bytes(addr, _WORD.pack(word))
             return
-        _WORD.pack_into(self._page_for(addr, create=True)[1], off, word)
+        base = addr - off
+        _WORD.pack_into(self._pages.get(base) or self._new_page(base), off, word)
 
     def read_word(self, addr):
         off = addr & (_PAGE - 1)
@@ -164,6 +185,12 @@ class Dram:
 
     def read_words(self, addr, count):
         return list(struct.unpack(f">{count}I", self.read_bytes(addr, 4 * count)))
+
+
+def render_event(record):
+    """The log line of one `Device` event record."""
+    fmt, args = record
+    return fmt.format(*args)
 
 
 class Device:
@@ -188,8 +215,8 @@ class Device:
 
     # -- bookkeeping ---------------------------------------------------------
 
-    def _event(self, line):
-        self.events.append(line)
+    def _event(self, fmt, *args):
+        self.events.append((fmt, args))
 
     def drain_events(self):
         out = self.events
@@ -206,7 +233,7 @@ class Device:
 
     def unlock(self, key):
         if key != UNLOCK_KEY:
-            self._event(f"UNLOCK REJECTED KEY=0x{key:08x}")
+            self._event("UNLOCK REJECTED KEY=0x{:08x}", key)
             raise LockedError("wrong unlock key; device remains locked")
         self.locked = False
         self._event("UNLOCK OK")
@@ -214,7 +241,7 @@ class Device:
     def write_reg(self, name, value):
         """Register write honoring the lock: while locked, writes are dropped."""
         if self.locked:
-            self._event(f"REGWRITE DROPPED LOCKED {name}")
+            self._event("REGWRITE DROPPED LOCKED {}", name)
             return
         if name == "ctrl_pcap_pr":
             self.ctrl.pcap_pr = bool(value)
@@ -262,7 +289,7 @@ class Device:
         """
         if self.locked:
             for name in ("dma_src", "dma_dst", "dma_src_len", "dma_dst_len"):
-                self._event(f"REGWRITE DROPPED LOCKED {name}")
+                self._event("REGWRITE DROPPED LOCKED {}", name)
             return
         if not self.cfg_done:
             raise SequencingError("not initialized: PL configuration not done")
@@ -276,8 +303,8 @@ class Device:
         direction = "ps2pl" if dst == PL_ADDR else "pl2ps"
         self.dma_queue.append(DmaDescriptor(src, dst, src_len, dst_len,
                                             direction))
-        self._event(f"DMA QUEUED {direction.upper()} SRC=0x{src:08x} "
-                    f"DST=0x{dst:08x} LEN={dst_len}")
+        self._event("DMA QUEUED {} SRC=0x{:08x} DST=0x{:08x} LEN={}",
+                    _UPPER[direction], src, dst, dst_len)
 
     def dma_process(self):
         """Execute the oldest queued transfer; raises on any rule violation.
@@ -303,23 +330,23 @@ class Device:
                 self._transfer_pl2ps(desc)
         except TransferError as exc:
             self.int_sts.dma_error = True
-            self._event(f"DMA ERROR {exc.reason.upper()} LEN={desc.dst_len}")
+            self._event("DMA ERROR {} LEN={}", exc.reason.upper(), desc.dst_len)
             raise
         self.int_sts.dma_done = True
         self.int_sts.pcap_done = True
         self.words_moved += desc.dst_len
         rate = min(4 * self.pcap_clock_hz, PCAP_MAX_BYTES_PER_SEC)
         self.sim_seconds += (desc.dst_len * 4) / rate
-        self._event(f"DMA {desc.direction.upper()} DONE WORDS={desc.dst_len}")
+        self._event("DMA {} DONE WORDS={}", _UPPER[desc.direction], desc.dst_len)
 
     def _transfer_ps2pl(self, desc):
         data = self.dram.read_bytes(desc.src, 4 * desc.src_len)
         readback, events = self.engine.execute(data)
         for ev in events:
-            self._event(f"ENGINE {ev}")
+            self._event("ENGINE {}", ev)
             if ev == "desync":
                 self.interface_release_on_desync()
-            elif not ev.startswith(("sync", "desync")):
+            elif ev != "sync":
                 self.int_sts.cfg_error = True
         if readback:
             if self.pending_readback is not None:
@@ -348,22 +375,22 @@ class Device:
 
     def interface_acquire(self, kind):
         """Request the configuration interface; returns True when granted."""
-        if self.owner is not kind:  # the owner asking again skips the lookup
+        if kind.__class__ is not Interface:  # a member skips the lookup
             kind = Interface(kind)
         if self.owner is kind:
             return True
-        if kind is Interface.RBCRC and self.owner is not None:
-            self._event(f"ACQUIRE RBCRC IGNORED OWNER={self.owner.name}")
+        if kind is _RBCRC and self.owner is not None:
+            self._event("ACQUIRE RBCRC IGNORED OWNER={0.name}", self.owner)
             return False
         if self.owner is None:
             self.owner = kind
-            self._event(f"ACQUIRE {kind.name} GRANTED")
+            self._event("ACQUIRE {0.name} GRANTED", kind)
             return True
         if kind > self.owner:
-            self._event(f"ACQUIRE {kind.name} PREEMPTS {self.owner.name}")
+            self._event("ACQUIRE {0.name} PREEMPTS {1.name}", kind, self.owner)
             self.owner = kind
             return True
-        self._event(f"ACQUIRE {kind.name} IGNORED OWNER={self.owner.name}")
+        self._event("ACQUIRE {0.name} IGNORED OWNER={1.name}", kind, self.owner)
         return False
 
     def interface_release_on_desync(self):
@@ -373,7 +400,7 @@ class Device:
         use it directly for interfaces without a modeled data path.
         """
         if self.owner is not None:
-            self._event(f"DESYNC RELEASE {self.owner.name}")
+            self._event("DESYNC RELEASE {0.name}", self.owner)
             self.owner = None
 
 

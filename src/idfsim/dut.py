@@ -273,8 +273,9 @@ class DutModel:
             flips.sort()
         return flips
 
-    def flipped_critical_bits(self, engine):
-        """All flipped critical bits, grouped by class, each sorted (far, bit)."""
+    def _rescan(self, engine):
+        """Bring `_flipped` up to date with the frames changed since the
+        last scan; returns it."""
         versions = engine.frame_versions
         changed = []
         if engine is not self._engine:
@@ -293,8 +294,12 @@ class DutModel:
                 else:
                     self._flipped.pop(far_word, None)
         self._seen = next(reversed(versions.values()), 0)
+        return self._flipped
+
+    def flipped_critical_bits(self, engine):
+        """All flipped critical bits, grouped by class, each sorted (far, bit)."""
         grouped = {_MODULE0: [], _MODULE1: [], _COMPARATOR: []}
-        for far_word, flips in sorted(self._flipped.items()):
+        for far_word, flips in sorted(self._rescan(engine).items()):
             for bit, crit in flips:
                 grouped[crit].append((far_word, bit))
         return grouped
@@ -304,17 +309,28 @@ class DutModel:
             raise DesignHaltedError("design halted: clock enable is low")
         if not (lines.start_0 and lines.start_1):
             raise StartsNotAssertedError("both start lines must be asserted")
-        grouped = self.flipped_critical_bits(engine)
+        # One pass in (far, bit) order finds the first flip of each module
+        # and any comparator flip; classes are told apart by identity.
+        m0 = m1 = None
+        comparator = False
+        for far_word, flips in sorted(self._rescan(engine).items()):
+            for bit, crit in flips:
+                if crit is _MODULE0:
+                    if m0 is None:
+                        m0 = (far_word, bit)
+                elif crit is _MODULE1:
+                    if m1 is None:
+                        m1 = (far_word, bit)
+                else:
+                    comparator = True
         base = self._cipher(input4)
         out0 = base
         out1 = base
-        m0 = grouped[_MODULE0]
-        m1 = grouped[_MODULE1]
-        if m0:
-            out0 ^= fault_mask(*m0[0])
-        if m1:
-            out1 ^= fault_mask(*m1[0])
-        if grouped[_COMPARATOR]:
+        if m0 is not None:
+            out0 ^= fault_mask(*m0)
+        if m1 is not None:
+            out1 ^= fault_mask(*m1)
+        if comparator:
             match = _HIGH
         else:
             match = _LOW if out0 == out1 else _HIGH

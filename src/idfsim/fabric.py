@@ -17,6 +17,7 @@ first_far, next_far, is_valid_far and far_words depend on the bit positions.
 """
 
 import hashlib
+import re
 import struct
 import sys
 from array import array
@@ -38,6 +39,10 @@ ZERO_FRAME = bytes(FRAME_BYTES)
 # ConfigEngine.execute reads a stream's header words through one native
 # array("I") view, byteswapped from big-endian where the host is not.
 _BYTESWAP = sys.byteorder == "little"
+
+# A run of NOOP words from an aligned offset of a stream, matched in one
+# step: the read-back request holds runs of 6 and 32.
+_NOOP_RUN = re.compile(b"(?:" + re.escape(NOOP_WORD.to_bytes(4, "big")) + b")+")
 
 # ConfigEngine.execute dispatches on REGISTERS_BY_ADDR and these, bound
 # once: on Python 3.11 a ConfigRegister(addr) call or a member read costs
@@ -324,8 +329,10 @@ class ConfigEngine:
         n = len(words)
         while i < n:
             w = words[i]
-            if w == NOOP_WORD:  # skipped whether synced or not
+            if w == NOOP_WORD:  # skipped whether synced or not, a run at once
                 i += 1
+                if i < n and words[i] == NOOP_WORD:
+                    i = _NOOP_RUN.match(data, 4 * i).end() >> 2
                 continue
             if not self.synced:
                 if w == SYNC_WORD:

@@ -22,7 +22,13 @@ from idfsim.campaign import (
     parse_utilization,
 )
 from idfsim.cli import BANNER_LINES, MENU_LINES, PROMPT_LINE, interactive_session, main
-from idfsim.devc import Interface, SAFE_DIVISOR, TransferError, boot_device
+from idfsim.devc import (
+    Interface,
+    SAFE_DIVISOR,
+    TransferError,
+    boot_device,
+    render_event,
+)
 from idfsim.aes import aes256_encrypt
 from idfsim.dut import (
     ControlLines,
@@ -231,7 +237,7 @@ def test_criterion_05_arbitration_trace():
         assert not dev.interface_acquire(Interface.RBCRC)
         dev.interface_release_on_desync()
         assert dev.interface_acquire(Interface.RBCRC)
-        assert dev.drain_events() == [
+        assert [render_event(e) for e in dev.drain_events()] == [
             "ACQUIRE PCAP GRANTED",
             "ACQUIRE JTAG PREEMPTS PCAP",
             "ACQUIRE RBCRC IGNORED OWNER=JTAG",

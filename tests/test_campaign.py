@@ -24,6 +24,7 @@ from idfsim.campaign import (
     summary_csv,
     summary_text,
 )
+from idfsim import devc
 from idfsim.devc import Device, DevcError, TransferError, boot_device
 from idfsim.dut import Criticality, DutConfig, DutModel, SensitivityMap
 from idfsim.fabric import (
@@ -77,10 +78,14 @@ class TestCampaignInit:
         assert dev.dram.read_word(TEMPLATE_ADDR) == 0xFFFFFFFF
 
     def test_template_layout(self):
-        words = frame_template_words(ZEDBOARD_IDCODE, far_word=0x42)
-        assert words[TPL_FAR_INDEX] == 0x42
+        words = frame_template_words(ZEDBOARD_IDCODE)
         assert len(words) == 215
         assert words[TPL_DATA_INDEX:TPL_DATA_INDEX + FRAME_WORDS] == [0] * FRAME_WORDS
+        dev, c = _fresh()
+        c.stage_frame(0x42)
+        assert dev.dram.read_word(TEMPLATE_ADDR + 4 * TPL_FAR_INDEX) == 0x42
+        assert dev.dram.read_words(TEMPLATE_ADDR, 215) == (
+            words[:TPL_FAR_INDEX] + [0x42] + words[TPL_FAR_INDEX + 1:])
 
     def test_readback_request_layout(self):
         def request(far_word):
@@ -134,6 +139,26 @@ def test_check_scans_only_changed_frames(monkeypatch):
         del seen[:]
         previous = [far]
     assert counters(dev) == (1, 2)
+
+
+def test_events_are_rendered_only_at_the_log_sink(monkeypatch):
+    rendered = []
+    render = devc.render_event
+
+    def counting(record):
+        rendered.append(record)
+        return render(record)
+
+    monkeypatch.setattr(devc, "render_event", counting)
+    dev, c = _fresh()
+    far = dev.geometry.far_words()[3]
+    c.inject_and_check(far, 0, 0)
+    assert rendered == []  # no sink: the records are drained unrendered
+    c.log = io.StringIO()
+    c.inject_and_check(far, 0, 1)
+    lines = c.log.getvalue().splitlines()
+    assert len(lines) == len(rendered) == 20
+    assert lines[0] == "ACQUIRE PCAP GRANTED"
 
 
 class TestInjectAndCheck:

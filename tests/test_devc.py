@@ -17,10 +17,12 @@ from idfsim.devc import (
     TransferError,
     UNLOCK_KEY,
     boot_device,
+    render_event,
 )
 from idfsim.campaign import frame_template_words
 from idfsim.fabric import ConfigEngine, FRAME_WORDS, desk_geometry, snapshot_digest
 from idfsim.packets import (
+    CmdCode,
     ConfigRegister,
     OpCode,
     SYNC_WORD,
@@ -29,6 +31,7 @@ from idfsim.packets import (
     build_readback_sequence,
     build_write_frame_sequence,
     encode_type1,
+    encode_type2,
     words_to_bytes,
 )
 
@@ -55,6 +58,11 @@ def _ready_device():
     return dev
 
 
+def _text(dev):
+    """The device's drained event records, rendered as log lines."""
+    return [render_event(record) for record in dev.drain_events()]
+
+
 class TestLockAndInit:
     def test_unlock_with_key(self):
         dev = Device()
@@ -73,7 +81,7 @@ class TestLockAndInit:
         dev.write_reg("ctrl_pcap_pr", 1)
         assert not dev.dma_queue
         assert not dev.ctrl.pcap_pr
-        assert dev.drain_events() == [
+        assert _text(dev) == [
             f"REGWRITE DROPPED LOCKED {name}"
             for name in ("dma_src", "dma_dst", "dma_src_len", "dma_dst_len",
                          "ctrl_pcap_pr")]
@@ -142,11 +150,11 @@ class TestDmaDescriptor:
         with pytest.raises(DescriptorError):
             dev.dma_enqueue(0x00200000, 0x00300000, 10, 10)
         assert not dev.dma_queue
-        assert dev.drain_events() == []
+        assert _text(dev) == []
         dev.dma_enqueue(0x1_0020_0000, PL_ADDR, 10, 10)  # masked to 32 bits
         assert len(dev.dma_queue) == 1
         assert dev.dma_queue[0].src == 0x00200000
-        assert dev.drain_events() == [
+        assert _text(dev) == [
             "DMA QUEUED PS2PL SRC=0x00200000 DST=0xffffffff LEN=10"]
 
     def test_negative_length_is_rejected(self):
@@ -155,7 +163,7 @@ class TestDmaDescriptor:
             with pytest.raises(DescriptorError, match="negative"):
                 dev.dma_enqueue(0x1000, PL_ADDR, *lengths)
         assert not dev.dma_queue
-        assert dev.drain_events() == []
+        assert _text(dev) == []
         assert (dev.words_moved, dev.sim_seconds) == (0, 0.0)
 
     def test_descriptor_registers_are_not_writable(self):
@@ -294,6 +302,165 @@ class TestUnmodeledRegisters:
         assert not dev.int_sts.cfg_error
 
 
+def _run(dev, words, src=REQ):
+    dev.dram.write_words(src, words)
+    dev.dma_enqueue(src, PL_ADDR, len(words), len(words))
+    dev.dma_process()
+
+
+def _fails(dev, src, dst, src_len, dst_len):
+    dev.dma_enqueue(src, dst, src_len, dst_len)
+    with pytest.raises(TransferError):
+        dev.dma_process()
+
+
+def _not_initialized(dev):
+    dev.dma_enqueue(REQ, PL_ADDR, 3, 3)
+    dev.cfg_done = False  # PL configuration lost after the descriptor queued
+    with pytest.raises(TransferError):
+        dev.dma_process()
+
+
+def _request(dev, n_frames):
+    dev.set_pcap_clock_divisor(SAFE_DIVISOR)
+    _run(dev, build_readback_sequence(0, n_frames).words)
+    dev.set_pcap_clock_divisor(1)
+    dev.drain_events()
+
+
+def _split_read(dev):
+    _request(dev, 3)
+    dev.set_pcap_clock_divisor(SAFE_DIVISOR)
+    _fails(dev, PL_ADDR, DST, 202, 202)
+
+
+def _boundary(dev):
+    _request(dev, 10)
+    _fails(dev, PL_ADDR, DST, 1111, 1111)
+
+
+def _overflow(dev):
+    _request(dev, 2)
+    _fails(dev, PL_ADDR, DST, 303, 303)
+
+
+def _t1(reg, *payload):
+    return [encode_type1(OpCode.WRITE, reg, len(payload)), *payload]
+
+
+_FDRO_202 = [encode_type1(OpCode.READ, ConfigRegister.FDRO, 0),
+             encode_type2(OpCode.READ, 202)]
+
+
+def _unread_readback(dev):
+    _run(dev, [SYNC_WORD, *_t1(ConfigRegister.CMD, CmdCode.RCFG),
+               *_t1(ConfigRegister.FAR, 0), *_FDRO_202])
+    _run(dev, _FDRO_202)
+    dev.dma_enqueue(PL_ADDR, DST, 202, 202)
+    dev.dma_process()
+
+
+# Every Device event site, each run on a fresh device in the named state
+# ("new", "unlocked", "booted", or "ready": booted with PCAP owning) whose
+# bring-up events are drained first.  The expected text is pinned.
+_EVENT_SITES = [
+    pytest.param("new", lambda d: pytest.raises(LockedError, d.unlock, 0xBEEF),
+                 ["UNLOCK REJECTED KEY=0x0000beef"], id="unlock_rejected"),
+    pytest.param("new", lambda d: d.unlock(UNLOCK_KEY), ["UNLOCK OK"],
+                 id="unlock_ok"),
+    pytest.param("new", lambda d: d.write_reg("ctrl_pcap_mode", 1),
+                 ["REGWRITE DROPPED LOCKED ctrl_pcap_mode"], id="regwrite_dropped"),
+    pytest.param("new", lambda d: d.dma_enqueue(REQ, PL_ADDR, 10, 10),
+                 ["REGWRITE DROPPED LOCKED dma_src", "REGWRITE DROPPED LOCKED dma_dst",
+                  "REGWRITE DROPPED LOCKED dma_src_len",
+                  "REGWRITE DROPPED LOCKED dma_dst_len"], id="dma_regwrite_dropped"),
+    pytest.param("unlocked", lambda d: d.pl_initialize(), ["PL INIT CFG_DONE"],
+                 id="pl_init"),
+    pytest.param("booted", lambda d: d.dma_enqueue(0x00200000, PL_ADDR, 215, 215),
+                 ["DMA QUEUED PS2PL SRC=0x00200000 DST=0xffffffff LEN=215"],
+                 id="dma_queued_ps2pl"),
+    pytest.param("booted", lambda d: d.dma_enqueue(PL_ADDR, DST, 202, 202),
+                 ["DMA QUEUED PL2PS SRC=0xffffffff DST=0x00300000 LEN=202"],
+                 id="dma_queued_pl2ps"),
+    pytest.param("ready", _not_initialized,
+                 ["DMA QUEUED PS2PL SRC=0x00280000 DST=0xffffffff LEN=3",
+                  "DMA ERROR NOT-INITIALIZED LEN=3"], id="dma_error_not_initialized"),
+    pytest.param("booted", lambda d: _fails(d, REQ, PL_ADDR, 3, 3),
+                 ["DMA QUEUED PS2PL SRC=0x00280000 DST=0xffffffff LEN=3",
+                  "DMA ERROR NOT-OWNER LEN=3"], id="dma_error_not_owner"),
+    pytest.param("ready", lambda d: _fails(d, REQ, PL_ADDR, 3, 4),
+                 ["DMA QUEUED PS2PL SRC=0x00280000 DST=0xffffffff LEN=4",
+                  "DMA ERROR WIDTH LEN=4"], id="dma_error_width"),
+    pytest.param("ready", lambda d: _fails(d, PL_ADDR, DST, 202, 202),
+                 ["DMA QUEUED PL2PS SRC=0xffffffff DST=0x00300000 LEN=202",
+                  "DMA ERROR WIDTH LEN=202"], id="dma_error_nothing_pending"),
+    pytest.param("ready", _split_read,
+                 ["DMA QUEUED PL2PS SRC=0xffffffff DST=0x00300000 LEN=202",
+                  "DMA ERROR WIDTH LEN=202"], id="dma_error_split"),
+    pytest.param("ready", _boundary,
+                 ["DMA QUEUED PL2PS SRC=0xffffffff DST=0x00300000 LEN=1111",
+                  "DMA ERROR BOUNDARY LEN=1111"], id="dma_error_boundary"),
+    pytest.param("ready", _overflow,
+                 ["DMA QUEUED PL2PS SRC=0xffffffff DST=0x00300000 LEN=303",
+                  "DMA ERROR OVERFLOW LEN=303"], id="dma_error_overflow"),
+    pytest.param("ready", lambda d: _run(d, [SYNC_WORD, 0x60000000]),
+                 ["DMA QUEUED PS2PL SRC=0x00280000 DST=0xffffffff LEN=2",
+                  "ENGINE sync", "ENGINE ignored_word word=0x60000000",
+                  "DMA PS2PL DONE WORDS=2"], id="engine_ignored_word"),
+    pytest.param("ready", lambda d: _run(d, [SYNC_WORD,
+                                             *_t1(ConfigRegister.FAR, 0x04000000)]),
+                 ["DMA QUEUED PS2PL SRC=0x00280000 DST=0xffffffff LEN=3",
+                  "ENGINE sync", "ENGINE bad_far word=0x04000000",
+                  "DMA PS2PL DONE WORDS=3"], id="engine_bad_far"),
+    pytest.param("ready", lambda d: _run(d, [SYNC_WORD, encode_type1(
+                     OpCode.WRITE, ConfigRegister.FAR, 3), 0]),
+                 ["DMA QUEUED PS2PL SRC=0x00280000 DST=0xffffffff LEN=3",
+                  "ENGINE sync", "ENGINE truncated_payload reg=far",
+                  "DMA PS2PL DONE WORDS=3"], id="engine_truncated_payload"),
+    pytest.param("ready", _unread_readback,
+                 ["DMA QUEUED PS2PL SRC=0x00280000 DST=0xffffffff LEN=7",
+                  "ENGINE sync", "DMA PS2PL DONE WORDS=7",
+                  "DMA QUEUED PS2PL SRC=0x00280000 DST=0xffffffff LEN=2",
+                  "READBACK DROPPED UNREAD", "DMA PS2PL DONE WORDS=2",
+                  "DMA QUEUED PL2PS SRC=0xffffffff DST=0x00300000 LEN=202",
+                  "DMA PL2PS DONE WORDS=202"], id="readback_dropped_unread"),
+    pytest.param("booted", lambda d: d.interface_acquire(Interface.PCAP),
+                 ["ACQUIRE PCAP GRANTED"], id="acquire_granted"),
+    pytest.param("ready", lambda d: d.interface_acquire(Interface.JTAG),
+                 ["ACQUIRE JTAG PREEMPTS PCAP"], id="acquire_preempts"),
+    pytest.param("ready", lambda d: d.interface_acquire(Interface.ICAP),
+                 ["ACQUIRE ICAP IGNORED OWNER=PCAP"], id="acquire_ignored"),
+    pytest.param("ready", lambda d: d.interface_acquire(Interface.RBCRC),
+                 ["ACQUIRE RBCRC IGNORED OWNER=PCAP"], id="acquire_rbcrc_ignored"),
+    pytest.param("ready", lambda d: _run(d, [SYNC_WORD,
+                                             *_t1(ConfigRegister.CMD, CmdCode.DESYNC)]),
+                 ["DMA QUEUED PS2PL SRC=0x00280000 DST=0xffffffff LEN=3",
+                  "ENGINE sync", "ENGINE desync", "DESYNC RELEASE PCAP",
+                  "DMA PS2PL DONE WORDS=3"], id="desync_release"),
+]
+
+
+@pytest.mark.parametrize("state, act, expected", _EVENT_SITES)
+def test_event_text_at_every_site(state, act, expected):
+    if state in ("new", "unlocked"):
+        dev = Device()
+        if state == "unlocked":
+            dev.unlock(UNLOCK_KEY)
+            dev.write_reg("ctrl_pcap_pr", 1)
+            dev.write_reg("ctrl_pcap_mode", 1)
+    else:
+        dev = boot_device()
+        if state == "ready":
+            dev.interface_acquire(Interface.PCAP)
+    dev.drain_events()
+    act(dev)
+    assert _text(dev) == expected
+    # any engine event but sync and desync flags a configuration error
+    assert dev.int_sts.cfg_error == any(
+        e.startswith("ENGINE ") and e not in ("ENGINE sync", "ENGINE desync")
+        for e in expected)
+
+
 class TestClockDivisor:
     def test_divisor_4_is_25mhz(self):
         dev = Device()
@@ -317,7 +484,7 @@ class TestArbitration:
         assert not dev.interface_acquire(Interface.RBCRC)
         dev.interface_release_on_desync()
         assert dev.interface_acquire(Interface.RBCRC)
-        assert dev.drain_events() == [
+        assert _text(dev) == [
             "ACQUIRE PCAP GRANTED",
             "ACQUIRE JTAG PREEMPTS PCAP",
             "ACQUIRE RBCRC IGNORED OWNER=JTAG",
@@ -341,20 +508,41 @@ class TestArbitration:
         dev.interface_acquire(Interface.PCAP)
         dev.drain_events()
         assert dev.interface_acquire(Interface.PCAP)
-        assert dev.drain_events() == []
+        assert _text(dev) == []
 
     def test_plain_int_kind(self):
         dev = boot_device()
         dev.drain_events()
         assert dev.interface_acquire(2)
         assert dev.owner is Interface.PCAP
-        assert dev.drain_events() == ["ACQUIRE PCAP GRANTED"]
+        assert _text(dev) == ["ACQUIRE PCAP GRANTED"]
         # the owner asking again by number: granted, silently
         assert dev.interface_acquire(2)
         assert dev.owner is Interface.PCAP
-        assert dev.drain_events() == []
+        assert _text(dev) == []
         assert dev.interface_acquire(3)
-        assert dev.drain_events() == ["ACQUIRE JTAG PREEMPTS PCAP"]
+        assert _text(dev) == ["ACQUIRE JTAG PREEMPTS PCAP"]
+
+    def test_member_kind_skips_the_conversion(self, monkeypatch):
+        calls = []
+        meta = type(Interface)
+        call = meta.__call__
+
+        def counting(cls, *args, **kwargs):
+            if cls is Interface:
+                calls.append(args)
+            return call(cls, *args, **kwargs)
+
+        monkeypatch.setattr(meta, "__call__", counting)
+        dev = boot_device()
+        for kind in Interface:  # each granted with no owner, then released
+            assert dev.interface_acquire(kind)
+            dev.interface_release_on_desync()
+        dev.interface_acquire(Interface.PCAP)
+        assert not dev.interface_acquire(Interface.ICAP)
+        assert calls == []
+        assert dev.interface_acquire(3)  # a plain int is converted
+        assert calls == [(3,)]
 
     def test_desync_from_engine_releases(self):
         dev = _ready_device()
@@ -362,7 +550,7 @@ class TestArbitration:
         dev.dma_enqueue(REQ, PL_ADDR, n, n)
         dev.dma_process()
         assert dev.owner is None
-        assert any("DESYNC RELEASE PCAP" in e for e in dev.drain_events())
+        assert any("DESYNC RELEASE PCAP" in e for e in _text(dev))
 
     def test_ownership_exclusive(self):
         dev = boot_device()
@@ -401,6 +589,13 @@ class TestDram:
         dev.dram.write_words(0x1000, [1, 2, 3])
         assert dev.dram.read_words(0x1000, 3) == [1, 2, 3]
         assert dev.dram.read_bytes(0x1000, 4) == b"\x00\x00\x00\x01"
+
+    def test_negative_read_length_is_rejected(self):
+        dram = Dram()
+        dram.write_bytes(0x1000, b"abcd")
+        for addr in (0x1000, 0x5000):  # a written page and an unwritten one
+            with pytest.raises(ValueError, match="negative"):
+                dram.read_bytes(addr, -4)
 
     def test_bad_word_changes_nothing(self):
         dram = Dram()

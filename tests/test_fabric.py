@@ -21,6 +21,7 @@ from idfsim.fabric import (
 from idfsim.packets import (
     CmdCode,
     ConfigRegister,
+    DESYNC_WRITE,
     NOOP_WORD,
     OpCode,
     REGISTERS_BY_ADDR,
@@ -644,6 +645,39 @@ def test_execute_matches_word_at_a_time_reference(geo_name, twoblock_geometry):
         _assert_engines_agree(geo, calls)
 
     check()
+
+
+def test_noop_runs_match_word_at_a_time_reference():
+    geo = desk_geometry()
+    fars = geo.far_words()
+    t1, t2 = encode_type1, encode_type2
+    head = [SYNC_WORD, t1(OpCode.WRITE, ConfigRegister.IDCODE, 1), ZEDBOARD_IDCODE,
+            t1(OpCode.WRITE, ConfigRegister.CMD, 1), CmdCode.WCFG,
+            t1(OpCode.WRITE, ConfigRegister.FAR, 1), fars[1]]
+    fdri0 = t1(OpCode.WRITE, ConfigRegister.FDRI, 0)  # a zero-count header
+    body = [t2(OpCode.WRITE, 2 * FRAME_WORDS), *range(2 * FRAME_WORDS)]
+    for k in range(1, 41):
+        noops = [NOOP_WORD] * k
+        cut = (k + 1) // 2
+        for calls in (
+            [noops + head + [fdri0] + body],  # before sync
+            [head[:3] + noops + head[3:] + noops + [fdri0] + body],  # between packets
+            [head + [fdri0] + noops + body],  # straight after a zero-count header
+            [head + [fdri0] + body + noops],  # at the end of a stream
+            # before a word whose leading bytes are zero, as NOOP's trailing ones are
+            [head + noops + [0, 0x00000020] + [fdri0] + body],
+            [head + noops[:cut], noops[cut:] + [fdri0] + body],  # split across calls
+            # inside a payload NOOP words are frame data, not skipped
+            [head + [fdri0, t2(OpCode.WRITE, FRAME_WORDS + k), *noops,
+                     *range(FRAME_WORDS)]],
+        ):
+            _assert_engines_agree(geo, calls)
+    # The campaign's 58-word read-back request after a one-frame write.
+    write = build_write_frame_sequence(ZEDBOARD_IDCODE, fars[1], [_frame(3)]).words
+    request = build_readback_sequence(fars[1], 1).words + list(DESYNC_WRITE)
+    assert len(request) == 58
+    ref = _assert_engines_agree(geo, [write, request, request])
+    assert ref.memory == {fars[1]: _frame(3)}
 
 
 def test_frames_are_immutable_bytes():

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 
 from .fabric import ConfigEngine, desk_geometry
-from .packets import ZEDBOARD_IDCODE
+from .packets import ZEDBOARD_IDCODE, bytes_to_words, words_to_bytes
 
 UNLOCK_KEY = 0x757BDF0D
 PL_ADDR = 0xFFFFFFFF
@@ -181,10 +181,10 @@ class Dram:
     def write_words(self, addr, words):
         # Packed before any page is touched: a word that does not fit
         # raises struct.error and changes nothing.
-        self.write_bytes(addr, struct.pack(f">{len(words)}I", *words))
+        self.write_bytes(addr, words_to_bytes(words))
 
     def read_words(self, addr, count):
-        return list(struct.unpack(f">{count}I", self.read_bytes(addr, 4 * count)))
+        return bytes_to_words(self.read_bytes(addr, 4 * count))
 
 
 def render_event(record):

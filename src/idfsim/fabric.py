@@ -12,33 +12,31 @@ the same reason.
 FAR field layout (block_type[25:23], top_bottom[22], row[21:17],
 column[16:7], minor[6:0]).  Frame addresses are plain integer FAR words
 throughout; FarFields is only the decoded view that far_encode and
-far_decode give.  far_encode, far_decode and the DeviceGeometry methods
-first_far, next_far, is_valid_far and far_words depend on the bit positions.
+far_decode give.  far_encode, far_decode, the DeviceGeometry methods
+first_far, next_far, is_valid_far and far_words, and the within-column
+step `far + 1` of ConfigEngine's FDRI commit and FDRO read loops depend on
+the bit positions.
 """
 
 import hashlib
 import re
-import struct
-import sys
 from array import array
 from dataclasses import dataclass
 
 from .packets import (
+    BYTESWAP,
     CmdCode,
     ConfigRegister,
     FRAME_WORDS,
     NOOP_WORD,
     REGISTERS_BY_ADDR,
     SYNC_WORD,
+    bytes_to_words,
 )
 
 FRAME_BITS = FRAME_WORDS * 32
 FRAME_BYTES = FRAME_WORDS * 4
 ZERO_FRAME = bytes(FRAME_BYTES)
-
-# ConfigEngine.execute reads a stream's header words through one native
-# array("I") view, byteswapped from big-endian where the host is not.
-_BYTESWAP = sys.byteorder == "little"
 
 # A run of NOOP words from an aligned offset of a stream, matched in one
 # step: the read-back request holds runs of 6 and 32.
@@ -103,7 +101,8 @@ class DeviceGeometry:
 
     `columns` is an ordered list of (kind, minor_count) pairs shared by both
     device halves and all configured block types; the FAR enumeration order
-    is minor, then column, then row, then half, then block type.
+    is minor, then column, then row, then half, then block type.  `minors`
+    lists each column's minor count.
     """
 
     def __init__(self, name, rows_per_half, columns, block_types=(0,)):
@@ -123,11 +122,11 @@ class DeviceGeometry:
         # far_words packs the fields unchecked: the extreme FARs must be valid
         FarFields(self.block_types[0], 0, 0, 0, 0)
         FarFields(self.block_types[-1], 1, rows_per_half - 1, len(self.columns) - 1, 0)
-        self._minors = [m for _, m in self.columns]
+        self.minors = [m for _, m in self.columns]
 
     @property
     def total_frames(self):
-        per_row = sum(self._minors)
+        per_row = sum(self.minors)
         return len(self.block_types) * 2 * self.rows_per_half * per_row
 
     @property
@@ -139,8 +138,8 @@ class DeviceGeometry:
         column = (far_word >> 7) & 0x3FF
         return ((far_word >> 23) in self.block_types
                 and (far_word >> 17) & 0x1F < self.rows_per_half
-                and column < len(self._minors)
-                and far_word & 0x7F < self._minors[column])
+                and column < len(self.minors)
+                and far_word & 0x7F < self.minors[column])
 
     def first_far(self):
         return self.block_types[0] << 23
@@ -151,9 +150,9 @@ class DeviceGeometry:
             raise ValueError(f"FAR 0x{far_word:08x} is not valid for geometry {self.name}")
         # Each carry increments one field and clears the fields below it.
         column = (far_word >> 7) & 0x3FF
-        if (far_word & 0x7F) + 1 < self._minors[column]:
+        if (far_word & 0x7F) + 1 < self.minors[column]:
             return far_word + 1
-        if column + 1 < len(self._minors):
+        if column + 1 < len(self.minors):
             return ((far_word >> 7) + 1) << 7
         if ((far_word >> 17) & 0x1F) + 1 < self.rows_per_half:
             return ((far_word >> 17) + 1) << 17
@@ -171,7 +170,7 @@ class DeviceGeometry:
             for half in (0, 1):
                 for row in range(self.rows_per_half):
                     prefix = (block_type << 23) | (half << 22) | (row << 17)
-                    for column, minors in enumerate(self._minors):
+                    for column, minors in enumerate(self.minors):
                         base = prefix | (column << 7)
                         words.extend(range(base, base + minors))
         return words
@@ -265,7 +264,9 @@ class ConfigEngine:
     write takes time linear in its words, and afterwards `frame_buffer`
     holds only the frame still being received, at most FRAME_BYTES bytes.
     Frames in `memory` are immutable FRAME_BYTES-byte `bytes`, so callers
-    and the DUT baseline share them without copying.
+    and the DUT baseline share them without copying.  Since `current_far`
+    is valid by construction, the commit and read loops step it by one
+    inside a column and call `DeviceGeometry.next_far` only at a carry.
 
     `frame_versions` maps each FAR word written to the mutation count of
     its last change, in that order: versions increase from first to last.
@@ -305,23 +306,14 @@ class ConfigEngine:
         self.frame_versions.pop(far_word, None)
         self.frame_versions[far_word] = self._mutations
 
-    def _commit_frame(self, frame, events):
-        far_word = self.current_far
-        if far_word is None:
-            events.append("far_overrun")
-            return
-        self.memory[far_word] = frame
-        self._bump(far_word)
-        self.current_far = self.geometry.next_far(far_word)
-
     # -- stream execution --------------------------------------------------
 
     def execute(self, data):
         if not isinstance(data, bytes):
             # Frames are slices of `data`: a mutable buffer is copied first.
             data = bytes(memoryview(data))
-        words = array("I", data)
-        if _BYTESWAP:
+        words = array("I", data)  # the packets word codec's view
+        if BYTESWAP:
             words.byteswap()
         readback = []
         events = []
@@ -432,11 +424,32 @@ class ConfigEngine:
             self.frame_buffer = buf + payload
             return
         i = FRAME_BYTES - len(buf)
-        self._commit_frame(buf + payload[:i], events)
-        for _ in range(n - 1):
-            self._commit_frame(payload[i:i + FRAME_BYTES], events)
+        end = i + (n - 1) * FRAME_BYTES  # where the frame left buffered starts
+        frame = buf + payload[:i]
+        far = self.current_far
+        memory = self.memory
+        versions = self.frame_versions
+        version = self._mutations
+        minors = self.geometry.minors
+        while far is not None:
+            memory[far] = frame
+            version += 1
+            versions.pop(far, None)
+            versions[far] = version
+            if (far & 0x7F) + 1 < minors[(far >> 7) & 0x3FF]:
+                far += 1
+            else:
+                far = self.geometry.next_far(far)
+            if i == end:
+                break
+            frame = payload[i:i + FRAME_BYTES]
             i += FRAME_BYTES
-        self.frame_buffer = payload[i:]
+        else:
+            # `frame` and every frame after it up to `end` find no FAR
+            events.extend(["far_overrun"] * ((end - i) // FRAME_BYTES + 1))
+        self.current_far = far
+        self._mutations = version
+        self.frame_buffer = payload[end:]
 
     def _read(self, reg, count, readback, events):
         if count == 0:
@@ -450,14 +463,21 @@ class ConfigEngine:
         size = 4 * count
         frames = [ZERO_FRAME]  # the frame buffer's dummy frame
         have = FRAME_BYTES
+        far = self.current_far
+        memory = self.memory
+        minors = self.geometry.minors
         while have < size:
-            if self.current_far is None:
+            if far is None:
                 events.append("read_overrun")
                 frames.append(bytes(size - have))
                 break
-            frames.append(self.memory.get(self.current_far, ZERO_FRAME))
+            frames.append(memory.get(far, ZERO_FRAME))
             have += FRAME_BYTES
-            self.current_far = self.geometry.next_far(self.current_far)
+            if (far & 0x7F) + 1 < minors[(far >> 7) & 0x3FF]:
+                far += 1
+            else:
+                far = self.geometry.next_far(far)
+        self.current_far = far
         readback.append(b"".join(frames)[:size])
 
 
@@ -486,7 +506,7 @@ def load_frame_dump(path, geometry):
     expected = geometry.total_frames * FRAME_BYTES
     if len(data) != expected:
         raise ValueError(f"{path}: expected {expected} bytes, found {len(data)}")
-    frame = struct.Struct(f">{FRAME_WORDS}I")
+    view = memoryview(data)  # one frame at a time: no whole-image word list
     for i, far_word in enumerate(geometry.far_words()):
-        frames[far_word] = list(frame.unpack_from(data, i * FRAME_BYTES))
+        frames[far_word] = bytes_to_words(view[i * FRAME_BYTES:(i + 1) * FRAME_BYTES])
     return frames

@@ -16,6 +16,8 @@ reference sequences use):
 """
 
 import struct
+import sys
+from array import array
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 
@@ -362,14 +364,34 @@ def build_desync_footer():
     return CommandSequence(list(DESYNC_FOOTER_WORDS))
 
 
+# The one word codec: words travel as a native array("I"), byteswapped to
+# or from big-endian where the host is little-endian.  ConfigEngine.execute
+# reads its streams through the same view.
+BYTESWAP = sys.byteorder == "little"
+
+
 def words_to_bytes(words):
-    return struct.pack(f">{len(words)}I", *words)
+    """Pack a list or tuple of 32-bit words as big-endian bytes; a word
+    outside 0..2**32-1 or not an integer raises struct.error, as
+    struct.pack does."""
+    try:
+        packed = array("I", words)
+    except (OverflowError, TypeError):
+        struct.pack(f">{len(words)}I", *words)  # raises struct.error
+        raise
+    if BYTESWAP:
+        packed.byteswap()
+    return packed.tobytes()
 
 
 def bytes_to_words(data):
     if len(data) % 4:
         raise DecodeError(len(data) // 4, "byte length is not a multiple of 4")
-    return list(struct.unpack(f">{len(data) // 4}I", data))
+    words = array("I")
+    words.frombytes(data)
+    if BYTESWAP:
+        words.byteswap()
+    return words.tolist()
 
 
 def write_sequence_file(path, words):

@@ -647,6 +647,57 @@ def test_execute_matches_word_at_a_time_reference(geo_name, twoblock_geometry):
     check()
 
 
+@pytest.mark.parametrize("geo_name", ["twoblock", "wide"])
+def test_far_stepping_matches_word_at_a_time_reference(geo_name, twoblock_geometry,
+                                                       monkeypatch):
+    # "wide" has 128-minor columns, where minor + 1 at the last minor would
+    # spill into the column field, and ends on one.
+    geo = twoblock_geometry if geo_name == "twoblock" else DeviceGeometry(
+        "wide", 1, [("CLB", 128), ("DSP", 2), ("BRAM", 128)])
+    fars = geo.far_words()
+    assert len(fars) % 9  # the last 9-frame read-back runs past the last FAR
+    column_ends = {f for f, g in zip(fars, fars[1:] + [None])
+                   if g is None or g >> 7 != f >> 7}
+    calls = []
+    next_far = geo.next_far
+
+    def counted_next_far(far_word):
+        calls.append(far_word)
+        return next_far(far_word)
+
+    monkeypatch.setattr(geo, "next_far", counted_next_far)
+    engine = ConfigEngine(geo, ZEDBOARD_IDCODE)
+    ref = _WordEngine(geo, ZEDBOARD_IDCODE)
+    # The whole device plus two frames past its end, cut mid-frame into two
+    # calls; then a 5-frame rewrite that crosses a column carry.
+    image = [_frame(k) for k in range(len(fars) + 2)]
+    words = build_write_frame_sequence(ZEDBOARD_IDCODE, fars[0], image).words
+    cut = len(words) // 2 + 17
+    rest = words[cut:]
+    rest[:0] = [encode_type1(OpCode.WRITE, ConfigRegister.FDRI, 0),
+                encode_type2(OpCode.WRITE, len(rest) - 2)]
+    start = fars.index(((fars[0] >> 7) + 1) << 7) - 3
+    streams = [words[:cut], rest, build_write_frame_sequence(
+        ZEDBOARD_IDCODE, fars[start], [_frame(-k) for k in range(5)]).words]
+    streams += [build_readback_sequence(fars[k], 9).words + list(DESYNC_WRITE)
+                for k in range(0, len(fars), 9)]
+    events = []
+    for words in streams:
+        got = _execute(engine, words)
+        assert got == ref.execute(words)
+        events += got[1]
+        assert engine.current_far == ref.current_far
+    assert _memory_words(engine) == ref.memory
+    assert list(engine.frame_versions) == list(ref.changed)
+    assert events.count("far_overrun") == 2
+    assert events.count("read_overrun") == 1
+    # next_far runs only at a carry: at each column's last FAR passed, by
+    # the whole-device write, the rewrite and the read-backs
+    rewrite_ends = column_ends.intersection(fars[start:start + 5])
+    assert len(rewrite_ends) == 2
+    assert sorted(calls) == sorted([*column_ends, *rewrite_ends, *column_ends])
+
+
 def test_noop_runs_match_word_at_a_time_reference():
     geo = desk_geometry()
     fars = geo.far_words()

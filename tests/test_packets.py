@@ -1,7 +1,8 @@
 import random
+import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from idfsim.packets import (
@@ -20,14 +21,17 @@ from idfsim.packets import (
     build_desync_footer,
     build_readback_sequence,
     build_write_frame_sequence,
+    bytes_to_words,
     decode_stream,
     describe_packet,
     encode_packets,
     encode_type1,
     encode_type2,
     read_sequence_file,
+    words_to_bytes,
     write_sequence_file,
 )
+from idfsim.devc import Dram
 
 
 class TestEncodeType1:
@@ -273,6 +277,37 @@ def test_sequence_file_round_trip(tmp_path):
     write_sequence_file(path, words)
     assert path.read_bytes()[:4] == b"\xff\xff\xff\xff"  # big-endian, no header
     assert read_sequence_file(path) == words
+
+
+@pytest.mark.parametrize("bad", [-1, 1 << 32, 1.0])
+def test_codec_rejects_a_bad_word_as_struct_does(bad):
+    words = [0x12345678, bad, 7]
+    with pytest.raises(struct.error):
+        words_to_bytes(words)
+    dram = Dram()
+    dram.write_words(0x1000, [1, 2, 3])
+    before = {base: bytes(page) for base, page in dram._pages.items()}
+    for addr in (0x1000, 0x1FFC, 0x5000):  # in a page, across, unwritten
+        with pytest.raises(struct.error):
+            dram.write_words(addr, words)
+    assert {base: bytes(page) for base, page in dram._pages.items()} == before
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.lists(st.integers(0, 0xFFFFFFFF), max_size=300))
+@example([])
+def test_codec_matches_struct(words):
+    data = struct.pack(f">{len(words)}I", *words)
+    assert words_to_bytes(words) == data
+    assert words_to_bytes(tuple(words)) == data
+    assert bytes_to_words(data) == list(struct.unpack(f">{len(words)}I", data))
+    assert bytes_to_words(bytearray(data)) == words
+    assert bytes_to_words(memoryview(data)) == words
+
+
+def test_codec_rejects_a_ragged_byte_string():
+    with pytest.raises(DecodeError):
+        bytes_to_words(b"\x00" * 5)
 
 
 def test_describe_packet():

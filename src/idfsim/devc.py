@@ -16,9 +16,11 @@ Transfer rules modeled after the real PCAP path:
 
 All failed transfers are all-or-nothing: no PL or DRAM state changes.
 
-Device events are records, `(format, args)` pairs: nothing is formatted
-while a transfer runs.  `render_event` turns a record into its log line,
-and only a sink that wants text calls it.
+Device events are records, `(format, args)` pairs, appended to
+`Device.events` where they happen: nothing is formatted while a transfer
+runs.  `render_event` turns a record into its log line, and only a sink
+that wants text calls it.  The PCAP byte rate is worked out once per clock
+divisor; each transfer adds `(words * 4) / rate` to `sim_seconds`.
 """
 
 import struct
@@ -98,7 +100,7 @@ class IntStatus:
     dma_error: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class DmaDescriptor:
     src: int
     dst: int
@@ -204,7 +206,7 @@ class Device:
         self.int_sts = IntStatus()
         self.locked = True
         self.cfg_done = False
-        self.clock_divisor = 1
+        self.set_pcap_clock_divisor(1)
         self.owner = None
         self.dma_queue = deque()
         self.gpio = {}
@@ -214,9 +216,6 @@ class Device:
         self.sim_seconds = 0.0
 
     # -- bookkeeping ---------------------------------------------------------
-
-    def _event(self, fmt, *args):
-        self.events.append((fmt, args))
 
     def drain_events(self):
         out = self.events
@@ -233,15 +232,15 @@ class Device:
 
     def unlock(self, key):
         if key != UNLOCK_KEY:
-            self._event("UNLOCK REJECTED KEY=0x{:08x}", key)
+            self.events.append(("UNLOCK REJECTED KEY=0x{:08x}", (key,)))
             raise LockedError("wrong unlock key; device remains locked")
         self.locked = False
-        self._event("UNLOCK OK")
+        self.events.append(("UNLOCK OK", ()))
 
     def write_reg(self, name, value):
         """Register write honoring the lock: while locked, writes are dropped."""
         if self.locked:
-            self._event("REGWRITE DROPPED LOCKED {}", name)
+            self.events.append(("REGWRITE DROPPED LOCKED {}", (name,)))
             return
         if name == "ctrl_pcap_pr":
             self.ctrl.pcap_pr = bool(value)
@@ -267,12 +266,14 @@ class Device:
             raise SequencingError("ctrl.pcap_pr and ctrl.pcap_mode must be set "
                                   "before PCAP can be selected")
         self.cfg_done = True
-        self._event("PL INIT CFG_DONE")
+        self.events.append(("PL INIT CFG_DONE", ()))
 
     def set_pcap_clock_divisor(self, div):
         if div < 1:
             raise ValueError("clock divisor must be >= 1")
         self.clock_divisor = int(div)
+        # PCAP moves one word per clock, up to the bridge's maximum.
+        self._byte_rate = min(4 * self.pcap_clock_hz, PCAP_MAX_BYTES_PER_SEC)
 
     @property
     def pcap_clock_hz(self):
@@ -289,7 +290,7 @@ class Device:
         """
         if self.locked:
             for name in ("dma_src", "dma_dst", "dma_src_len", "dma_dst_len"):
-                self._event("REGWRITE DROPPED LOCKED {}", name)
+                self.events.append(("REGWRITE DROPPED LOCKED {}", (name,)))
             return
         if not self.cfg_done:
             raise SequencingError("not initialized: PL configuration not done")
@@ -303,8 +304,8 @@ class Device:
         direction = "ps2pl" if dst == PL_ADDR else "pl2ps"
         self.dma_queue.append(DmaDescriptor(src, dst, src_len, dst_len,
                                             direction))
-        self._event("DMA QUEUED {} SRC=0x{:08x} DST=0x{:08x} LEN={}",
-                    _UPPER[direction], src, dst, dst_len)
+        self.events.append(("DMA QUEUED {} SRC=0x{:08x} DST=0x{:08x} LEN={}",
+                            (_UPPER[direction], src, dst, dst_len)))
 
     def dma_process(self):
         """Execute the oldest queued transfer; raises on any rule violation.
@@ -330,27 +331,28 @@ class Device:
                 self._transfer_pl2ps(desc)
         except TransferError as exc:
             self.int_sts.dma_error = True
-            self._event("DMA ERROR {} LEN={}", exc.reason.upper(), desc.dst_len)
+            self.events.append(("DMA ERROR {} LEN={}",
+                                (exc.reason.upper(), desc.dst_len)))
             raise
         self.int_sts.dma_done = True
         self.int_sts.pcap_done = True
         self.words_moved += desc.dst_len
-        rate = min(4 * self.pcap_clock_hz, PCAP_MAX_BYTES_PER_SEC)
-        self.sim_seconds += (desc.dst_len * 4) / rate
-        self._event("DMA {} DONE WORDS={}", _UPPER[desc.direction], desc.dst_len)
+        self.sim_seconds += (desc.dst_len * 4) / self._byte_rate
+        self.events.append(("DMA {} DONE WORDS={}",
+                            (_UPPER[desc.direction], desc.dst_len)))
 
     def _transfer_ps2pl(self, desc):
         data = self.dram.read_bytes(desc.src, 4 * desc.src_len)
         readback, events = self.engine.execute(data)
         for ev in events:
-            self._event("ENGINE {}", ev)
+            self.events.append(("ENGINE {}", (ev,)))
             if ev == "desync":
                 self.interface_release_on_desync()
             elif ev != "sync":
                 self.int_sts.cfg_error = True
         if readback:
             if self.pending_readback is not None:
-                self._event("READBACK DROPPED UNREAD")
+                self.events.append(("READBACK DROPPED UNREAD", ()))
             self.pending_readback = readback
 
     def _transfer_pl2ps(self, desc):
@@ -380,17 +382,20 @@ class Device:
         if self.owner is kind:
             return True
         if kind is _RBCRC and self.owner is not None:
-            self._event("ACQUIRE RBCRC IGNORED OWNER={0.name}", self.owner)
+            self.events.append(("ACQUIRE RBCRC IGNORED OWNER={0.name}",
+                                (self.owner,)))
             return False
         if self.owner is None:
             self.owner = kind
-            self._event("ACQUIRE {0.name} GRANTED", kind)
+            self.events.append(("ACQUIRE {0.name} GRANTED", (kind,)))
             return True
         if kind > self.owner:
-            self._event("ACQUIRE {0.name} PREEMPTS {1.name}", kind, self.owner)
+            self.events.append(("ACQUIRE {0.name} PREEMPTS {1.name}",
+                                (kind, self.owner)))
             self.owner = kind
             return True
-        self._event("ACQUIRE {0.name} IGNORED OWNER={1.name}", kind, self.owner)
+        self.events.append(("ACQUIRE {0.name} IGNORED OWNER={1.name}",
+                            (kind, self.owner)))
         return False
 
     def interface_release_on_desync(self):
@@ -400,7 +405,7 @@ class Device:
         use it directly for interfaces without a modeled data path.
         """
         if self.owner is not None:
-            self._event("DESYNC RELEASE {0.name}", self.owner)
+            self.events.append(("DESYNC RELEASE {0.name}", (self.owner,)))
             self.owner = None
 
 

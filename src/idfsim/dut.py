@@ -7,6 +7,12 @@ class; a flipped module-critical bit corrupts that module's output with a
 deterministic nonzero mask, and a flipped comparator-critical bit forces
 the match line high regardless of the outputs.
 
+A check decides the match line from the classes of the flipped bits
+alone: a comparator flip, or exactly one faulted module, drives it high,
+since a fault mask is never zero, and only with both modules faulted are
+their masks compared.  The two outputs are derived on first read of
+`MatchResult.outputs`, as device events are rendered only at a log sink.
+
 Control lines mirror the PS GPIO wiring: a clock enable, one start per
 module, and the match line routed back.
 """
@@ -76,10 +82,30 @@ class ControlLines:
     start_1: int = 0
 
 
-@dataclass
 class MatchResult:
-    match_line: MatchLine
-    outputs: tuple
+    """One check: the match line, and both modules' 16-byte outputs.
+
+    The match line is decided when the check runs.  `outputs` is derived
+    on first read from the cipher block and each module's first flip
+    (FAR word, bit), or None for an unfaulted module, and then kept.
+    """
+
+    __slots__ = ("match_line", "_base", "_first_flips", "_outputs")
+
+    def __init__(self, match_line, base, m0, m1):
+        self.match_line = match_line
+        self._base = base
+        self._first_flips = (m0, m1)
+        self._outputs = None
+
+    @property
+    def outputs(self):
+        if self._outputs is None:
+            base = self._base
+            self._outputs = tuple(
+                (base if flip is None else base ^ fault_mask(*flip)).to_bytes(16, "big")
+                for flip in self._first_flips)
+        return self._outputs
 
 
 class SensitivityMap:
@@ -323,16 +349,12 @@ class DutModel:
                         m1 = (far_word, bit)
                 else:
                     comparator = True
-        base = self._cipher(input4)
-        out0 = base
-        out1 = base
-        if m0 is not None:
-            out0 ^= fault_mask(*m0)
-        if m1 is not None:
-            out1 ^= fault_mask(*m1)
-        if comparator:
+        # fault_mask is never zero, so one faulted module alone mismatches;
+        # with both faulted the outputs differ exactly when the masks do.
+        if comparator or (m0 is None) != (m1 is None):
             match = _HIGH
+        elif m0 is None or fault_mask(*m0) == fault_mask(*m1):
+            match = _LOW
         else:
-            match = _LOW if out0 == out1 else _HIGH
-        outputs = (out0.to_bytes(16, "big"), out1.to_bytes(16, "big"))
-        return MatchResult(match, outputs)
+            match = _HIGH
+        return MatchResult(match, self._cipher(input4), m0, m1)

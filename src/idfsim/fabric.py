@@ -9,6 +9,12 @@ flush frame in a write sequence is what pushes the last real frame into
 memory.  Reads emit one dummy frame of zeros ahead of real frame data for
 the same reason.
 
+Stream decoding costs a few steps per packet, not per word.  Before sync
+the engine skips to the next word-aligned SYNC word with one byte search
+(the SYNC bytes at an unaligned offset are no sync), a NOOP run is skipped
+with one match, and a Type-1 header of a known register is decoded by one
+lookup in a table built at import, keyed on its top 19 bits.
+
 FAR field layout (block_type[25:23], top_bottom[22], row[21:17],
 column[16:7], minor[6:0]).  Frame addresses are plain integer FAR words
 throughout; FarFields is only the decoded view that far_encode and
@@ -54,6 +60,13 @@ _UNMODELED = frozenset({ConfigRegister.MASK, ConfigRegister.CTL0, ConfigRegister
 _WCFG = CmdCode.WCFG
 _RCFG = CmdCode.RCFG
 _DESYNC = CmdCode.DESYNC
+
+# Every Type-1 header of a known register, keyed on its top 19 bits
+# (type, op, register address): `w >> 13` -> (op, register).  The count is
+# `w & 0x7FF`: reserved bits 11-12 play no part in a header.
+_TYPE1_HEADERS = {(0b001 << 16) | (op << 14) | addr: (op, reg)
+                  for addr, reg in REGISTERS_BY_ADDR.items() for op in range(4)}
+_SYNC_BYTES = SYNC_WORD.to_bytes(4, "big")
 
 _FAR_FIELD_LIMITS = {
     "block_type": 7,
@@ -254,8 +267,13 @@ class ConfigEngine:
     One engine is exclusively owned by one caller at a time.  `execute`
     consumes a stream of big-endian 32-bit words and returns (readback,
     events), the read-back data as big-endian bytes; everything before a
-    sync word is ignored, and a DESYNC command drops sync again.  Events
-    are stable lowercase strings.
+    word-aligned sync word is ignored, skipped in one `bytes.find` step,
+    and a DESYNC command drops sync again.  Events are stable lowercase
+    strings.  Type-1 headers of known registers are decoded through
+    `_TYPE1_HEADERS` (`w >> 13` -> op, register; the count is `w & 0x7FF`);
+    Type-2 headers, unknown registers and stray words take the general
+    path.  A CMD write is applied in `execute` itself: only its first
+    payload word counts.
 
     `current_far` is the integer FAR word the next frame commits to or
     reads from, or None once the last frame is passed.  A full frame
@@ -319,49 +337,65 @@ class ConfigEngine:
         events = []
         i = 0
         n = len(words)
+        synced = self.synced  # changed only here, and stored as it changes
         while i < n:
+            if not synced:
+                # Only a word-aligned SYNC syncs: skip to it in one step.
+                at = data.find(_SYNC_BYTES, 4 * i)
+                while at > 0 and at & 3:
+                    at = data.find(_SYNC_BYTES, at + 1)
+                if at < 0:
+                    break
+                i = (at >> 2) + 1
+                synced = self.synced = True
+                self.idcode_ok = False
+                self.cfg_cmd = None
+                self.last_type1_reg = None
+                self.frame_buffer = b""
+                events.append("sync")
+                continue
             w = words[i]
-            if w == NOOP_WORD:  # skipped whether synced or not, a run at once
-                i += 1
+            i += 1
+            if w == NOOP_WORD:  # a run of them at once
                 if i < n and words[i] == NOOP_WORD:
                     i = _NOOP_RUN.match(data, 4 * i).end() >> 2
                 continue
-            if not self.synced:
-                if w == SYNC_WORD:
-                    self.synced = True
-                    self.idcode_ok = False
-                    self.cfg_cmd = None
-                    self.last_type1_reg = None
-                    self.frame_buffer = b""
-                    events.append("sync")
-                i += 1
-                continue
-            ptype = w >> 29
-            op = (w >> 27) & 0x3
-            i += 1
-            if ptype == 0b001:
-                reg_addr = (w >> 13) & 0x3FFF
+            header = _TYPE1_HEADERS.get(w >> 13)
+            if header is not None:
+                op, reg = header
                 count = w & 0x7FF
-                reg = REGISTERS_BY_ADDR.get(reg_addr)
-                if reg is None:
-                    events.append(f"ignored_register addr={reg_addr}")
-                    if op == 2:
-                        i += count
-                    continue
                 self.last_type1_reg = reg
-            elif ptype == 0b010:
+            elif w >> 29 == 0b010:
+                op = (w >> 27) & 0x3
                 count = w & 0x7FFFFFF
                 reg = self.last_type1_reg
             else:
-                events.append(f"ignored_word word=0x{w:08x}")
+                if w >> 29 == 0b001:  # a register the engine does not know
+                    events.append(f"ignored_register addr={(w >> 13) & 0x3FFF}")
+                    if (w >> 27) & 0x3 == 2:
+                        i += w & 0x7FF  # its payload
+                else:
+                    events.append(f"ignored_word word=0x{w:08x}")
                 continue
             if op == 2:
                 end = i + count
                 if end > n:
-                    name = reg.name.lower() if ptype == 0b001 else "type2"
+                    name = reg.name.lower() if w >> 29 == 0b001 else "type2"
                     events.append(f"truncated_payload reg={name}")
                 if reg is _FDRI:
                     self._write_fdri(data[4 * i:4 * end], events)
+                elif reg is _CMD:  # applied here: only the first word counts
+                    if count and i < n:
+                        code = words[i]
+                        if code == _WCFG:
+                            self.cfg_cmd = _WCFG
+                        elif code == _RCFG:
+                            self.cfg_cmd = _RCFG
+                        elif code == _DESYNC:
+                            synced = self.synced = False
+                            self.cfg_cmd = None
+                            self.frame_buffer = b""
+                            events.append("desync")
                 else:
                     self._write(reg, words[i] if count and i < n else None, events)
                 i = end
@@ -372,12 +406,8 @@ class ConfigEngine:
         return b"".join(readback), events
 
     def _write(self, reg, word, events):
-        """A write to any register but FDRI; `word` is the first payload
-        word, or None for an empty payload."""
-        if reg is _CMD:
-            if word is not None:
-                self._command(word, events)
-            return
+        """A write to any register but FDRI and CMD; `word` is the first
+        payload word, or None for an empty payload."""
         if reg is _IDCODE:
             if word == self.device_id:
                 self.idcode_ok = True
@@ -396,17 +426,6 @@ class ConfigEngine:
             # Accepted but not modeled: the desync footer writes MASK/CTL0.
             return
         events.append(f"ignored_write reg={reg.name.lower() if reg else 'none'}")
-
-    def _command(self, code, events):
-        if code == _WCFG:
-            self.cfg_cmd = _WCFG
-        elif code == _RCFG:
-            self.cfg_cmd = _RCFG
-        elif code == _DESYNC:
-            self.synced = False
-            self.cfg_cmd = None
-            self.frame_buffer = b""
-            events.append("desync")
 
     def _write_fdri(self, payload, events):
         if self.cfg_cmd is not _WCFG:

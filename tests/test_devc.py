@@ -10,6 +10,7 @@ from idfsim.devc import (
     Dram,
     Interface,
     LockedError,
+    PCAP_CLK_HZ,
     PCAP_MAX_BYTES_PER_SEC,
     PL_ADDR,
     SAFE_DIVISOR,
@@ -473,6 +474,49 @@ class TestClockDivisor:
     def test_zero_divisor_rejected(self):
         with pytest.raises(ValueError):
             Device().set_pcap_clock_divisor(0)
+
+    def test_simulated_time_follows_each_transfer_divisor(self):
+        # Each transfer is timed at the divisor set when it runs, summed in
+        # order in the same float arithmetic; a failed one adds nothing.
+        dev = _ready_device()
+        write = build_write_frame_sequence(ZEDBOARD_IDCODE, 0, [[7] * FRAME_WORDS]).words
+        expected_s, expected_words = 0.0, 0
+
+        def transfer(div, src, dst, n):
+            nonlocal expected_s, expected_words
+            dev.set_pcap_clock_divisor(div)
+            dev.interface_acquire(Interface.PCAP)  # a DESYNC released it
+            dev.dma_enqueue(src, dst, n, n)
+            dev.dma_process()
+            expected_s += (n * 4) / min(4 * (PCAP_CLK_HZ // div), PCAP_MAX_BYTES_PER_SEC)
+            expected_words += n
+            assert dev.sim_seconds == expected_s
+            assert dev.words_moved == expected_words
+
+        def fails(div, src, dst, src_len, dst_len):
+            dev.set_pcap_clock_divisor(div)
+            dev.interface_acquire(Interface.PCAP)
+            _fails(dev, src, dst, src_len, dst_len)
+            assert dev.sim_seconds == expected_s
+            assert dev.words_moved == expected_words
+
+        # Lengths at which n * (4 / rate) would round differently; unwritten
+        # DRAM streams zero words, which an unsynced engine skips.
+        for div, n in ((1, 5), (3, 10), (4, 3), (8, 17), (1, 23), (3, 31)):
+            transfer(div, 0x00100000, PL_ADDR, n)
+        for divs in ((1, 3, 4), (8, 1, 3), (4, 8, 1)):
+            dev.dram.write_words(REQ, write)
+            transfer(divs[0], REQ, PL_ADDR, len(write))
+            n = _stage_readback(dev, 0, 1)
+            fails(divs[1], REQ, PL_ADDR, n, n + 1)  # width
+            transfer(divs[1], REQ, PL_ADDR, n)
+            transfer(divs[2], PL_ADDR, DST, 2 * FRAME_WORDS)
+        n = _stage_readback(dev, 0, 2)
+        transfer(8, REQ, PL_ADDR, n)
+        fails(1, PL_ADDR, DST, 3 * FRAME_WORDS, 3 * FRAME_WORDS)  # overflow
+        transfer(3, REQ, PL_ADDR, n)  # a second request replaces the first
+        transfer(4, PL_ADDR, DST, 3 * FRAME_WORDS)
+        assert dev.dram.read_words(DST + 4 * FRAME_WORDS, FRAME_WORDS) == [7] * FRAME_WORDS
 
 
 class TestArbitration:

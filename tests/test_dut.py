@@ -326,6 +326,49 @@ class TestDutRunCheck:
         assert model.run_check(engine, _lines(), 0).match_line is MatchLine.LOW
 
 
+def test_match_line_from_flipped_classes():
+    fars = desk_geometry().far_words()
+    classes = {
+        Criticality.MODULE0: [(fars[1], 7), (fars[1], 900), (fars[4], 3)],
+        Criticality.MODULE1: [(fars[1], 8), (fars[2], 0), (fars[4], 3231)],
+        Criticality.COMPARATOR: [(fars[2], 64), (fars[3], 5)],
+    }
+    smap = SensitivityMap()
+    for crit, bits in classes.items():
+        for far, bit in bits:
+            smap.add(far, bit, crit)
+    seen = set()
+
+    # With colliding masks both faulted modules give equal outputs, which
+    # real masks almost never do.
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.tuples(*(st.sets(st.sampled_from(bits)) for bits in classes.values())),
+           st.integers(0, 15), st.booleans())
+    def check(flips, input4, colliding):
+        m0, m1, comparator = flips
+        seen.add((bool(m0), bool(m1), bool(comparator)))
+        engine = _engine()
+        model = DutModel(sensitivity_map=smap)
+        model.capture_baseline(engine)
+        for far, bit in m0 | m1 | comparator:
+            engine.flip_bit(far, bit // 32, bit % 32)
+        mask = (lambda far, bit: 0x5A5A) if colliding else fault_mask
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("idfsim.dut.fault_mask", mask)
+            result = model.run_check(engine, _lines(), input4)
+            outputs = result.outputs
+        base = int.from_bytes(aes256_encrypt(DEFAULT_KEY, widen_input(input4)), "big")
+        for out, flipped in zip(outputs, (m0, m1)):
+            want = base ^ mask(*min(flipped)) if flipped else base
+            assert out == want.to_bytes(16, "big")
+        assert (result.match_line is MatchLine.HIGH) == bool(
+            comparator or outputs[0] != outputs[1])
+
+    check()
+    assert seen == {(a, b, c) for a in (False, True) for b in (False, True)
+                    for c in (False, True)}
+
+
 # Differential check of the incremental scan against a full rescan.  The map
 # covers the first 12 desk frames, every third bit of all 101 words;
 # operations toggle any bit, so about a third of them hit a mapped bit, or

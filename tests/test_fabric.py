@@ -731,6 +731,79 @@ def test_noop_runs_match_word_at_a_time_reference():
     assert ref.memory == {fars[1]: _frame(3)}
 
 
+def _unaligned_sync(offset):
+    """Two words holding the SYNC bytes at byte `offset` (1-3) of the first."""
+    data = bytes(offset) + SYNC_WORD.to_bytes(4, "big") + bytes(4 - offset)
+    return bytes_to_words(data)
+
+
+def test_header_dispatch_matches_word_at_a_time_reference():
+    geo = desk_geometry()
+    fars = geo.far_words()
+    t2 = encode_type2
+
+    def t1(op, reg, count, reserved=0):
+        return encode_type1(op, reg, count) | reserved
+
+    def write(reserved=0):
+        return [t1(OpCode.WRITE, ConfigRegister.IDCODE, 1, reserved), ZEDBOARD_IDCODE,
+                t1(OpCode.WRITE, ConfigRegister.CMD, 1, reserved), CmdCode.WCFG,
+                t1(OpCode.WRITE, ConfigRegister.FAR, 1, reserved), fars[2],
+                t1(OpCode.WRITE, ConfigRegister.FDRI, 0, reserved),
+                t2(OpCode.WRITE, 2 * FRAME_WORDS), *range(2 * FRAME_WORDS)]
+
+    def read(reserved=0):
+        return [t1(OpCode.WRITE, ConfigRegister.CMD, 1, reserved), CmdCode.RCFG,
+                t1(OpCode.WRITE, ConfigRegister.FAR, 1, reserved), fars[2],
+                t1(OpCode.READ, ConfigRegister.FDRO, 0, reserved),
+                t2(OpCode.READ, 2 * FRAME_WORDS)]
+
+    def header(kind, op, addr, count):
+        return (kind << 29) | (op << 27) | (addr << 13) | count
+
+    # The SYNC bytes at byte offsets 1-3 do not sync; the aligned SYNC does.
+    for offset in (1, 2, 3):
+        ref = _assert_engines_agree(geo, [
+            [*_unaligned_sync(offset), *write(), SYNC_WORD, *write(), *read()]])
+        assert list(ref.memory) == [fars[2]]
+        # with only the unaligned pattern the whole stream is skipped
+        ref = _assert_engines_agree(geo, [
+            [NOOP_WORD, *_unaligned_sync(offset), *write()],
+            [*_unaligned_sync(offset)[1:], *write(), *read()]])
+        assert not ref.synced and not ref.memory
+    # No aligned sync at all, in one call and with the pattern split
+    # across calls.
+    ref = _assert_engines_agree(geo, [[NOOP_WORD, *write(), *read()],
+                                      [0xAA99], [0x5566AA99, 0x55660000], write()])
+    assert not ref.synced and not ref.memory
+    # Reserved bits 11-12 of a Type-1 header are not part of its count.
+    for reserved in (1 << 11, 1 << 12, 3 << 11):
+        ref = _assert_engines_agree(geo, [[SYNC_WORD, *write(reserved), *read(reserved)]])
+        assert list(ref.memory) == [fars[2]]
+    # A NOOP with a reserved bit set is an op-0 header on CRC, not a NOOP.
+    _assert_engines_agree(geo, [[SYNC_WORD, NOOP_WORD | 1 << 11, t2(OpCode.WRITE, 1), 7,
+                                 *write()]])
+    # Unknown registers with every op, payload included, between packets.
+    unknown = [w for addr in (7, 8, 11, 13, 0x3FFF) for op in range(4)
+               for w in (header(1, op, addr, 2), 0x11, 0x22)]
+    ref = _assert_engines_agree(geo, [[SYNC_WORD, *unknown, *write(), *unknown, *read()]])
+    assert list(ref.memory) == [fars[2]]
+    # Op 0 and op 3 on known registers name the register a Type-2 header
+    # continues, and do nothing else.
+    odd = [header(1, op, int(reg), count)
+           for op in (0, 3) for reg in ConfigRegister for count in (0, 1, 5)]
+    _assert_engines_agree(geo, [[SYNC_WORD, *odd, *write(), *read()]])
+    for reg in (ConfigRegister.FDRO, ConfigRegister.FDRI, ConfigRegister.CRC):
+        for op in (0, 3):
+            _assert_engines_agree(geo, [[SYNC_WORD, *write()[:6], header(1, op, int(reg), 0),
+                                         t2(OpCode.WRITE, 3), 1, 2, 3,
+                                         t2(OpCode.READ, FRAME_WORDS)]])
+    # A Type-2 header before any Type-1, with each op.
+    for op in range(4):
+        _assert_engines_agree(geo, [[SYNC_WORD, header(2, op, 0, 3), 1, 2, 3, *write()],
+                                    [SYNC_WORD, header(2, op, 0, 0), *read()]])
+
+
 def test_frames_are_immutable_bytes():
     geo = desk_geometry()
     fars = geo.far_words()

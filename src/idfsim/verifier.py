@@ -9,6 +9,12 @@ The floorplan file is line-oriented text (`#` comments):
     PIN <name> GROUP <g> SITE <x> <y> BANK <b> PKG <prow> <pcol>
     NET <name> [CLOCK] SRC <region> LOADS <r1,r2,...> PIPS <x:y:used|unused;...>
 
+The parser rejects, with the offending line's number, among others: a
+DEVICE with fewer than one column or row; a second TILE at a site; a
+non-NULL tile on a fence cell (reported at the TILE line, or at the
+FENCE line when the tile came first); a second pin on a package ball;
+and any token after a NET's PIPS list, which is one token with no spaces.
+
 Checks (one per rule class), with their cost for P pins, R regions, T
 declared tiles, and N nets with K PIPs in all:
 
@@ -16,14 +22,18 @@ declared tiles, and N nets with K PIPs in all:
     IDF-2  pins of multiple isolation groups sharing an IOB bank  O(P log P)
     IDF-3  package-adjacent pins (8 compass directions) of        O(P)
            different groups
-    IDF-4  isolation regions overlapping or in 8-way contact      O(R^2)
-    IDF-5  4-way adjacent occupied tiles of different groups      O(T log T + R T)
-    IDF-6  routing: multi-region loads / fence PIPs / shared-tile O(N + K log K)
+    IDF-4  isolation regions overlapping or in 8-way contact      O(R log R + E)
+    IDF-5  4-way adjacent occupied tiles of different groups      O(R T + V log V)
+    IDF-6  routing: multi-region loads / fence PIPs / shared-tile O(N + K + S log S)
            nets
 
 IDF-3 looks up each pin's neighbours by package ball; the parser allows
-one pin per ball.  IDF-5's R T is a worst case, reached only when every
-region's rectangle has at least T cells.
+one pin per ball.  IDF-4 sweeps the regions in order of their left edge,
+so it pays for the E pairs whose x-spans are within one tile of each
+other, not for all pairs.  IDF-5 and IDF-6 sort only what they report:
+the V violating tile pairs, and the S tiles that carry PIPs of two or
+more inter-region nets.  IDF-5's R T is a worst case, reached only when
+every region's rectangle has at least T cells.
 
 Tiles default to NULL (vacant); only declared non-NULL tiles inside a
 region rectangle count as occupied logic, owned by the first region in
@@ -33,8 +43,9 @@ modify the floorplan.
 
 import math
 from dataclasses import dataclass, field
+from itertools import product
 
-TILE_KINDS = ("CLB", "INT", "BRAM", "DSP", "IOB", "NULL")
+TILE_KINDS = frozenset(("CLB", "INT", "BRAM", "DSP", "IOB", "NULL"))
 
 SEVERITY_ERROR = "error"
 SEVERITY_WARNING = "warning"
@@ -132,29 +143,18 @@ def _rect_in_grid(rect, plan):
 
 def parse_floorplan(text):
     """Parse and structurally validate a floorplan description."""
-    plan = None
+    plan = cols = rows = tiles = fence = None
     pending = []  # (lineno, tokens) gathered before full validation
     names = set()
     balls = {}  # package ball -> name of the pin on it
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        if "#" in raw:
+            raw = raw.split("#", 1)[0]
+        tokens = raw.split()
+        if not tokens:
             continue
-        tokens = line.split()
         kw = tokens[0].upper()
-        if kw == "DEVICE":
-            if plan is not None:
-                raise FloorplanError(lineno, "duplicate DEVICE line")
-            if len(tokens) != 3:
-                raise FloorplanError(lineno, "DEVICE needs <cols> <rows>")
-            try:
-                plan = Floorplan(cols=int(tokens[1]), rows=int(tokens[2]))
-            except ValueError:
-                raise FloorplanError(lineno, "DEVICE size must be integers") from None
-            continue
-        if plan is None:
-            raise FloorplanError(lineno, "DEVICE must come first")
-        if kw == "TILE":
+        if kw == "TILE" and plan is not None:
             if len(tokens) != 4:
                 raise FloorplanError(lineno, "TILE needs <x> <y> <kind>")
             kind = tokens[3].upper()
@@ -164,12 +164,30 @@ def parse_floorplan(text):
                 x, y = int(tokens[1]), int(tokens[2])
             except ValueError:
                 raise FloorplanError(lineno, "TILE coordinates must be integers") from None
-            if not (0 <= x < plan.cols and 0 <= y < plan.rows):
+            if not (0 <= x < cols and 0 <= y < rows):
                 raise FloorplanError(lineno, f"tile ({x},{y}) outside grid")
             site = (x, y)
-            if site in plan.tiles:
+            if site in tiles:
                 raise FloorplanError(lineno, f"duplicate tile ({x},{y})")
-            plan.tiles[site] = kind
+            # Fence tiles carry no placed logic.
+            if kind != "NULL" and site in fence:
+                raise FloorplanError(lineno, f"non-NULL tile {site} inside the fence")
+            tiles[site] = kind
+        elif kw == "DEVICE":
+            if plan is not None:
+                raise FloorplanError(lineno, "duplicate DEVICE line")
+            if len(tokens) != 3:
+                raise FloorplanError(lineno, "DEVICE needs <cols> <rows>")
+            try:
+                cols, rows = int(tokens[1]), int(tokens[2])
+            except ValueError:
+                raise FloorplanError(lineno, "DEVICE size must be integers") from None
+            if cols < 1 or rows < 1:
+                raise FloorplanError(lineno, "DEVICE needs at least one column and one row")
+            plan = Floorplan(cols=cols, rows=rows)
+            tiles, fence = plan.tiles, plan.fence
+        elif plan is None:
+            raise FloorplanError(lineno, "DEVICE must come first")
         elif kw == "REGION":
             if len(tokens) != 9 or tokens[2].upper() != "GROUP" or tokens[4].upper() != "RECT":
                 raise FloorplanError(lineno, "REGION <name> GROUP <g> RECT <x0> <y0> <x1> <y1>")
@@ -189,9 +207,11 @@ def parse_floorplan(text):
             if not _rect_in_grid(rect, plan):
                 raise FloorplanError(lineno, "fence outside grid")
             x0, y0, x1, y1 = rect
-            for x in range(x0, x1 + 1):
-                for y in range(y0, y1 + 1):
-                    plan.fence.add((x, y))
+            cells = [(x, y) for x in range(x0, x1 + 1) for y in range(y0, y1 + 1)]
+            for xy in cells:
+                if tiles.get(xy, "NULL") != "NULL":
+                    raise FloorplanError(lineno, f"non-NULL tile {xy} inside the fence")
+            fence.update(cells)
         elif kw == "PIN":
             if (len(tokens) != 12 or tokens[2].upper() != "GROUP"
                     or tokens[4].upper() != "SITE" or tokens[7].upper() != "BANK"
@@ -208,7 +228,7 @@ def parse_floorplan(text):
                 package = (int(tokens[10]), int(tokens[11]))
             except ValueError:
                 raise FloorplanError(lineno, "PIN fields must be integers") from None
-            if not (0 <= site[0] < plan.cols and 0 <= site[1] < plan.rows):
+            if not (0 <= site[0] < cols and 0 <= site[1] < rows):
                 raise FloorplanError(lineno, f"pin site {site} outside grid")
             if package in balls:
                 raise FloorplanError(lineno, f"pin {name!r} is on package ball "
@@ -222,11 +242,6 @@ def parse_floorplan(text):
 
     if plan is None:
         raise FloorplanError(1, "missing DEVICE line")
-
-    # Fence tiles carry no placed logic.
-    for xy in plan.fence:
-        if plan.tiles.get(xy, "NULL") != "NULL":
-            raise FloorplanError(1, f"non-NULL tile {xy} inside the fence")
 
     region_names = {r.name for r in plan.regions}
     net_names = set()
@@ -255,32 +270,34 @@ def _parse_net(tokens, lineno, region_names, plan):
     i += 2
     if i + 1 >= len(tokens) or tokens[i].upper() != "LOADS":
         raise FloorplanError(lineno, "NET missing LOADS <r1,r2,...>")
-    loads = tuple(t for t in tokens[i + 1].split(",") if t)
+    loads = tuple(filter(None, tokens[i + 1].split(",")))
     if not loads:
         raise FloorplanError(lineno, "NET needs at least one load region")
     i += 2
+    if i < len(tokens) and tokens[i].upper() != "PIPS":
+        raise FloorplanError(lineno, f"unexpected token {tokens[i]!r}")
     pips = []
-    if i < len(tokens):
-        if tokens[i].upper() != "PIPS":
-            raise FloorplanError(lineno, f"unexpected token {tokens[i]!r}")
-        if i + 1 < len(tokens):
-            for entry in tokens[i + 1].split(";"):
-                if not entry:
-                    continue
-                parts = entry.split(":")
-                if len(parts) != 3 or parts[2].lower() not in ("used", "unused"):
-                    raise FloorplanError(lineno, f"bad PIP entry {entry!r}")
-                try:
-                    x, y = int(parts[0]), int(parts[1])
-                except ValueError:
-                    raise FloorplanError(lineno, f"bad PIP entry {entry!r}") from None
-                if not (0 <= x < plan.cols and 0 <= y < plan.rows):
-                    raise FloorplanError(lineno, f"PIP ({x},{y}) outside grid")
-                pips.append((x, y, parts[2].lower() == "used"))
+    if i + 1 < len(tokens):
+        for entry in tokens[i + 1].split(";"):
+            if not entry:
+                continue
+            parts = entry.split(":")
+            state = parts[-1].lower()
+            if len(parts) != 3 or state not in ("used", "unused"):
+                raise FloorplanError(lineno, f"bad PIP entry {entry!r}")
+            try:
+                x, y = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise FloorplanError(lineno, f"bad PIP entry {entry!r}") from None
+            if not (0 <= x < plan.cols and 0 <= y < plan.rows):
+                raise FloorplanError(lineno, f"PIP ({x},{y}) outside grid")
+            pips.append((x, y, state == "used"))
     for region in (source, *loads):
         if region not in region_names:
             raise FloorplanError(lineno, f"net {name!r} references unknown "
                                          f"region {region!r}")
+    if i + 2 < len(tokens):
+        raise FloorplanError(lineno, f"unexpected token {tokens[i + 2]!r}")
     return NetRecord(name, is_clock, source, loads, tuple(pips))
 
 
@@ -353,23 +370,30 @@ def _rect_gap(a, b):
 
 
 def check_idf4(plan):
-    violations = []
     regions = plan.regions
-    for i in range(len(regions)):
-        for j in range(i + 1, len(regions)):
-            a, b = regions[i], regions[j]
-            if a.group == b.group:
-                continue
-            gap = _rect_gap(a.rect, b.rect)
-            if gap == 0:
-                kind = "overlaps"
-            elif gap == 1:
-                kind = "touches"
-            else:
-                continue
-            violations.append(DrcViolation(
-                "IDF-4", SEVERITY_ERROR, (a.name, b.name),
-                f"region {a.name} ({a.group}) {kind} region {b.name} ({b.group})"))
+    # Sweep in x0 order: a region can only be within one tile of those
+    # that start at most one column past its right edge.
+    order = sorted(range(len(regions)), key=lambda k: regions[k].rect[0])
+    pairs = []
+    for n, i in enumerate(order):
+        a = regions[i]
+        _, ay0, ax1, ay1 = a.rect
+        for m in range(n + 1, len(order)):
+            j = order[m]
+            b = regions[j]
+            bx0, by0, _, by1 = b.rect
+            if bx0 > ax1 + 1:
+                break
+            if a.group != b.group and by0 <= ay1 + 1 and ay0 <= by1 + 1:
+                pairs.append((i, j) if i < j else (j, i))
+    pairs.sort()
+    violations = []
+    for i, j in pairs:
+        a, b = regions[i], regions[j]
+        kind = "overlaps" if _rect_gap(a.rect, b.rect) == 0 else "touches"
+        violations.append(DrcViolation(
+            "IDF-4", SEVERITY_ERROR, (a.name, b.name),
+            f"region {a.name} ({a.group}) {kind} region {b.name} ({b.group})"))
     return violations
 
 
@@ -380,37 +404,43 @@ def _occupied_tiles(plan):
     """(x, y) -> group for every non-NULL tile inside a region rectangle.
 
     The first region in file order that holds a tile owns it.  Each region
-    walks its rectangle's cells or the logic tiles, whichever are fewer.
+    tests its rectangle's cells against the logic tiles not yet owned, or
+    those tiles against its rectangle, whichever are fewer.
     """
-    logic = {xy for xy, kind in plan.tiles.items() if kind != "NULL"}
+    free = {xy for xy, kind in plan.tiles.items() if kind != "NULL"}
     owned = {}
     for region in plan.regions:
         x0, y0, x1, y1 = region.rect
-        if (x1 - x0 + 1) * (y1 - y0 + 1) <= len(logic):
-            inside = [(x, y) for x in range(x0, x1 + 1)
-                      for y in range(y0, y1 + 1) if (x, y) in logic]
+        if (x1 - x0 + 1) * (y1 - y0 + 1) <= len(free):
+            inside = free.intersection(product(range(x0, x1 + 1), range(y0, y1 + 1)))
         else:
-            inside = [(x, y) for (x, y) in logic
-                      if x0 <= x <= x1 and y0 <= y <= y1]
-        for xy in inside:
-            owned.setdefault(xy, region.group)
+            inside = {(x, y) for (x, y) in free if x0 <= x <= x1 and y0 <= y <= y1}
+        free -= inside
+        owned.update(dict.fromkeys(inside, region.group))
     return owned
 
 
 def check_idf5(plan):
     owned = _occupied_tiles(plan)
-    violations = []
-    for (x, y) in sorted(owned):
-        group = owned[(x, y)]
+    # (x, y, 0 for the right neighbour or 1 for the one above, groups)
+    found = []
+    for (x, y), group in owned.items():
         # Only look right and up, so each unordered pair reports once.
-        for nx, ny in ((x + 1, y), (x, y + 1)):
-            other = owned.get((nx, ny))
-            if other is not None and other != group:
-                violations.append(DrcViolation(
-                    "IDF-5", SEVERITY_ERROR,
-                    (f"({x},{y})", f"({nx},{ny})"),
-                    f"occupied tiles ({x},{y})[{group}] and ({nx},{ny})"
-                    f"[{other}] are adjacent"))
+        other = owned.get((x + 1, y))
+        if other is not None and other != group:
+            found.append((x, y, 0, group, other))
+        other = owned.get((x, y + 1))
+        if other is not None and other != group:
+            found.append((x, y, 1, group, other))
+    found.sort()
+    violations = []
+    for x, y, up, group, other in found:
+        nx, ny = (x, y + 1) if up else (x + 1, y)
+        violations.append(DrcViolation(
+            "IDF-5", SEVERITY_ERROR,
+            (f"({x},{y})", f"({nx},{ny})"),
+            f"occupied tiles ({x},{y})[{group}] and ({nx},{ny})"
+            f"[{other}] are adjacent"))
     return violations
 
 
@@ -418,7 +448,7 @@ def check_idf5(plan):
 
 
 def _is_inter_region(net):
-    return any(load != net.source for load in net.loads)
+    return net.loads.count(net.source) < len(net.loads)
 
 
 def check_idf6(plan):
@@ -433,9 +463,10 @@ def check_idf6(plan):
                 f"net {net.name} has loads in {len(load_regions)} isolated "
                 f"regions ({','.join(load_regions)})"))
 
+    fence = plan.fence
     for net in inter:
         fence_pips = [(x, y, used) for (x, y, used) in net.pips
-                      if (x, y) in plan.fence]
+                      if (x, y) in fence]
         if not fence_pips:
             continue
         if net.is_clock and not any(used for _, _, used in fence_pips):
@@ -444,15 +475,16 @@ def check_idf6(plan):
             "IDF-6", SEVERITY_ERROR, (net.name,),
             f"net {net.name} has PIPs in the fence"))
 
-    tiles = {}
+    first = {}   # (x, y) -> the first net with a PIP on that tile
+    shared = {}  # (x, y) -> names of all its nets, once a second one arrives
     for net in inter:
         for (x, y, _used) in net.pips:
-            tiles.setdefault((x, y), set()).add(net.name)
+            seen = first.setdefault((x, y), net.name)
+            if seen != net.name:
+                shared.setdefault((x, y), {seen}).add(net.name)
     nets_by_name = {n.name: n for n in inter}
-    for (x, y) in sorted(tiles):
-        names = sorted(tiles[(x, y)])
-        if len(names) < 2:
-            continue
+    for (x, y) in sorted(shared):
+        names = sorted(shared[(x, y)])
         endpoints = {(nets_by_name[n].source, tuple(sorted(nets_by_name[n].loads)))
                      for n in names}
         if len(endpoints) > 1:

@@ -13,6 +13,7 @@ from idfsim.verifier import (
     SEVERITY_ERROR,
     SEVERITY_WARNING,
     UNCROSSABLE,
+    _rect_gap,
     check_idf1,
     check_idf2,
     check_idf3,
@@ -118,6 +119,50 @@ class TestParseFloorplan:
                       "REGION b GROUP h RECT 8 8 11 11\n"
                       "NET n1 SRC a LOADS b PIPS 5:5:used;500:-3:used\n")
         assert excinfo.value.lineno == 4
+
+    @pytest.mark.parametrize("pips", ["1:1:used 4:3:used", "1:1:used; 4:3:used"])
+    def test_tokens_after_pips_rejected(self, pips):
+        # A second PIP list token would otherwise be dropped, and with it
+        # the fence PIP at (4,3).
+        with pytest.raises(FloorplanError, match="unexpected token '4:3:used'") as excinfo:
+            plan_from("DEVICE 12 8\n"
+                      "REGION a GROUP g RECT 0 0 3 7\n"
+                      "REGION b GROUP h RECT 6 0 11 7\n"
+                      "FENCE RECT 4 0 5 7\n"
+                      f"NET n SRC a LOADS b PIPS {pips}\n")
+        assert excinfo.value.lineno == 5
+
+    @pytest.mark.parametrize("size", ["0 0", "-3 5", "4 0"])
+    def test_empty_device_rejected(self, size):
+        with pytest.raises(FloorplanError, match="DEVICE needs at least one") as excinfo:
+            plan_from(f"# header\nDEVICE {size}\n")
+        assert excinfo.value.lineno == 2
+
+    def test_logic_tile_after_fence_reports_its_line(self):
+        text = ("DEVICE 12 8\n"
+                "REGION a GROUP g RECT 0 0 3 7\n"
+                "REGION b GROUP h RECT 6 0 11 7\n"
+                "FENCE RECT 4 0 5 7\n"
+                "TILE 4 0 NULL\n"
+                "TILE 5 6 CLB\n"
+                "TILE 4 1 DSP\n")
+        with pytest.raises(FloorplanError,
+                           match=r"non-NULL tile \(5, 6\) inside the fence") as excinfo:
+            plan_from(text)
+        assert excinfo.value.lineno == 6
+
+    def test_fence_over_logic_tile_reports_its_line(self):
+        text = ("DEVICE 12 8\n"
+                "TILE 4 0 NULL\n"
+                "TILE 5 6 CLB\n"
+                "TILE 4 1 DSP\n"
+                "FENCE RECT 0 0 1 7\n"
+                "FENCE RECT 4 0 5 7\n"
+                "FENCE RECT 4 0 4 3\n")
+        with pytest.raises(FloorplanError,
+                           match=r"non-NULL tile \(4, 1\) inside the fence") as excinfo:
+            plan_from(text)
+        assert excinfo.value.lineno == 6
 
     def test_clean_fixture_parses(self):
         plan = load("clean.fp")
@@ -241,6 +286,18 @@ class TestIdf5:
                          "FENCE RECT 4 0 4 7\n"
                          "TILE 3 2 CLB\nTILE 5 2 CLB\n")
         assert check_idf5(plan) == []
+
+    def test_tile_with_two_contacts_reports_right_first(self):
+        # (1,1) belongs to a, which comes first; its right and upper
+        # neighbours belong to b.
+        plan = plan_from("DEVICE 8 8\n"
+                         "REGION a GROUP g RECT 0 0 1 1\n"
+                         "REGION b GROUP h RECT 0 0 7 7\n"
+                         "TILE 1 2 CLB\nTILE 2 1 CLB\nTILE 1 1 CLB\n")
+        violations = check_idf5(plan)
+        assert [v.subjects for v in violations] == [("(1,1)", "(2,1)"),
+                                                    ("(1,1)", "(1,2)")]
+        assert violations == reference_idf5(plan)
 
     def test_null_tiles_not_occupied(self):
         plan = plan_from("DEVICE 12 8\n"
@@ -456,6 +513,75 @@ def reference_idf5(plan):
     return violations
 
 
+def reference_idf4(plan):
+    """IDF-4 as an all-pairs scan of the regions."""
+    violations = []
+    regions = plan.regions
+    for i in range(len(regions)):
+        for j in range(i + 1, len(regions)):
+            a, b = regions[i], regions[j]
+            if a.group == b.group:
+                continue
+            gap = _rect_gap(a.rect, b.rect)
+            if gap == 0:
+                kind = "overlaps"
+            elif gap == 1:
+                kind = "touches"
+            else:
+                continue
+            violations.append(DrcViolation(
+                "IDF-4", SEVERITY_ERROR, (a.name, b.name),
+                f"region {a.name} ({a.group}) {kind} region {b.name} ({b.group})"))
+    return violations
+
+
+def reference_idf6(plan):
+    """IDF-6 with every PIP tile sorted, shared or not."""
+    violations = []
+    inter = [n for n in plan.nets if _is_inter_region(n)]
+
+    for net in inter:
+        load_regions = sorted(set(net.loads))
+        if len(load_regions) > 1:
+            violations.append(DrcViolation(
+                "IDF-6", SEVERITY_ERROR, (net.name,),
+                f"net {net.name} has loads in {len(load_regions)} isolated "
+                f"regions ({','.join(load_regions)})"))
+
+    for net in inter:
+        fence_pips = [(x, y, used) for (x, y, used) in net.pips
+                      if (x, y) in plan.fence]
+        if not fence_pips:
+            continue
+        if net.is_clock and not any(used for _, _, used in fence_pips):
+            continue  # clock nets may leave unused PIPs in the fence
+        violations.append(DrcViolation(
+            "IDF-6", SEVERITY_ERROR, (net.name,),
+            f"net {net.name} has PIPs in the fence"))
+
+    tiles = {}
+    for net in inter:
+        for (x, y, _used) in net.pips:
+            tiles.setdefault((x, y), set()).add(net.name)
+    nets_by_name = {n.name: n for n in inter}
+    for (x, y) in sorted(tiles):
+        names = sorted(tiles[(x, y)])
+        if len(names) < 2:
+            continue
+        endpoints = {(nets_by_name[n].source, tuple(sorted(nets_by_name[n].loads)))
+                     for n in names}
+        if len(endpoints) > 1:
+            violations.append(DrcViolation(
+                "IDF-6", SEVERITY_ERROR, tuple(names),
+                f"tile ({x},{y}) hosts inter-region nets without a common "
+                f"source and load"))
+    return violations
+
+
+def _is_inter_region(net):
+    return any(load != net.source for load in net.loads)
+
+
 GROUP_NAMES = ("red", "blue", "green")
 PKG_SIDE = 5  # small, so that most pins sit on an edge or a corner
 
@@ -465,21 +591,47 @@ def small_floorplans(draw):
     cols = draw(st.integers(2, 10))
     rows = draw(st.integers(2, 10))
     lines = [f"DEVICE {cols} {rows}"]
+    regions = []
     for i in range(draw(st.integers(0, 6))):
         x0, x1 = sorted(draw(st.integers(0, cols - 1)) for _ in range(2))
         y0, y1 = sorted(draw(st.integers(0, rows - 1)) for _ in range(2))
         group = draw(st.sampled_from(GROUP_NAMES))
         lines.append(f"REGION r{i} GROUP {group} RECT {x0} {y0} {x1} {y1}")
+        regions.append(f"r{i}")
+    fence = set()
+    for _ in range(draw(st.integers(0, 2))):
+        x0, x1 = sorted(draw(st.integers(0, cols - 1)) for _ in range(2))
+        y0, y1 = sorted(draw(st.integers(0, rows - 1)) for _ in range(2))
+        lines.append(f"FENCE RECT {x0} {y0} {x1} {y1}")
+        fence.update((x, y) for x in range(x0, x1 + 1) for y in range(y0, y1 + 1))
     cells = st.tuples(st.integers(0, cols - 1), st.integers(0, rows - 1))
-    kinds = st.sampled_from(("CLB", "INT", "BRAM", "DSP", "IOB", "NULL"))
-    tiles = draw(st.dictionaries(cells, kinds, max_size=cols * rows))
-    lines.extend(f"TILE {x} {y} {kind}" for (x, y), kind in tiles.items())
+    # Each cell gets a tile of some kind or none, declared in any order;
+    # fence cells carry no logic.
+    kinds = st.sampled_from(("CLB", "INT", "BRAM", "DSP", "IOB", "NULL", None))
+    tiles = [f"TILE {x} {y} {'NULL' if (x, y) in fence else kind}"
+             for x in range(cols) for y in range(rows)
+             if (kind := draw(kinds)) is not None]
+    lines.extend(draw(st.permutations(tiles)))
     balls = draw(st.lists(st.tuples(st.integers(0, PKG_SIDE - 1),
                                     st.integers(0, PKG_SIDE - 1)),
                           unique=True, max_size=PKG_SIDE * PKG_SIDE))
     for i, (prow, pcol) in enumerate(balls):
         group = draw(st.sampled_from(GROUP_NAMES))
         lines.append(f"PIN p{i} GROUP {group} SITE 0 0 BANK 0 PKG {prow} {pcol}")
+    if regions:
+        # A few PIP tiles only, so that nets share them often; some are
+        # fence cells when there is a fence.
+        pip_cells = st.sampled_from(sorted(draw(st.sets(cells, min_size=1, max_size=4))
+                                           | fence))
+        for i in range(draw(st.integers(0, 6))):
+            clock = " CLOCK" if draw(st.booleans()) else ""
+            source = draw(st.sampled_from(regions))
+            loads = draw(st.lists(st.sampled_from(regions), min_size=1, max_size=3))
+            pips = draw(st.lists(st.tuples(pip_cells, st.booleans()), max_size=3))
+            pip_list = ";".join(f"{x}:{y}:{'used' if used else 'unused'}"
+                                for (x, y), used in pips)
+            lines.append(f"NET n{i}{clock} SRC {source} LOADS {','.join(loads)}"
+                         + (f" PIPS {pip_list}" if pips else ""))
     return parse_floorplan("\n".join(lines) + "\n")
 
 
@@ -488,6 +640,26 @@ def small_floorplans(draw):
 def test_idf3_and_idf5_match_the_scans(plan):
     assert check_idf3(plan) == reference_idf3(plan)
     assert check_idf5(plan) == reference_idf5(plan)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(small_floorplans())
+def test_idf4_and_idf6_match_the_scans(plan):
+    assert check_idf4(plan) == reference_idf4(plan)
+    assert check_idf6(plan) == reference_idf6(plan)
+
+
+def test_generated_floorplans_match_the_scans():
+    # The drc_large benchmark inputs of seeds 1-20.
+    spec = importlib.util.spec_from_file_location("perfbench_gen", PERFBENCH_GEN)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    for seed in range(1, 21):
+        plan = parse_floorplan(gen.floorplan(seed)[0])
+        _header, violations = run_all_checks(plan)
+        assert violations == (check_idf2(plan) + reference_idf3(plan)
+                              + reference_idf4(plan) + reference_idf5(plan)
+                              + reference_idf6(plan)), seed
 
 
 def test_large_floorplan_report_pinned():

@@ -64,7 +64,7 @@ _PCAP = Interface.PCAP
 _HIGH = MatchLine.HIGH
 
 
-@dataclass
+@dataclass(slots=True)
 class InjectionRecord:
     far: int
     word_index: int
@@ -121,7 +121,7 @@ def campaign_init(device):
     device.dram.write_words(READBACK_REQ_ADDR, request)
     device.dram.write_word(ERROR_COUNTER_ADDR, 0)
     device.dram.write_word(OK_COUNTER_ADDR, 0)
-    device.set_pin(PIN_CLK_EN, 1)
+    device.gpio[PIN_CLK_EN] = 1
     return len(template), len(request)
 
 
@@ -139,12 +139,6 @@ class Campaign:
             dut.capture_baseline(device.engine)
 
     # -- plumbing -----------------------------------------------------------
-
-    def _drain_events(self):
-        events = self.device.drain_events()
-        if self.log is not None:
-            for record in events:
-                self.log.write(devc.render_event(record) + "\n")
 
     def _transfer(self, src, dst, nwords):
         """Acquire PCAP and run one DMA of `nwords` words."""
@@ -179,25 +173,14 @@ class Campaign:
     def check_design(self):
         """Pulse both start lines and sample the match line; True on an error."""
         dev = self.device
-        dev.set_pin(PIN_START0, 1)
-        dev.set_pin(PIN_START1, 1)
-        lines = ControlLines(clk_en=dev.get_pin(PIN_CLK_EN),
-                             start_0=1, start_1=1)
+        gpio = dev.gpio
+        gpio[PIN_START0] = gpio[PIN_START1] = 1
+        lines = ControlLines(gpio.get(PIN_CLK_EN, 0), 1, 1)
         result = self.dut.run_check(dev.engine, lines, self.input4)
         detected = result.match_line is _HIGH
-        dev.set_pin(PIN_MATCH, 1 if detected else 0)
-        dev.set_pin(PIN_START0, 0)
-        dev.set_pin(PIN_START1, 0)
+        gpio[PIN_MATCH] = 1 if detected else 0
+        gpio[PIN_START0] = gpio[PIN_START1] = 0
         return detected
-
-    def _flip_template_bit(self, word_index, bit):
-        addr = TEMPLATE_ADDR + 4 * (TPL_DATA_INDEX + word_index)
-        dram = self.device.dram
-        dram.write_word(addr, dram.read_word(addr) ^ (1 << bit))
-
-    def _bump_counter(self, addr):
-        dram = self.device.dram
-        dram.write_word(addr, dram.read_word(addr) + 1)
 
     def _restore(self, record):
         """Write the staged, unflipped frame back, retrying once.
@@ -208,12 +191,12 @@ class Campaign:
         try:
             self.write_template_frame()
             return
-        except (TransferError, DevcError) as exc:
+        except DevcError as exc:
             if record.error is None:
                 record.error = f"restore failed: {exc}"
         try:
             self.write_template_frame()
-        except (TransferError, DevcError) as exc:
+        except DevcError as exc:
             raise TransferError("restore", f"restore of FAR 0x{record.far:08x} "
                                 f"failed twice: {exc}") from exc
 
@@ -223,8 +206,8 @@ class Campaign:
         """Flip one configuration bit, sample the match line, restore.
 
         The frame is read back from the PL over PCAP and staged in the
-        template, one bit of it is flipped and the template written to
-        `far_word`; the clocks restart and the match line is sampled.
+        template, one bit of it is flipped in DRAM and the template written
+        to `far_word`; the clocks restart and the match line is sampled.
         Once the frame is staged the restore runs whatever happened, so a
         failed transfer records its error on the injection, which is not
         counted, and never leaves the fabric modified.  A restore that
@@ -237,29 +220,36 @@ class Campaign:
         if not 0 <= word_index < FRAME_WORDS or not 0 <= bit < 32:
             raise ValueError("bit position outside a frame")
         record = InjectionRecord(far_word, word_index, bit, False)
-        dev.set_pin(PIN_CLK_EN, 0)
+        dram = dev.dram
+        addr = TEMPLATE_ADDR + 4 * (TPL_DATA_INDEX + word_index)
+        mask = 1 << bit
+        gpio = dev.gpio
+        gpio[PIN_CLK_EN] = 0
         staged = False
         try:
             self.stage_frame(far_word, self.read_frame(far_word))
             staged = True
-            self._flip_template_bit(word_index, bit)
+            dram.write_word(addr, dram.read_word(addr) ^ mask)
             self.write_template_frame()
-            dev.set_pin(PIN_CLK_EN, 1)
+            gpio[PIN_CLK_EN] = 1
             record.detected = self.check_design()
-        except (TransferError, DevcError) as exc:
+        except DevcError as exc:  # TransferError included
             record.error = str(exc)
         finally:
             try:
                 if staged:
-                    dev.set_pin(PIN_CLK_EN, 0)
-                    self._flip_template_bit(word_index, bit)
+                    gpio[PIN_CLK_EN] = 0
+                    dram.write_word(addr, dram.read_word(addr) ^ mask)
                     self._restore(record)
             finally:
-                dev.set_pin(PIN_CLK_EN, 1)
-                self._drain_events()
+                gpio[PIN_CLK_EN] = 1
+                events = dev.drain_events()
+                if self.log is not None:
+                    for event in events:
+                        self.log.write(devc.render_event(event) + "\n")
         if record.error is None:
-            self._bump_counter(ERROR_COUNTER_ADDR if record.detected
-                               else OK_COUNTER_ADDR)
+            counter = ERROR_COUNTER_ADDR if record.detected else OK_COUNTER_ADDR
+            dram.write_word(counter, dram.read_word(counter) + 1)
         return record
 
     # -- campaign loop -------------------------------------------------------

@@ -209,7 +209,7 @@ class Device:
         self.set_pcap_clock_divisor(1)
         self.owner = None
         self.dma_queue = deque()
-        self.gpio = {}
+        self.gpio = {}  # PS GPIO pin -> level, 0 or 1; unwritten pins read 0
         self.events = []
         self.pending_readback = None
         self.words_moved = 0
@@ -221,9 +221,6 @@ class Device:
         out = self.events
         self.events = []
         return out
-
-    def set_pin(self, pin, level):
-        self.gpio[pin] = 1 if level else 0
 
     def get_pin(self, pin):
         return self.gpio.get(pin, 0)
@@ -296,12 +293,13 @@ class Device:
             raise SequencingError("not initialized: PL configuration not done")
         src &= 0xFFFFFFFF
         dst &= 0xFFFFFFFF
-        if (src == PL_ADDR) == (dst == PL_ADDR):
+        to_pl = dst == PL_ADDR
+        if to_pl == (src == PL_ADDR):
             raise DescriptorError("exactly one of src/dst must be the PL "
                                   f"address 0x{PL_ADDR:08X}")
         if src_len < 0 or dst_len < 0:
             raise DescriptorError(f"negative transfer length {src_len}/{dst_len}")
-        direction = "ps2pl" if dst == PL_ADDR else "pl2ps"
+        direction = "ps2pl" if to_pl else "pl2ps"
         self.dma_queue.append(DmaDescriptor(src, dst, src_len, dst_len,
                                             direction))
         self.events.append(("DMA QUEUED {} SRC=0x{:08x} DST=0x{:08x} LEN={}",
@@ -311,67 +309,65 @@ class Device:
         """Execute the oldest queued transfer; raises on any rule violation.
 
         Errors consume the descriptor, set int_sts flags and leave all PL
-        and DRAM state untouched.
+        and DRAM state untouched.  A PS->PL transfer streams its words
+        through the engine and releases the interface when the engine
+        reports `desync`; a PL->PS transfer drains the pending read-back
+        whole into DRAM.
         """
         if not self.dma_queue:
             raise DescriptorError("no DMA descriptor queued")
         desc = self.dma_queue.popleft()
+        nwords = desc.dst_len
+        events = self.events
         try:
             if not self.cfg_done:
                 raise TransferError("not-initialized", "PL configuration not done")
             if self.owner is not _PCAP:
                 raise TransferError("not-owner", "PCAP does not own the "
                                     "configuration interface")
-            if desc.src_len != desc.dst_len:
+            if desc.src_len != nwords:
                 raise TransferError("width", f"source length {desc.src_len} != "
-                                    f"destination length {desc.dst_len}")
+                                    f"destination length {nwords}")
             if desc.direction == "ps2pl":
-                self._transfer_ps2pl(desc)
+                readback, engine_events = self.engine.execute(
+                    self.dram.read_bytes(desc.src, 4 * nwords))
+                for ev in engine_events:
+                    events.append(("ENGINE {}", (ev,)))
+                    if ev != "sync":
+                        if ev == "desync":
+                            self.interface_release_on_desync()
+                        else:
+                            self.int_sts.cfg_error = True
+                if readback:
+                    if self.pending_readback is not None:
+                        events.append(("READBACK DROPPED UNREAD", ()))
+                    self.pending_readback = readback
             else:
-                self._transfer_pl2ps(desc)
+                if nwords > MAX_READ_WORDS:
+                    raise TransferError("boundary", f"{nwords} words cross a 4 KB "
+                                        f"DMA boundary (max {MAX_READ_WORDS})")
+                if nwords > RX_FIFO_WORDS and self.clock_divisor < SAFE_DIVISOR:
+                    raise TransferError("overflow", f"{nwords * 4} bytes overflow "
+                                        f"the {RX_FIFO_BYTES}-byte receiver FIFO "
+                                        f"at divisor {self.clock_divisor}")
+                readback = self.pending_readback
+                if readback is None:
+                    raise TransferError("width", "no read-back data pending")
+                if len(readback) != 4 * nwords:
+                    raise TransferError("width", "a read-back cannot be split: "
+                                        f"{len(readback) // 4} words pending, "
+                                        f"{nwords} requested")
+                self.dram.write_bytes(desc.dst, readback)
+                self.pending_readback = None
         except TransferError as exc:
             self.int_sts.dma_error = True
-            self.events.append(("DMA ERROR {} LEN={}",
-                                (exc.reason.upper(), desc.dst_len)))
+            events.append(("DMA ERROR {} LEN={}", (exc.reason.upper(), nwords)))
             raise
-        self.int_sts.dma_done = True
-        self.int_sts.pcap_done = True
-        self.words_moved += desc.dst_len
-        self.sim_seconds += (desc.dst_len * 4) / self._byte_rate
-        self.events.append(("DMA {} DONE WORDS={}",
-                            (_UPPER[desc.direction], desc.dst_len)))
-
-    def _transfer_ps2pl(self, desc):
-        data = self.dram.read_bytes(desc.src, 4 * desc.src_len)
-        readback, events = self.engine.execute(data)
-        for ev in events:
-            self.events.append(("ENGINE {}", (ev,)))
-            if ev == "desync":
-                self.interface_release_on_desync()
-            elif ev != "sync":
-                self.int_sts.cfg_error = True
-        if readback:
-            if self.pending_readback is not None:
-                self.events.append(("READBACK DROPPED UNREAD", ()))
-            self.pending_readback = readback
-
-    def _transfer_pl2ps(self, desc):
-        if desc.dst_len > MAX_READ_WORDS:
-            raise TransferError("boundary", f"{desc.dst_len} words cross a 4 KB "
-                                f"DMA boundary (max {MAX_READ_WORDS})")
-        if desc.dst_len > RX_FIFO_WORDS and self.clock_divisor < SAFE_DIVISOR:
-            raise TransferError("overflow", f"{desc.dst_len * 4} bytes overflow "
-                                f"the {RX_FIFO_BYTES}-byte receiver FIFO at "
-                                f"divisor {self.clock_divisor}")
-        if self.pending_readback is None:
-            raise TransferError("width", "no read-back data pending")
-        pending = len(self.pending_readback) // 4
-        if pending != desc.dst_len:
-            raise TransferError("width", "a read-back cannot be split: "
-                                f"{pending} words pending, "
-                                f"{desc.dst_len} requested")
-        self.dram.write_bytes(desc.dst, self.pending_readback)
-        self.pending_readback = None
+        status = self.int_sts
+        status.dma_done = status.pcap_done = True
+        self.words_moved += nwords
+        self.sim_seconds += (nwords * 4) / self._byte_rate
+        events.append(("DMA {} DONE WORDS={}", (_UPPER[desc.direction], nwords)))
 
     # -- arbitration ---------------------------------------------------------
 

@@ -75,7 +75,7 @@ class DutConfig:
     variant: str = "with_idf"  # or "without_idf"
 
 
-@dataclass
+@dataclass(slots=True)
 class ControlLines:
     clk_en: int = 0
     start_0: int = 0
@@ -249,7 +249,9 @@ class DutModel:
     the mapped frames changed since the previous one, newest first in
     `engine.frame_versions`, and costs one map lookup per bit by which
     such a frame differs from its baseline: after an injection's fault
-    write that is one bit, after its restore none.
+    write that is one bit, after its restore none.  The difference is found
+    by XOR of the frames as integers; a baseline frame is converted once,
+    the first time a check finds that frame changed.
     """
 
     def __init__(self, config=None, sensitivity_map=None):
@@ -257,12 +259,14 @@ class DutModel:
         self.smap = sensitivity_map if sensitivity_map is not None else SensitivityMap()
         self.baseline = {}
         self.baseline_captured = False
+        self._baseline_ints = {}  # FAR word -> its baseline frame as an int
         self._cipher_cache = {}
         self._track(None, 0)
 
     def capture_baseline(self, engine):
         self.baseline = dict(engine.memory)
         self.baseline_captured = True
+        self._baseline_ints = {}
         # memory equals the baseline now: nothing is flipped
         self._track(engine, next(reversed(engine.frame_versions.values()), 0))
 
@@ -271,32 +275,30 @@ class DutModel:
         self._seen = seen       # newest frame version scanned in _engine
         self._flipped = {}      # FAR word -> its flips, for frames with any
 
-    def _cipher(self, input4):
-        ct = self._cipher_cache.get(input4)
-        if ct is None:
-            block = aes256_encrypt(self.config.key, widen_input(input4))
-            ct = int.from_bytes(block, "big")
-            self._cipher_cache[input4] = ct
-        return ct
-
     def _frame_flips(self, engine, far_word):
-        """Critical bits currently flipped in one mapped frame, sorted."""
+        """Critical bits currently flipped in one frame, sorted; none in a
+        frame the map does not list."""
+        bits = self.smap.bits_for(far_word)
         cur = engine.memory.get(far_word, ZERO_FRAME)
-        ref = self.baseline.get(far_word, ZERO_FRAME)
+        if not bits or cur == self.baseline.get(far_word, ZERO_FRAME):
+            return []
+        # Converted once, when a rescan first meets the frame changed.
+        ref = self._baseline_ints.get(far_word)
+        if ref is None:
+            ref = int.from_bytes(self.baseline.get(far_word, ZERO_FRAME), "big")
+            self._baseline_ints[far_word] = ref
+        diff = int.from_bytes(cur, "big") ^ ref
         flips = []
-        if cur != ref:
-            bits = self.smap.bits_for(far_word)
-            diff = int.from_bytes(cur, "big") ^ int.from_bytes(ref, "big")
-            while diff:
-                pos = diff.bit_length() - 1
-                diff ^= 1 << pos
-                # Word w's bit k sits at position 32 * (100 - w) + k of the
-                # big-endian frame; the same map turns it back.
-                bit = (_TOP_WORD_POS - (pos & ~31)) | (pos & 31)
-                crit = bits.get(bit)
-                if crit is not None:
-                    flips.append((bit, crit))
-            flips.sort()
+        while diff:
+            pos = diff.bit_length() - 1
+            diff ^= 1 << pos
+            # Word w's bit k sits at position 32 * (100 - w) + k of the
+            # big-endian frame; the same map turns it back.
+            bit = (_TOP_WORD_POS - (pos & ~31)) | (pos & 31)
+            crit = bits.get(bit)
+            if crit is not None:
+                flips.append((bit, crit))
+        flips.sort()
         return flips
 
     def _rescan(self, engine):
@@ -308,19 +310,20 @@ class DutModel:
             self._track(engine, 0)
             # a frame only the baseline holds differs from it unversioned
             changed.extend(self.baseline.keys() - versions.keys())
+        seen = self._seen
         for far_word, version in reversed(versions.items()):
-            if version <= self._seen:
+            if version <= seen:
                 break
             changed.append(far_word)
+        flipped = self._flipped
         for far_word in changed:
-            if self.smap.bits_for(far_word):
-                flips = self._frame_flips(engine, far_word)
-                if flips:
-                    self._flipped[far_word] = flips
-                else:
-                    self._flipped.pop(far_word, None)
+            flips = self._frame_flips(engine, far_word)
+            if flips:
+                flipped[far_word] = flips
+            else:
+                flipped.pop(far_word, None)
         self._seen = next(reversed(versions.values()), 0)
-        return self._flipped
+        return flipped
 
     def flipped_critical_bits(self, engine):
         """All flipped critical bits, grouped by class, each sorted (far, bit)."""
@@ -357,4 +360,8 @@ class DutModel:
             match = _LOW
         else:
             match = _HIGH
-        return MatchResult(match, self._cipher(input4), m0, m1)
+        cipher = self._cipher_cache.get(input4)
+        if cipher is None:
+            block = aes256_encrypt(self.config.key, widen_input(input4))
+            cipher = self._cipher_cache[input4] = int.from_bytes(block, "big")
+        return MatchResult(match, cipher, m0, m1)

@@ -19,9 +19,10 @@ FAR field layout (block_type[25:23], top_bottom[22], row[21:17],
 column[16:7], minor[6:0]).  Frame addresses are plain integer FAR words
 throughout; FarFields is only the decoded view that far_encode and
 far_decode give.  far_encode, far_decode, the DeviceGeometry methods
-first_far, next_far, is_valid_far and far_words, and the within-column
-step `far + 1` of ConfigEngine's FDRI commit and FDRO read loops depend on
-the bit positions.
+first_far, next_far, is_valid_far and far_words, the keys of its
+`column_minors`, and the within-column step `far + 1` of
+ConfigEngine.execute's FDRI commit and FDRO read loops depend on the bit
+positions.
 """
 
 import hashlib
@@ -136,6 +137,14 @@ class DeviceGeometry:
         FarFields(self.block_types[0], 0, 0, 0, 0)
         FarFields(self.block_types[-1], 1, rows_per_half - 1, len(self.columns) - 1, 0)
         self.minors = [m for _, m in self.columns]
+        # Each column's minor count, keyed on `far >> 7` (block type, half,
+        # row and column): one entry per column of each row, so never more
+        # entries than frames.
+        self.column_minors = {
+            (block_type << 16) | (half << 15) | (row << 10) | column: minors
+            for block_type in self.block_types for half in (0, 1)
+            for row in range(rows_per_half)
+            for column, minors in enumerate(self.minors)}
 
     @property
     def total_frames(self):
@@ -148,11 +157,7 @@ class DeviceGeometry:
 
     def is_valid_far(self, far_word):
         """True when the integer FAR word addresses a frame of this geometry."""
-        column = (far_word >> 7) & 0x3FF
-        return ((far_word >> 23) in self.block_types
-                and (far_word >> 17) & 0x1F < self.rows_per_half
-                and column < len(self.minors)
-                and far_word & 0x7F < self.minors[column])
+        return far_word & 0x7F < self.column_minors.get(far_word >> 7, 0)
 
     def first_far(self):
         return self.block_types[0] << 23
@@ -272,12 +277,12 @@ class ConfigEngine:
     strings.  Type-1 headers of known registers are decoded through
     `_TYPE1_HEADERS` (`w >> 13` -> op, register; the count is `w & 0x7FF`);
     Type-2 headers, unknown registers and stray words take the general
-    path.  A CMD write is applied in `execute` itself: only its first
-    payload word counts.
+    path.  Every register write and read is applied in `execute` itself;
+    a CMD, FAR or IDCODE write takes only its first payload word.
 
     `current_far` is the integer FAR word the next frame commits to or
     reads from, or None once the last frame is passed.  A full frame
-    commits only when the next frame's first word arrives.  `_write_fdri`
+    commits only when the next frame's first word arrives.  An FDRI write
     commits every such frame as a fresh slice of the incoming stream, so a
     write takes time linear in its words, and afterwards `frame_buffer`
     holds only the frame still being received, at most FRAME_BYTES bytes.
@@ -335,6 +340,7 @@ class ConfigEngine:
             words.byteswap()
         readback = []
         events = []
+        column_minors = self.geometry.column_minors
         i = 0
         n = len(words)
         synced = self.synced  # changed only here, and stored as it changes
@@ -382,9 +388,7 @@ class ConfigEngine:
                 if end > n:
                     name = reg.name.lower() if w >> 29 == 0b001 else "type2"
                     events.append(f"truncated_payload reg={name}")
-                if reg is _FDRI:
-                    self._write_fdri(data[4 * i:4 * end], events)
-                elif reg is _CMD:  # applied here: only the first word counts
+                if reg is _CMD:  # only the first payload word counts
                     if count and i < n:
                         code = words[i]
                         if code == _WCFG:
@@ -396,108 +400,101 @@ class ConfigEngine:
                             self.cfg_cmd = None
                             self.frame_buffer = b""
                             events.append("desync")
-                else:
-                    self._write(reg, words[i] if count and i < n else None, events)
+                elif reg is _FDRI:
+                    if self.cfg_cmd is not _WCFG:
+                        events.append("fdri_without_wcfg")
+                    elif not self.idcode_ok:
+                        events.append("fdri_rejected_idcode")
+                    elif count:
+                        # Word-at-a-time equivalent: a full buffered frame
+                        # commits as soon as the next frame's first word
+                        # arrives, so every frame but the last one received
+                        # commits now, sliced straight from `data`.
+                        buf = self.frame_buffer
+                        start = 4 * i
+                        stop = min(4 * end, len(data))  # if truncated
+                        ready = (len(buf) + stop - start - 4) // FRAME_BYTES
+                        if ready <= 0:
+                            self.frame_buffer = buf + data[start:stop]
+                        else:
+                            at = start + FRAME_BYTES - len(buf)
+                            # where the frame left buffered starts
+                            last = at + (ready - 1) * FRAME_BYTES
+                            frame = buf + data[start:at]
+                            far = self.current_far
+                            memory = self.memory
+                            versions = self.frame_versions
+                            version = self._mutations
+                            while far is not None:
+                                memory[far] = frame
+                                version += 1
+                                versions.pop(far, None)
+                                versions[far] = version
+                                if (far & 0x7F) + 1 < column_minors[far >> 7]:
+                                    far += 1
+                                else:
+                                    far = self.geometry.next_far(far)
+                                if at == last:
+                                    break
+                                frame = data[at:at + FRAME_BYTES]
+                                at += FRAME_BYTES
+                            else:
+                                # `frame` and every frame after it up to
+                                # `last` find no FAR
+                                events.extend(["far_overrun"]
+                                              * ((last - at) // FRAME_BYTES + 1))
+                            self.current_far = far
+                            self._mutations = version
+                            self.frame_buffer = data[last:stop]
+                elif reg is _FAR:
+                    if count and i < n:
+                        word = words[i]
+                        # DeviceGeometry.is_valid_far, without the call
+                        if word & 0x7F < column_minors.get(word >> 7, 0):
+                            self.current_far = word
+                        else:
+                            events.append(f"bad_far word=0x{word:08x}")
+                elif reg is _IDCODE:
+                    word = words[i] if count and i < n else None
+                    self.idcode_ok = word == self.device_id
+                    if not self.idcode_ok:
+                        events.append(f"idcode_mismatch got=0x{word or 0:08x}")
+                elif reg not in _UNMODELED:
+                    # MASK, CTL0 and CRC writes, as the desync footer makes
+                    # them, are accepted but not modeled.
+                    events.append("ignored_write reg="
+                                  f"{reg.name.lower() if reg else 'none'}")
                 i = end
             elif op == 1:
-                self._read(reg, count, readback, events)
+                if not count:
+                    continue
+                if reg is not _FDRO:
+                    events.append("ignored_read reg="
+                                  f"{reg.name.lower() if reg else 'none'}")
+                elif self.cfg_cmd is not _RCFG:
+                    events.append("fdro_without_rcfg")
+                else:
+                    size = 4 * count
+                    frames = [ZERO_FRAME]  # the frame buffer's dummy frame
+                    have = FRAME_BYTES
+                    far = self.current_far
+                    memory = self.memory
+                    while have < size:
+                        if far is None:
+                            events.append("read_overrun")
+                            frames.append(bytes(size - have))
+                            break
+                        frames.append(memory.get(far, ZERO_FRAME))
+                        have += FRAME_BYTES
+                        if (far & 0x7F) + 1 < column_minors[far >> 7]:
+                            far += 1
+                        else:
+                            far = self.geometry.next_far(far)
+                    self.current_far = far
+                    readback.append(b"".join(frames)[:size])
             else:
                 events.append(f"ignored_word word=0x{w:08x}")
         return b"".join(readback), events
-
-    def _write(self, reg, word, events):
-        """A write to any register but FDRI and CMD; `word` is the first
-        payload word, or None for an empty payload."""
-        if reg is _IDCODE:
-            if word == self.device_id:
-                self.idcode_ok = True
-            else:
-                self.idcode_ok = False
-                events.append(f"idcode_mismatch got=0x{word or 0:08x}")
-            return
-        if reg is _FAR:
-            if word is not None:
-                if self.geometry.is_valid_far(word):
-                    self.current_far = word
-                else:
-                    events.append(f"bad_far word=0x{word:08x}")
-            return
-        if reg in _UNMODELED:
-            # Accepted but not modeled: the desync footer writes MASK/CTL0.
-            return
-        events.append(f"ignored_write reg={reg.name.lower() if reg else 'none'}")
-
-    def _write_fdri(self, payload, events):
-        if self.cfg_cmd is not _WCFG:
-            events.append("fdri_without_wcfg")
-            return
-        if not self.idcode_ok:
-            events.append("fdri_rejected_idcode")
-            return
-        buf = self.frame_buffer
-        # Word-at-a-time equivalent: a full buffered frame commits as soon
-        # as the next frame's first word arrives, so every frame but the
-        # last one received commits now, sliced straight from the payload.
-        n = (len(buf) + len(payload) - 4) // FRAME_BYTES
-        if n <= 0:
-            self.frame_buffer = buf + payload
-            return
-        i = FRAME_BYTES - len(buf)
-        end = i + (n - 1) * FRAME_BYTES  # where the frame left buffered starts
-        frame = buf + payload[:i]
-        far = self.current_far
-        memory = self.memory
-        versions = self.frame_versions
-        version = self._mutations
-        minors = self.geometry.minors
-        while far is not None:
-            memory[far] = frame
-            version += 1
-            versions.pop(far, None)
-            versions[far] = version
-            if (far & 0x7F) + 1 < minors[(far >> 7) & 0x3FF]:
-                far += 1
-            else:
-                far = self.geometry.next_far(far)
-            if i == end:
-                break
-            frame = payload[i:i + FRAME_BYTES]
-            i += FRAME_BYTES
-        else:
-            # `frame` and every frame after it up to `end` find no FAR
-            events.extend(["far_overrun"] * ((end - i) // FRAME_BYTES + 1))
-        self.current_far = far
-        self._mutations = version
-        self.frame_buffer = payload[end:]
-
-    def _read(self, reg, count, readback, events):
-        if count == 0:
-            return
-        if reg is not _FDRO:
-            events.append(f"ignored_read reg={reg.name.lower() if reg else 'none'}")
-            return
-        if self.cfg_cmd is not _RCFG:
-            events.append("fdro_without_rcfg")
-            return
-        size = 4 * count
-        frames = [ZERO_FRAME]  # the frame buffer's dummy frame
-        have = FRAME_BYTES
-        far = self.current_far
-        memory = self.memory
-        minors = self.geometry.minors
-        while have < size:
-            if far is None:
-                events.append("read_overrun")
-                frames.append(bytes(size - have))
-                break
-            frames.append(memory.get(far, ZERO_FRAME))
-            have += FRAME_BYTES
-            if (far & 0x7F) + 1 < minors[(far >> 7) & 0x3FF]:
-                far += 1
-            else:
-                far = self.geometry.next_far(far)
-        self.current_far = far
-        readback.append(b"".join(frames)[:size])
 
 
 def snapshot_digest(engine):

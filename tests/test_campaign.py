@@ -1,4 +1,5 @@
 import io
+import random
 
 import pytest
 
@@ -25,11 +26,24 @@ from idfsim.campaign import (
     summary_text,
 )
 from idfsim import devc
-from idfsim.devc import Device, DevcError, TransferError, boot_device
-from idfsim.dut import Criticality, DutConfig, DutModel, SensitivityMap
+from idfsim.devc import (
+    Device,
+    DevcError,
+    Interface,
+    TransferError,
+    boot_device,
+)
+from idfsim.dut import (
+    Criticality,
+    DutConfig,
+    DutModel,
+    SensitivityMap,
+    sensitivity_generate,
+)
 from idfsim.fabric import (
     FRAME_BITS,
     FRAME_WORDS,
+    ConfigEngine,
     desk_geometry,
     snapshot_digest,
     z7020like_geometry,
@@ -38,6 +52,8 @@ from idfsim.packets import (
     DESYNC_WRITE,
     ZEDBOARD_IDCODE,
     build_readback_sequence,
+    build_write_frame_sequence,
+    words_to_bytes,
 )
 
 
@@ -159,6 +175,79 @@ def test_events_are_rendered_only_at_the_log_sink(monkeypatch):
     lines = c.log.getvalue().splitlines()
     assert len(lines) == len(rendered) == 20
     assert lines[0] == "ACQUIRE PCAP GRANTED"
+
+
+def test_one_injection_without_a_sink_runs_the_whole_procedure(monkeypatch):
+    # No log sink skips no step: four DMAs move 58 + 202 + 215 + 215 words
+    # through three engine streams, and the simulated PCAP time they add
+    # equals that of the same injection with a sink attached.
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(Device, "dma_process",
+                        counted("dma_process", Device.dma_process))
+    monkeypatch.setattr(ConfigEngine, "execute",
+                        counted("execute", ConfigEngine.execute))
+    added = []
+    for log in (None, io.StringIO()):
+        dev, c = _fresh(log=log)
+        far = dev.geometry.far_words()[4]
+        del calls[:]
+        words, seconds = dev.words_moved, dev.sim_seconds
+        record = c.inject_and_check(far, 3, 5)
+        assert record.error is None
+        added.append((dev.words_moved - words, dev.sim_seconds - seconds,
+                      calls.count("dma_process"), calls.count("execute")))
+    moved, seconds, dmas, streams = added[0]
+    assert (moved, dmas, streams) == (58 + 202 + 215 + 215, 4, 3)
+    assert seconds > 0
+    assert added[1] == added[0]
+
+
+def _configure(dev, seed):
+    """Write a seeded random image of every frame over PCAP, as one write
+    sequence through dma_enqueue/dma_process; returns it by FAR word."""
+    rng = random.Random(seed)
+    fars = dev.geometry.far_words()
+    frames = [[rng.getrandbits(32) for _ in range(FRAME_WORDS)] for _ in fars]
+    words = build_write_frame_sequence(dev.engine.device_id, fars[0],
+                                       frames).words
+    addr = 0x01000000
+    dev.dram.write_words(addr, words)
+    assert dev.interface_acquire(Interface.PCAP)
+    dev.dma_enqueue(addr, devc.PL_ADDR, len(words), len(words))
+    dev.dma_process()
+    dev.drain_events()
+    return {far: words_to_bytes(frame) for far, frame in zip(fars, frames)}
+
+
+def test_campaign_on_a_configured_fabric():
+    # On a blank fabric a read-back of the wrong frame, or of the dummy
+    # frame, still stages zeros and goes unseen.  On a configured one each
+    # injection flips one bit of the frame's own content, so exactly the
+    # mapped bits are critical, and every restore puts the image back.
+    dev = boot_device()
+    image = _configure(dev, seed=1501)
+    assert {far: dev.engine.read_frame(far) for far in image} == image
+    fars = dev.geometry.far_words()
+    targets = [fars[3], fars[9], fars[17]]  # one ends a column, one the device
+    smap = sensitivity_generate(1501, dev.geometry, targets, 45)
+    c = Campaign(dev, DutModel(DutConfig(), smap))
+    configured = snapshot_digest(dev.engine)
+    summary, rows = c.run_auto(targets)
+    assert [row.far for row in rows] == targets
+    for row in rows:
+        assert 0 < row.critical == len(smap.bits_for(row.far))
+        assert row.injections == FRAME_BITS
+    assert summary.transfer_errors == 0
+    assert summary.critical == smap.critical_count
+    assert counters(dev) == (summary.critical, summary.non_critical)
+    assert snapshot_digest(dev.engine) == configured
 
 
 class TestInjectAndCheck:

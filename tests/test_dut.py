@@ -325,6 +325,26 @@ class TestDutRunCheck:
         model.capture_baseline(engine)
         assert model.run_check(engine, _lines(), 0).match_line is MatchLine.LOW
 
+    def test_rebase_after_checks_of_the_frame(self):
+        # A check keeps the baseline frame it compared with; a new
+        # baseline must replace it, or every bit that differs from the old
+        # one would read as flipped.
+        engine = _engine()
+        smap = SensitivityMap()
+        smap.add(0, 4, Criticality.MODULE0)
+        smap.add(0, 9, Criticality.COMPARATOR)
+        model = DutModel(DutConfig(), smap)
+        model.capture_baseline(engine)
+        engine.flip_bit(0, 0, 4)
+        assert model.flipped_critical_bits(engine)[Criticality.MODULE0] == [(0, 4)]
+        engine.flip_bit(0, 0, 9)
+        model.capture_baseline(engine)
+        assert model.run_check(engine, _lines(), 0).match_line is MatchLine.LOW
+        engine.flip_bit(0, 0, 4)
+        assert model.flipped_critical_bits(engine) == {
+            Criticality.MODULE0: [(0, 4)], Criticality.MODULE1: [],
+            Criticality.COMPARATOR: []}
+
 
 def test_match_line_from_flipped_classes():
     fars = desk_geometry().far_words()

@@ -91,6 +91,14 @@ class CampaignSummary:
     transfer_errors: int = 0
 
 
+def _rejections(events):
+    """The engine events but sync and desync of the last DMA in `events`."""
+    last = max(i for i, (fmt, _) in enumerate(events)
+               if fmt.startswith("DMA QUEUED"))
+    return [args[0] for fmt, args in events[last:]
+            if fmt == "ENGINE {}" and args[0] not in ("sync", "desync")]
+
+
 def estimate_time(injections):
     """Projected campaign minutes at the reference hardware rate."""
     if injections < 0:
@@ -141,13 +149,18 @@ class Campaign:
     # -- plumbing -----------------------------------------------------------
 
     def _transfer(self, src, dst, nwords):
-        """Acquire PCAP and run one DMA of `nwords` words."""
+        """Acquire PCAP, run one DMA of `nwords` words, then poll and clear
+        `cfg_error`: a rejected stream raises reason "config"."""
         dev = self.device
         if not dev.interface_acquire(_PCAP):
             raise TransferError("not-owner", "PCAP could not acquire the "
                                 "configuration interface")
         dev.dma_enqueue(src, dst, nwords, nwords)
         dev.dma_process()
+        if dev.cfg_error:
+            dev.cfg_error = False
+            raise TransferError("config", "configuration engine rejected the "
+                                "stream: " + ", ".join(_rejections(dev.events)))
 
     def read_frame(self, far_word):
         """Read one frame over PCAP; lands at READBACK_DST_ADDR in DRAM."""

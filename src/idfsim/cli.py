@@ -101,6 +101,16 @@ def _parse_frame_range(selection, geometry):
     return list(picked.values())
 
 
+def _load_map(path, geometry):
+    """The map at `path`, empty without one; its FARs must fit `geometry`."""
+    smap = SensitivityMap.load(path) if path else SensitivityMap()
+    bad = [f for f in smap.frames if not geometry.is_valid_far(f)]
+    if bad:
+        raise ValueError(f"{path}: FAR 0x{bad[0]:08x} is not a frame of "
+                         f"geometry {geometry.name}")
+    return smap
+
+
 # -- interactive session ------------------------------------------------------
 
 
@@ -251,7 +261,7 @@ def _cmd_gen_map(args):
 def _cmd_campaign(args):
     geometry = load_geometry(args.geometry)
     far_words = _parse_frame_range(args.frames, geometry)
-    smap = SensitivityMap.load(args.map) if args.map else SensitivityMap()
+    smap = _load_map(args.map, geometry)
     variant = "with_idf" if args.variant == "idf" else "without_idf"
     # Before the run: a bad --out fails fast, and --log may lie inside it.
     os.makedirs(args.out, exist_ok=True)
@@ -295,7 +305,7 @@ def _cmd_overhead(args):
 
 def _cmd_interactive(args):
     geometry = load_geometry(args.geometry)
-    smap = SensitivityMap.load(args.map) if args.map else SensitivityMap()
+    smap = _load_map(args.map, geometry)
     device = devc.boot_device(geometry)
     dut = DutModel(DutConfig(), smap)
     far_words = _parse_frame_range(args.frames, geometry)

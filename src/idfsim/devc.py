@@ -15,6 +15,7 @@ Transfer rules modeled after the real PCAP path:
   clock slowed to 25 MHz (divisor >= 4); at full rate it overflows.
 
 All failed transfers are all-or-nothing: no PL or DRAM state changes.
+A stream the engine rejects in part only sets `Device.cfg_error`.
 
 Device events are records, `(format, args)` pairs, appended to
 `Device.events` where they happen: nothing is formatted while a transfer
@@ -90,14 +91,6 @@ _UPPER = {"ps2pl": "PS2PL", "pl2ps": "PL2PS"}
 class CtrlReg:
     pcap_pr: bool = False
     pcap_mode: bool = False
-
-
-@dataclass
-class IntStatus:
-    dma_done: bool = False
-    pcap_done: bool = False
-    cfg_error: bool = False
-    dma_error: bool = False
 
 
 @dataclass(slots=True)
@@ -203,9 +196,9 @@ class Device:
         self.engine = ConfigEngine(self.geometry, ZEDBOARD_IDCODE)
         self.dram = Dram()
         self.ctrl = CtrlReg()
-        self.int_sts = IntStatus()
         self.locked = True
         self.cfg_done = False
+        self.cfg_error = False  # set by a rejected stream; the poller clears it
         self.set_pcap_clock_divisor(1)
         self.owner = None
         self.dma_queue = deque()
@@ -308,11 +301,12 @@ class Device:
     def dma_process(self):
         """Execute the oldest queued transfer; raises on any rule violation.
 
-        Errors consume the descriptor, set int_sts flags and leave all PL
+        Errors consume the descriptor, log `DMA ERROR` and leave all PL
         and DRAM state untouched.  A PS->PL transfer streams its words
-        through the engine and releases the interface when the engine
-        reports `desync`; a PL->PS transfer drains the pending read-back
-        whole into DRAM.
+        through the engine, releases the interface when the engine reports
+        `desync` and sets `cfg_error` on any other event but `sync`, since
+        frames may already be committed; a PL->PS transfer drains the
+        pending read-back whole into DRAM.
         """
         if not self.dma_queue:
             raise DescriptorError("no DMA descriptor queued")
@@ -337,7 +331,7 @@ class Device:
                         if ev == "desync":
                             self.interface_release_on_desync()
                         else:
-                            self.int_sts.cfg_error = True
+                            self.cfg_error = True
                 if readback:
                     if self.pending_readback is not None:
                         events.append(("READBACK DROPPED UNREAD", ()))
@@ -360,11 +354,8 @@ class Device:
                 self.dram.write_bytes(desc.dst, readback)
                 self.pending_readback = None
         except TransferError as exc:
-            self.int_sts.dma_error = True
             events.append(("DMA ERROR {} LEN={}", (exc.reason.upper(), nwords)))
             raise
-        status = self.int_sts
-        status.dma_done = status.pcap_done = True
         self.words_moved += nwords
         self.sim_seconds += (nwords * 4) / self._byte_rate
         events.append(("DMA {} DONE WORDS={}", (_UPPER[desc.direction], nwords)))

@@ -71,7 +71,6 @@ class StartsNotAssertedError(RuntimeError):
 
 @dataclass
 class DutConfig:
-    key: bytes = DEFAULT_KEY
     variant: str = "with_idf"  # or "without_idf"
 
 
@@ -362,6 +361,6 @@ class DutModel:
             match = _HIGH
         cipher = self._cipher_cache.get(input4)
         if cipher is None:
-            block = aes256_encrypt(self.config.key, widen_input(input4))
+            block = aes256_encrypt(DEFAULT_KEY, widen_input(input4))
             cipher = self._cipher_cache[input4] = int.from_bytes(block, "big")
         return MatchResult(match, cipher, m0, m1)

@@ -18,11 +18,10 @@ lookup in a table built at import, keyed on its top 19 bits.
 FAR field layout (block_type[25:23], top_bottom[22], row[21:17],
 column[16:7], minor[6:0]).  Frame addresses are plain integer FAR words
 throughout; FarFields is only the decoded view that far_encode and
-far_decode give.  far_encode, far_decode, the DeviceGeometry methods
-first_far, next_far, is_valid_far and far_words, the keys of its
-`column_minors`, and the within-column step `far + 1` of
-ConfigEngine.execute's FDRI commit and FDRO read loops depend on the bit
-positions.
+far_decode give.  far_encode, far_decode, the `far >> 7` keys of
+DeviceGeometry.column_minors and the minor `far & 0x7F` that the geometry
+methods compare with them, and ConfigEngine.execute's FAR-write check and
+within-column step `far + 1` depend on the bit positions.
 """
 
 import hashlib
@@ -113,10 +112,11 @@ def far_decode(word):
 class DeviceGeometry:
     """Frame address space of one device profile.
 
-    `columns` is an ordered list of (kind, minor_count) pairs shared by both
-    device halves and all configured block types; the FAR enumeration order
-    is minor, then column, then row, then half, then block type.  `minors`
-    lists each column's minor count.
+    `columns` is an ordered list of (kind, minor_count) pairs shared by
+    every row, half and block type; the FAR enumeration order is minor,
+    column, row, half, block type.  `column_minors` maps each column's
+    `far >> 7` to its minor count in that order, and `_after` maps it to
+    the next column's first FAR word, or None.
     """
 
     def __init__(self, name, rows_per_half, columns, block_types=(0,)):
@@ -124,32 +124,28 @@ class DeviceGeometry:
             raise ValueError("rows_per_half must be >= 1")
         if not columns:
             raise ValueError("geometry needs at least one column")
-        for kind, minors in columns:
-            if not 1 <= minors <= 128:
-                raise ValueError(f"column {kind}: minor count {minors} outside 1..128")
-        self.name = name
-        self.rows_per_half = rows_per_half
-        self.columns = [(str(kind), int(minors)) for kind, minors in columns]
-        self.block_types = sorted(set(int(b) for b in block_types))
-        if not self.block_types:
+        for kind, m in columns:
+            if not 1 <= m <= 128:
+                raise ValueError(f"column {kind}: minor count {m} outside 1..128")
+        minors = [int(m) for _, m in columns]
+        block_types = sorted(set(int(b) for b in block_types))
+        if not block_types:
             raise ValueError("geometry needs at least one block type")
-        # far_words packs the fields unchecked: the extreme FARs must be valid
-        FarFields(self.block_types[0], 0, 0, 0, 0)
-        FarFields(self.block_types[-1], 1, rows_per_half - 1, len(self.columns) - 1, 0)
-        self.minors = [m for _, m in self.columns]
-        # Each column's minor count, keyed on `far >> 7` (block type, half,
-        # row and column): one entry per column of each row, so never more
-        # entries than frames.
+        # the keys pack the fields unchecked: the extreme FARs must be valid
+        FarFields(block_types[0], 0, 0, 0, 0)
+        FarFields(block_types[-1], 1, rows_per_half - 1, len(minors) - 1, 0)
+        self.name = name
         self.column_minors = {
-            (block_type << 16) | (half << 15) | (row << 10) | column: minors
-            for block_type in self.block_types for half in (0, 1)
+            (block_type << 16) | (half << 15) | (row << 10) | column: m
+            for block_type in block_types for half in (0, 1)
             for row in range(rows_per_half)
-            for column, minors in enumerate(self.minors)}
+            for column, m in enumerate(minors)}
+        keys = list(self.column_minors)
+        self._after = dict(zip(keys, [k << 7 for k in keys[1:]] + [None]))
 
     @property
     def total_frames(self):
-        per_row = sum(self.minors)
-        return len(self.block_types) * 2 * self.rows_per_half * per_row
+        return sum(self.column_minors.values())
 
     @property
     def total_bits(self):
@@ -160,37 +156,22 @@ class DeviceGeometry:
         return far_word & 0x7F < self.column_minors.get(far_word >> 7, 0)
 
     def first_far(self):
-        return self.block_types[0] << 23
+        return next(iter(self.column_minors)) << 7
 
     def next_far(self, far_word):
         """Advance to the next FAR word, or None past the last frame."""
-        if not self.is_valid_far(far_word):
+        minors = self.column_minors.get(far_word >> 7, 0)
+        if far_word & 0x7F >= minors:
             raise ValueError(f"FAR 0x{far_word:08x} is not valid for geometry {self.name}")
-        # Each carry increments one field and clears the fields below it.
-        column = (far_word >> 7) & 0x3FF
-        if (far_word & 0x7F) + 1 < self.minors[column]:
+        if (far_word & 0x7F) + 1 < minors:
             return far_word + 1
-        if column + 1 < len(self.minors):
-            return ((far_word >> 7) + 1) << 7
-        if ((far_word >> 17) & 0x1F) + 1 < self.rows_per_half:
-            return ((far_word >> 17) + 1) << 17
-        if not (far_word >> 22) & 1:
-            return ((far_word >> 22) + 1) << 22
-        i = self.block_types.index(far_word >> 23)
-        if i + 1 < len(self.block_types):
-            return self.block_types[i + 1] << 23
-        return None
+        return self._after[far_word >> 7]
 
     def far_words(self):
         """Every FAR word in enumeration order, as next_far steps from first_far."""
         words = []
-        for block_type in self.block_types:
-            for half in (0, 1):
-                for row in range(self.rows_per_half):
-                    prefix = (block_type << 23) | (half << 22) | (row << 17)
-                    for column, minors in enumerate(self.minors):
-                        base = prefix | (column << 7)
-                        words.extend(range(base, base + minors))
+        for key, minors in self.column_minors.items():
+            words.extend(range(key << 7, (key << 7) + minors))
         return words
 
 

@@ -50,6 +50,7 @@ from idfsim.fabric import (
 )
 from idfsim.packets import (
     DESYNC_WRITE,
+    CmdCode,
     ZEDBOARD_IDCODE,
     build_readback_sequence,
     build_write_frame_sequence,
@@ -305,8 +306,8 @@ class TestInjectAndCheck:
         # packets.
         log = io.StringIO()
         dev, c = _fresh(log=log)
-        c.inject_and_check(0, 3, 4)
-        assert not dev.int_sts.cfg_error
+        assert c.inject_and_check(0, 3, 4).error is None
+        assert not dev.cfg_error
         lines = log.getvalue().splitlines()
         assert not [line for line in lines if "ignored_word" in line]
         assert lines.count("ENGINE sync") == 3  # request, fault, restore
@@ -404,6 +405,71 @@ class TestTransferErrors:
         assert summary.total_injections == 3231
         assert summary.critical + summary.non_critical == summary.total_injections
         assert counters(dev) == (summary.critical, summary.non_critical)
+
+
+# Word slots of the resident streams, checked against the built streams in
+# TestRejectedStreams: the template's IDCODE value and WCFG command, and the
+# request's RCFG command.
+TPL_IDCODE_INDEX = 4
+TPL_WCFG_INDEX = 8
+REQ_RCFG_INDEX = 18
+BAD_FAR = 0x00300000  # row 24: outside desk
+
+
+class TestRejectedStreams:
+    """A stream the engine rejects is a transfer error, never a counted
+    injection: the campaign polls `Device.cfg_error` after each DMA."""
+
+    def _campaign(self):
+        far = desk_geometry().far_words()[4]
+        smap = SensitivityMap()
+        smap.add(far, 0, Criticality.MODULE0)  # word 0, bit 0 is critical
+        dev, c = _fresh(smap)
+        return dev, c, far
+
+    def test_slots(self):
+        template = frame_template_words(ZEDBOARD_IDCODE)
+        assert template[TPL_IDCODE_INDEX] == ZEDBOARD_IDCODE
+        assert template[TPL_WCFG_INDEX] == CmdCode.WCFG
+        assert build_readback_sequence(0, 1).words[REQ_RCFG_INDEX] == CmdCode.RCFG
+
+    def test_rejected_request_is_recorded_not_counted(self):
+        dev, c, far = self._campaign()
+        before = snapshot_digest(dev.engine)
+        dev.dram.write_word(READBACK_REQ_ADDR + 4 * REQ_RCFG_INDEX, 0)
+        record = c.inject_and_check(far, 0, 0)
+        assert record.error == ("configuration engine rejected the stream: "
+                                "fdro_without_rcfg")
+        assert not record.detected
+        assert counters(dev) == (0, 0)
+        assert not dev.cfg_error
+        assert snapshot_digest(dev.engine) == before
+
+    @pytest.mark.parametrize("slot, value, event", [
+        (TPL_IDCODE_INDEX, ZEDBOARD_IDCODE ^ 1, "idcode_mismatch got=0x23727092"),
+        (TPL_WCFG_INDEX, 0, "fdri_without_wcfg"),
+        (TPL_FAR_INDEX, BAD_FAR, f"bad_far word=0x{BAD_FAR:08x}"),
+    ], ids=["idcode", "wcfg", "far"])
+    def test_rejected_template_ends_the_campaign(self, monkeypatch, slot,
+                                                 value, event):
+        # The fault write and both restores stream the same corrupted
+        # template, so the restore fails twice.
+        dev, c, far = self._campaign()
+        before = snapshot_digest(dev.engine)
+        stage = Campaign.stage_frame
+
+        def corrupt(self, far_word, frame=None):
+            stage(self, far_word, frame)  # stage_frame rewrites the FAR slot
+            dev.dram.write_word(TEMPLATE_ADDR + 4 * slot, value)
+
+        monkeypatch.setattr(Campaign, "stage_frame", corrupt)
+        with pytest.raises(TransferError, match=f"failed twice: .*{event}") as info:
+            c.run_auto([far])
+        assert info.value.reason == "restore"
+        assert counters(dev) == (0, 0)
+        assert not dev.cfg_error
+        if slot != TPL_FAR_INDEX:  # a bad FAR slot still commits elsewhere
+            assert snapshot_digest(dev.engine) == before
 
 
 class TestCampaignAuto:

@@ -17,6 +17,8 @@ from idfsim.cli import (
     interactive_session,
     main,
 )
+from idfsim import campaign as campaign_mod
+from idfsim.campaign import READBACK_REQ_ADDR, TEMPLATE_ADDR
 from idfsim.devc import boot_device
 from idfsim.dut import Criticality, DutConfig, DutModel, SensitivityMap
 from idfsim.fabric import FRAME_BYTES, desk_geometry
@@ -32,6 +34,28 @@ def _session(stdin_text, smap=None):
     status = interactive_session(io.StringIO(stdin_text), out, dev, dut,
                                  desk_geometry().far_words())
     return status, out.getvalue()
+
+
+@pytest.fixture
+def corrupt_after_init(monkeypatch):
+    """`corrupt_after_init(addr, word)` overwrites one DRAM word of every
+    device right after `campaign_init` loads the resident streams."""
+    real = campaign_mod.campaign_init
+
+    def install(addr, word):
+        def corrupted(device):
+            sizes = real(device)
+            device.dram.write_word(addr, word)
+            return sizes
+
+        monkeypatch.setattr(campaign_mod, "campaign_init", corrupted)
+
+    return install
+
+
+# The request's RCFG command and the template's IDCODE value.
+REQ_RCFG_ADDR = READBACK_REQ_ADDR + 4 * 18
+TPL_IDCODE_ADDR = TEMPLATE_ADDR + 4 * 4
 
 
 class TestInteractiveSession:
@@ -105,6 +129,20 @@ class TestInteractiveSession:
         assert dev.engine.read_frame(1) == bytes(FRAME_BYTES)
         assert [line for line in out.getvalue().splitlines()
                 if line.startswith("Match")] == ["Match OK", "Match ERROR"]
+
+    @pytest.mark.parametrize("choice, addr, reply", [
+        ("1", REQ_RCFG_ADDR, "Read failed: configuration engine rejected "
+         "the stream: fdro_without_rcfg"),
+        ("2", TPL_IDCODE_ADDR, "Write failed: configuration engine rejected "
+         "the stream: idcode_mismatch got=0x00000000, fdri_rejected_idcode, "
+         "fdri_rejected_idcode"),  # the zero-count FDRI header and its Type-2
+    ], ids=["read", "write"])
+    def test_rejected_stream_reported(self, corrupt_after_init, choice, addr,
+                                      reply):
+        corrupt_after_init(addr, 0)
+        status, output = _session(f"{choice}\n0x00000001\n0\n")
+        assert status == EXIT_OK
+        assert reply in output.splitlines()
 
     def test_campaign_confirmation_declined(self):
         status, output = _session("4\nn\n0\n")
@@ -261,6 +299,37 @@ class TestGenMapAndCampaign:
         assert status == EXIT_IO
         assert capsys.readouterr().err.startswith(message)
         assert list(outdir.iterdir()) == []
+
+    def test_rejected_template_exit_three(self, tmp_path, capsys,
+                                          corrupt_after_init):
+        # The fault write and the restore stream the same template, so the
+        # restore fails twice and the campaign stops.
+        corrupt_after_init(TPL_IDCODE_ADDR, 0)
+        outdir = tmp_path / "run"
+        status = main(["campaign", "--variant", "idf", "--frames", "0",
+                       "--out", str(outdir)])
+        assert status == EXIT_IO
+        assert capsys.readouterr().err.startswith(
+            "error: restore of FAR 0x00000000 failed twice: configuration "
+            "engine rejected the stream: idcode_mismatch got=0x00000000")
+        assert list(outdir.iterdir()) == []
+
+    @pytest.mark.parametrize("command", [
+        ["campaign", "--variant", "idf", "--out", "run"], ["interactive"]],
+        ids=["campaign", "interactive"])
+    def test_map_far_outside_geometry(self, tmp_path, capsys, monkeypatch,
+                                      command):
+        # Minor 4 of column 0 and row 24 are no frames of desk; the map
+        # lists them in FAR order, and the first one is named.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "m.map").write_text("0x00000000 0 module0\n"
+                                        "0x00300000 1 module1\n"
+                                        "0x00000004 2 comparator\n")
+        status = main([*command, "--map", "m.map"])
+        assert status == EXIT_IO
+        assert capsys.readouterr().err == (
+            "error: m.map: FAR 0x00000004 is not a frame of geometry desk\n")
+        assert not (tmp_path / "run").exists()
 
     def test_out_that_is_a_file_fails_before_the_run(self, tmp_path):
         taken = tmp_path / "taken"

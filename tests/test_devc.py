@@ -180,7 +180,7 @@ class TestDmaTransfers:
         n = _stage_write(dev, 0, frame)
         dev.dma_enqueue(REQ, PL_ADDR, n, n)
         dev.dma_process()
-        assert dev.int_sts.dma_done and dev.int_sts.pcap_done
+        assert _text(dev)[-1] == f"DMA PS2PL DONE WORDS={n}"
         dev.interface_acquire(Interface.PCAP)  # desync released ownership
         n = _stage_readback(dev, 0, 1)
         dev.dma_enqueue(REQ, PL_ADDR, n, n)
@@ -230,7 +230,7 @@ class TestDmaTransfers:
         with pytest.raises(TransferError) as excinfo:
             dev.dma_process()
         assert excinfo.value.reason == "boundary"
-        assert dev.int_sts.dma_error
+        assert _text(dev)[-1] == "DMA ERROR BOUNDARY LEN=1111"
         assert snapshot_digest(dev.engine) == before
         assert dev.dram.read_bytes(DST, 1111 * 4) == dst_before
 
@@ -300,7 +300,7 @@ class TestUnmodeledRegisters:
         dev.dram.write_words(REQ, words)
         dev.dma_enqueue(REQ, PL_ADDR, len(words), len(words))
         dev.dma_process()
-        assert not dev.int_sts.cfg_error
+        assert not dev.cfg_error
 
 
 def _run(dev, words, src=REQ):
@@ -457,7 +457,7 @@ def test_event_text_at_every_site(state, act, expected):
     act(dev)
     assert _text(dev) == expected
     # any engine event but sync and desync flags a configuration error
-    assert dev.int_sts.cfg_error == any(
+    assert dev.cfg_error == any(
         e.startswith("ENGINE ") and e not in ("ENGINE sync", "ENGINE desync")
         for e in expected)
 

@@ -161,6 +161,50 @@ class TestGeometry:
         for geo in (desk_geometry(), z7020like_geometry(), twoblock_geometry):
             assert geo.far_words() == _stepped_fars(geo)
 
+    @pytest.mark.parametrize("rows, minors, block_types", [
+        (1, [4, 2, 2, 1], (0,)),        # desk
+        (1, [19] * 241, (0,)),          # z7020like
+        (2, [3, 2], (0, 1)),            # twoblock
+        (2, [128, 1, 128], (0, 3)),     # wide: full minor field, a gap
+        (32, [1] * 1024, (7,)),         # max: full row, column and block fields
+    ], ids=["desk", "z7020like", "twoblock", "wide", "max"])
+    def test_far_space_matches_field_oracle(self, rows, minors, block_types):
+        # The oracle encodes every frame's fields in nested loops, the
+        # order UG470 fixes; it shares nothing with the geometry's table.
+        geo = DeviceGeometry("oracle", rows, [("CLB", m) for m in minors],
+                             block_types)
+        fars = []
+        beyond = [1 << 26]  # words that must be invalid: bit 26, and each
+        for bt in block_types:  # field one past its limit where it fits
+            if bt + 1 <= 7 and bt + 1 not in block_types:
+                beyond.append(far_encode(FarFields(bt + 1, 0, 0, 0, 0)))
+            for half in (0, 1):
+                if rows < 32:
+                    beyond.append(far_encode(FarFields(bt, half, rows, 0, 0)))
+                for row in range(rows):
+                    if len(minors) < 1024:
+                        beyond.append(far_encode(
+                            FarFields(bt, half, row, len(minors), 0)))
+                    for column, m in enumerate(minors):
+                        if m < 128:
+                            beyond.append(far_encode(
+                                FarFields(bt, half, row, column, m)))
+                        fars.extend(far_encode(FarFields(bt, half, row, column, minor))
+                                    for minor in range(m))
+        assert geo.far_words() == fars
+        assert geo.first_far() == fars[0]
+        assert geo.total_frames == len(fars)
+        assert [geo.next_far(f) for f in fars] == fars[1:] + [None]
+        valid = set(fars)
+        for f in fars:
+            for word in (f - 1, f + 1):
+                assert geo.is_valid_far(word) == (word in valid)
+        assert beyond and not valid.intersection(beyond)
+        for word in beyond:
+            assert not geo.is_valid_far(word)
+            with pytest.raises(ValueError, match="not valid for geometry oracle"):
+                geo.next_far(word)
+
     @pytest.mark.parametrize("rows, columns, block_types", [
         (33, 1, (0,)), (1, 1025, (0,)), (1, 1, (8,)), (1, 1, (-1, 0)),
         (1, 1, ())])

@@ -27,7 +27,7 @@ import io
 from dataclasses import dataclass
 
 from . import devc
-from .devc import DevcError, Interface, TransferError
+from .devc import PL_ADDR, DevcError, Interface, TransferError
 from .dut import (
     ControlLines,
     MatchLine,
@@ -62,6 +62,8 @@ REFERENCE_MINUTES = 440.0
 # member costs several times as much as reading a module global.
 _PCAP = Interface.PCAP
 _HIGH = MatchLine.HIGH
+# The lines check_design samples: both starts high, the clock either way.
+_HALTED, _RUNNING = ControlLines(0, 1, 1), ControlLines(1, 1, 1)
 
 
 @dataclass(slots=True)
@@ -93,10 +95,10 @@ class CampaignSummary:
 
 def _rejections(events):
     """The engine events but sync and desync of the last DMA in `events`."""
-    last = max(i for i, (fmt, _) in enumerate(events)
-               if fmt.startswith("DMA QUEUED"))
-    return [args[0] for fmt, args in events[last:]
-            if fmt == "ENGINE {}" and args[0] not in ("sync", "desync")]
+    last = max(i for i, record in enumerate(events)
+               if record[0].startswith("DMA QUEUED"))
+    return [record[1] for record in events[last:]
+            if record[0] == "ENGINE {}" and record[1] not in ("sync", "desync")]
 
 
 def estimate_time(injections):
@@ -166,15 +168,15 @@ class Campaign:
         """Read one frame over PCAP; lands at READBACK_DST_ADDR in DRAM."""
         dram = self.device.dram
         dram.write_word(READBACK_REQ_ADDR + 4 * REQ_FAR_INDEX, far_word)
-        self._transfer(READBACK_REQ_ADDR, devc.PL_ADDR, self._request_len)
+        self._transfer(READBACK_REQ_ADDR, PL_ADDR, self._request_len)
         # The request's closing DESYNC released PCAP; take it back to drain.
-        self._transfer(devc.PL_ADDR, READBACK_DST_ADDR, 2 * FRAME_WORDS)
+        self._transfer(PL_ADDR, READBACK_DST_ADDR, 2 * FRAME_WORDS)
         # The first frame is the frame buffer's dummy frame.
         return dram.read_bytes(READBACK_DST_ADDR + FRAME_BYTES, FRAME_BYTES)
 
     def write_template_frame(self):
         """Stream the resident template (current FAR + data words) to the PL."""
-        self._transfer(TEMPLATE_ADDR, devc.PL_ADDR, self._template_len)
+        self._transfer(TEMPLATE_ADDR, PL_ADDR, self._template_len)
 
     def stage_frame(self, far_word, frame=None):
         """Point the template at `far_word`; load `frame` as its data if given."""
@@ -188,9 +190,9 @@ class Campaign:
         dev = self.device
         gpio = dev.gpio
         gpio[PIN_START0] = gpio[PIN_START1] = 1
-        lines = ControlLines(gpio.get(PIN_CLK_EN, 0), 1, 1)
-        result = self.dut.run_check(dev.engine, lines, self.input4)
-        detected = result.match_line is _HIGH
+        lines = _RUNNING if gpio.get(PIN_CLK_EN, 0) else _HALTED
+        detected = self.dut.run_check(dev.engine, lines,
+                                      self.input4).match_line is _HIGH
         gpio[PIN_MATCH] = 1 if detected else 0
         gpio[PIN_START0] = gpio[PIN_START1] = 0
         return detected
@@ -227,7 +229,8 @@ class Campaign:
         fails twice raises `TransferError` with reason "restore".
         """
         dev = self.device
-        if not dev.geometry.is_valid_far(far_word):
+        minors = dev.geometry.column_minors.get(far_word >> 7, 0)
+        if far_word & 0x7F >= minors:  # DeviceGeometry.is_valid_far, inlined
             raise ValueError(f"FAR 0x{far_word:08x} invalid for geometry "
                              f"{dev.geometry.name}")
         if not 0 <= word_index < FRAME_WORDS or not 0 <= bit < 32:

@@ -17,7 +17,7 @@ Transfer rules modeled after the real PCAP path:
 All failed transfers are all-or-nothing: no PL or DRAM state changes.
 A stream the engine rejects in part only sets `Device.cfg_error`.
 
-Device events are records, `(format, args)` pairs, appended to
+Device events are records, flat `(format, *args)` tuples, appended to
 `Device.events` where they happen: nothing is formatted while a transfer
 runs.  `render_event` turns a record into its log line, and only a sink
 that wants text calls it.  The PCAP byte rate is worked out once per clock
@@ -28,6 +28,7 @@ import struct
 from collections import deque
 from dataclasses import dataclass
 from enum import IntEnum
+from typing import NamedTuple
 
 from .fabric import ConfigEngine, desk_geometry
 from .packets import ZEDBOARD_IDCODE, bytes_to_words, words_to_bytes
@@ -93,13 +94,18 @@ class CtrlReg:
     pcap_mode: bool = False
 
 
-@dataclass(slots=True)
-class DmaDescriptor:
+class DmaDescriptor(NamedTuple):
     src: int
     dst: int
     src_len: int
     dst_len: int
     direction: str  # "ps2pl" or "pl2ps"
+
+
+class _DescriptorQueue(deque):
+    """Plain field tuples, cheaper to queue; indexing gives a DmaDescriptor."""
+    def __getitem__(self, index):
+        return DmaDescriptor._make(deque.__getitem__(self, index))
 
 
 class Dram:
@@ -183,9 +189,8 @@ class Dram:
 
 
 def render_event(record):
-    """The log line of one `Device` event record."""
-    fmt, args = record
-    return fmt.format(*args)
+    """The log line of one `Device` event record, `(format, *args)`."""
+    return record[0].format(*record[1:])
 
 
 class Device:
@@ -201,7 +206,7 @@ class Device:
         self.cfg_error = False  # set by a rejected stream; the poller clears it
         self.set_pcap_clock_divisor(1)
         self.owner = None
-        self.dma_queue = deque()
+        self.dma_queue = _DescriptorQueue()
         self.gpio = {}  # PS GPIO pin -> level, 0 or 1; unwritten pins read 0
         self.events = []
         self.pending_readback = None
@@ -222,15 +227,15 @@ class Device:
 
     def unlock(self, key):
         if key != UNLOCK_KEY:
-            self.events.append(("UNLOCK REJECTED KEY=0x{:08x}", (key,)))
+            self.events.append(("UNLOCK REJECTED KEY=0x{:08x}", key))
             raise LockedError("wrong unlock key; device remains locked")
         self.locked = False
-        self.events.append(("UNLOCK OK", ()))
+        self.events.append(("UNLOCK OK",))
 
     def write_reg(self, name, value):
         """Register write honoring the lock: while locked, writes are dropped."""
         if self.locked:
-            self.events.append(("REGWRITE DROPPED LOCKED {}", (name,)))
+            self.events.append(("REGWRITE DROPPED LOCKED {}", name))
             return
         if name == "ctrl_pcap_pr":
             self.ctrl.pcap_pr = bool(value)
@@ -256,7 +261,7 @@ class Device:
             raise SequencingError("ctrl.pcap_pr and ctrl.pcap_mode must be set "
                                   "before PCAP can be selected")
         self.cfg_done = True
-        self.events.append(("PL INIT CFG_DONE", ()))
+        self.events.append(("PL INIT CFG_DONE",))
 
     def set_pcap_clock_divisor(self, div):
         if div < 1:
@@ -280,7 +285,7 @@ class Device:
         """
         if self.locked:
             for name in ("dma_src", "dma_dst", "dma_src_len", "dma_dst_len"):
-                self.events.append(("REGWRITE DROPPED LOCKED {}", (name,)))
+                self.events.append(("REGWRITE DROPPED LOCKED {}", name))
             return
         if not self.cfg_done:
             raise SequencingError("not initialized: PL configuration not done")
@@ -293,10 +298,9 @@ class Device:
         if src_len < 0 or dst_len < 0:
             raise DescriptorError(f"negative transfer length {src_len}/{dst_len}")
         direction = "ps2pl" if to_pl else "pl2ps"
-        self.dma_queue.append(DmaDescriptor(src, dst, src_len, dst_len,
-                                            direction))
+        self.dma_queue.append((src, dst, src_len, dst_len, direction))
         self.events.append(("DMA QUEUED {} SRC=0x{:08x} DST=0x{:08x} LEN={}",
-                            (_UPPER[direction], src, dst, dst_len)))
+                            _UPPER[direction], src, dst, dst_len))
 
     def dma_process(self):
         """Execute the oldest queued transfer; raises on any rule violation.
@@ -308,10 +312,10 @@ class Device:
         frames may already be committed; a PL->PS transfer drains the
         pending read-back whole into DRAM.
         """
-        if not self.dma_queue:
-            raise DescriptorError("no DMA descriptor queued")
-        desc = self.dma_queue.popleft()
-        nwords = desc.dst_len
+        try:
+            src, dst, src_len, nwords, direction = self.dma_queue.popleft()
+        except IndexError:
+            raise DescriptorError("no DMA descriptor queued") from None
         events = self.events
         try:
             if not self.cfg_done:
@@ -319,22 +323,23 @@ class Device:
             if self.owner is not _PCAP:
                 raise TransferError("not-owner", "PCAP does not own the "
                                     "configuration interface")
-            if desc.src_len != nwords:
-                raise TransferError("width", f"source length {desc.src_len} != "
+            if src_len != nwords:
+                raise TransferError("width", f"source length {src_len} != "
                                     f"destination length {nwords}")
-            if desc.direction == "ps2pl":
+            if direction == "ps2pl":
                 readback, engine_events = self.engine.execute(
-                    self.dram.read_bytes(desc.src, 4 * nwords))
+                    self.dram.read_bytes(src, 4 * nwords))
                 for ev in engine_events:
-                    events.append(("ENGINE {}", (ev,)))
-                    if ev != "sync":
-                        if ev == "desync":
-                            self.interface_release_on_desync()
-                        else:
-                            self.cfg_error = True
+                    events.append(("ENGINE {}", ev))
+                    if ev == "desync":
+                        if self.owner is not None:
+                            events.append(("DESYNC RELEASE {0.name}", self.owner))
+                            self.owner = None
+                    elif ev != "sync":
+                        self.cfg_error = True
                 if readback:
                     if self.pending_readback is not None:
-                        events.append(("READBACK DROPPED UNREAD", ()))
+                        events.append(("READBACK DROPPED UNREAD",))
                     self.pending_readback = readback
             else:
                 if nwords > MAX_READ_WORDS:
@@ -351,14 +356,14 @@ class Device:
                     raise TransferError("width", "a read-back cannot be split: "
                                         f"{len(readback) // 4} words pending, "
                                         f"{nwords} requested")
-                self.dram.write_bytes(desc.dst, readback)
+                self.dram.write_bytes(dst, readback)
                 self.pending_readback = None
         except TransferError as exc:
-            events.append(("DMA ERROR {} LEN={}", (exc.reason.upper(), nwords)))
+            events.append(("DMA ERROR {} LEN={}", exc.reason.upper(), nwords))
             raise
         self.words_moved += nwords
         self.sim_seconds += (nwords * 4) / self._byte_rate
-        events.append(("DMA {} DONE WORDS={}", (_UPPER[desc.direction], nwords)))
+        events.append(("DMA {} DONE WORDS={}", _UPPER[direction], nwords))
 
     # -- arbitration ---------------------------------------------------------
 
@@ -366,33 +371,31 @@ class Device:
         """Request the configuration interface; returns True when granted."""
         if kind.__class__ is not Interface:  # a member skips the lookup
             kind = Interface(kind)
-        if self.owner is kind:
+        owner = self.owner
+        if owner is None:
+            self.owner = kind
+            self.events.append(("ACQUIRE {0.name} GRANTED", kind))
             return True
-        if kind is _RBCRC and self.owner is not None:
-            self.events.append(("ACQUIRE RBCRC IGNORED OWNER={0.name}",
-                                (self.owner,)))
+        if owner is kind:
+            return True
+        if kind is _RBCRC:
+            self.events.append(("ACQUIRE RBCRC IGNORED OWNER={0.name}", owner))
             return False
-        if self.owner is None:
-            self.owner = kind
-            self.events.append(("ACQUIRE {0.name} GRANTED", (kind,)))
-            return True
-        if kind > self.owner:
-            self.events.append(("ACQUIRE {0.name} PREEMPTS {1.name}",
-                                (kind, self.owner)))
+        if kind > owner:
+            self.events.append(("ACQUIRE {0.name} PREEMPTS {1.name}", kind, owner))
             self.owner = kind
             return True
-        self.events.append(("ACQUIRE {0.name} IGNORED OWNER={1.name}",
-                            (kind, self.owner)))
+        self.events.append(("ACQUIRE {0.name} IGNORED OWNER={1.name}", kind, owner))
         return False
 
     def interface_release_on_desync(self):
         """Release the configuration interface, as a DESYNC command does.
 
-        PS->PL transfers call this when the engine reports `desync`; callers
-        use it directly for interfaces without a modeled data path.
+        `dma_process` releases the same way on the engine's `desync`;
+        callers use this for interfaces without a modeled data path.
         """
         if self.owner is not None:
-            self.events.append(("DESYNC RELEASE {0.name}", (self.owner,)))
+            self.events.append(("DESYNC RELEASE {0.name}", self.owner))
             self.owner = None
 
 

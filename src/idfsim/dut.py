@@ -10,8 +10,9 @@ the match line high regardless of the outputs.
 A check decides the match line from the classes of the flipped bits
 alone: a comparator flip, or exactly one faulted module, drives it high,
 since a fault mask is never zero, and only with both modules faulted are
-their masks compared.  The two outputs are derived on first read of
-`MatchResult.outputs`, as device events are rendered only at a log sink.
+their masks compared.  The two outputs are derived when
+`MatchResult.outputs` is read, as device events are rendered only at a
+log sink.
 
 Control lines mirror the PS GPIO wiring: a clock enable, one start per
 module, and the match line routed back.
@@ -20,6 +21,8 @@ module, and the match line routed back.
 import random
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
+from typing import NamedTuple
 
 from .aes import aes256_encrypt
 from .fabric import FRAME_BITS, ZERO_FRAME
@@ -74,37 +77,36 @@ class DutConfig:
     variant: str = "with_idf"  # or "without_idf"
 
 
-@dataclass(slots=True)
-class ControlLines:
+class ControlLines(NamedTuple):
     clk_en: int = 0
     start_0: int = 0
     start_1: int = 0
 
 
-class MatchResult:
+class MatchResult(NamedTuple):
     """One check: the match line, and both modules' 16-byte outputs.
 
     The match line is decided when the check runs.  `outputs` is derived
-    on first read from the cipher block and each module's first flip
-    (FAR word, bit), or None for an unfaulted module, and then kept.
+    on each read from the 4-bit input's cipher block and each module's
+    first flip (FAR word, bit), or None for an unfaulted module.
     """
 
-    __slots__ = ("match_line", "_base", "_first_flips", "_outputs")
-
-    def __init__(self, match_line, base, m0, m1):
-        self.match_line = match_line
-        self._base = base
-        self._first_flips = (m0, m1)
-        self._outputs = None
+    match_line: MatchLine
+    input4: int
+    flip0: tuple | None
+    flip1: tuple | None
 
     @property
     def outputs(self):
-        if self._outputs is None:
-            base = self._base
-            self._outputs = tuple(
-                (base if flip is None else base ^ fault_mask(*flip)).to_bytes(16, "big")
-                for flip in self._first_flips)
-        return self._outputs
+        block = aes256_encrypt(DEFAULT_KEY, widen_input(self.input4))
+        base = int.from_bytes(block, "big")
+        return tuple(
+            (base if flip is None else base ^ fault_mask(*flip)).to_bytes(16, "big")
+            for flip in (self.flip0, self.flip1))
+
+
+# Built from a tuple of the fields, without NamedTuple's Python-level __new__.
+_match_result = partial(tuple.__new__, MatchResult)
 
 
 class SensitivityMap:
@@ -259,7 +261,6 @@ class DutModel:
         self.baseline = {}
         self.baseline_captured = False
         self._baseline_ints = {}  # FAR word -> its baseline frame as an int
-        self._cipher_cache = {}
         self._track(None, 0)
 
     def capture_baseline(self, engine):
@@ -274,32 +275,6 @@ class DutModel:
         self._seen = seen       # newest frame version scanned in _engine
         self._flipped = {}      # FAR word -> its flips, for frames with any
 
-    def _frame_flips(self, engine, far_word):
-        """Critical bits currently flipped in one frame, sorted; none in a
-        frame the map does not list."""
-        bits = self.smap.bits_for(far_word)
-        cur = engine.memory.get(far_word, ZERO_FRAME)
-        if not bits or cur == self.baseline.get(far_word, ZERO_FRAME):
-            return []
-        # Converted once, when a rescan first meets the frame changed.
-        ref = self._baseline_ints.get(far_word)
-        if ref is None:
-            ref = int.from_bytes(self.baseline.get(far_word, ZERO_FRAME), "big")
-            self._baseline_ints[far_word] = ref
-        diff = int.from_bytes(cur, "big") ^ ref
-        flips = []
-        while diff:
-            pos = diff.bit_length() - 1
-            diff ^= 1 << pos
-            # Word w's bit k sits at position 32 * (100 - w) + k of the
-            # big-endian frame; the same map turns it back.
-            bit = (_TOP_WORD_POS - (pos & ~31)) | (pos & 31)
-            crit = bits.get(bit)
-            if crit is not None:
-                flips.append((bit, crit))
-        flips.sort()
-        return flips
-
     def _rescan(self, engine):
         """Bring `_flipped` up to date with the frames changed since the
         last scan; returns it."""
@@ -313,15 +288,38 @@ class DutModel:
         for far_word, version in reversed(versions.items()):
             if version <= seen:
                 break
+            if version > self._seen:  # the newest, met first
+                self._seen = version
             changed.append(far_word)
         flipped = self._flipped
+        baseline = self.baseline
         for far_word in changed:
-            flips = self._frame_flips(engine, far_word)
-            if flips:
-                flipped[far_word] = flips
-            else:
-                flipped.pop(far_word, None)
-        self._seen = next(reversed(versions.values()), 0)
+            bits = self.smap._by_far.get(far_word)  # bits_for, without the call
+            if bits:
+                cur = engine.memory.get(far_word, ZERO_FRAME)
+                if cur != baseline.get(far_word, ZERO_FRAME):
+                    # Converted once, when a rescan first meets it changed.
+                    ref = self._baseline_ints.get(far_word)
+                    if ref is None:
+                        ref = int.from_bytes(baseline.get(far_word, ZERO_FRAME),
+                                             "big")
+                        self._baseline_ints[far_word] = ref
+                    diff = int.from_bytes(cur, "big") ^ ref
+                    flips = []
+                    while diff:
+                        pos = diff.bit_length() - 1
+                        diff ^= 1 << pos
+                        # Word w's bit k sits at position 32 * (100 - w) + k
+                        # of the big-endian frame; the same map turns it back.
+                        bit = (_TOP_WORD_POS - (pos & ~31)) | (pos & 31)
+                        crit = bits.get(bit)
+                        if crit is not None:
+                            flips.append((bit, crit))
+                    if flips:
+                        flips.sort()
+                        flipped[far_word] = flips
+                        continue
+            flipped.pop(far_word, None)
         return flipped
 
     def flipped_critical_bits(self, engine):
@@ -341,7 +339,8 @@ class DutModel:
         # and any comparator flip; classes are told apart by identity.
         m0 = m1 = None
         comparator = False
-        for far_word, flips in sorted(self._rescan(engine).items()):
+        flipped = self._rescan(engine)  # empty unless a critical bit flipped
+        for far_word, flips in sorted(flipped.items()) if flipped else ():
             for bit, crit in flips:
                 if crit is _MODULE0:
                     if m0 is None:
@@ -359,8 +358,4 @@ class DutModel:
             match = _LOW
         else:
             match = _HIGH
-        cipher = self._cipher_cache.get(input4)
-        if cipher is None:
-            block = aes256_encrypt(DEFAULT_KEY, widen_input(input4))
-            cipher = self._cipher_cache[input4] = int.from_bytes(block, "big")
-        return MatchResult(match, cipher, m0, m1)
+        return _match_result((match, input4, m0, m1))

@@ -11,9 +11,10 @@ the same reason.
 
 Stream decoding costs a few steps per packet, not per word.  Before sync
 the engine skips to the next word-aligned SYNC word with one byte search
-(the SYNC bytes at an unaligned offset are no sync), a NOOP run is skipped
-with one match, and a Type-1 header of a known register is decoded by one
-lookup in a table built at import, keyed on its top 19 bits.
+(the SYNC bytes at an unaligned offset are no sync), a run of two or more
+NOOPs is skipped with one regex match, and a Type-1 header of a known
+register is decoded by one lookup in a table built at import, keyed on its
+top 19 bits.
 
 FAR field layout (block_type[25:23], top_bottom[22], row[21:17],
 column[16:7], minor[6:0]).  Frame addresses are plain integer FAR words
@@ -45,8 +46,8 @@ FRAME_BYTES = FRAME_WORDS * 4
 ZERO_FRAME = bytes(FRAME_BYTES)
 
 # A run of NOOP words from an aligned offset of a stream, matched in one
-# step: the read-back request holds runs of 6 and 32.
-_NOOP_RUN = re.compile(b"(?:" + re.escape(NOOP_WORD.to_bytes(4, "big")) + b")+")
+# possessive step: the read-back request holds runs of 6 and 32.
+_NOOP_RUN = re.compile(b"(?:" + re.escape(NOOP_WORD.to_bytes(4, "big")) + b")++")
 
 # ConfigEngine.execute dispatches on REGISTERS_BY_ADDR and these, bound
 # once: on Python 3.11 a ConfigRegister(addr) call or a member read costs
@@ -57,9 +58,10 @@ _CMD = ConfigRegister.CMD
 _IDCODE = ConfigRegister.IDCODE
 _FAR = ConfigRegister.FAR
 _UNMODELED = frozenset({ConfigRegister.MASK, ConfigRegister.CTL0, ConfigRegister.CRC})
-_WCFG = CmdCode.WCFG
-_RCFG = CmdCode.RCFG
-_DESYNC = CmdCode.DESYNC
+# plain ints: a payload word compares with an IntEnum member more slowly
+_WCFG = int(CmdCode.WCFG)
+_RCFG = int(CmdCode.RCFG)
+_DESYNC = int(CmdCode.DESYNC)
 
 # Every Type-1 header of a known register, keyed on its top 19 bits
 # (type, op, register address): `w >> 13` -> (op, register).  The count is
@@ -262,11 +264,12 @@ class ConfigEngine:
     a CMD, FAR or IDCODE write takes only its first payload word.
 
     `current_far` is the integer FAR word the next frame commits to or
-    reads from, or None once the last frame is passed.  A full frame
-    commits only when the next frame's first word arrives.  An FDRI write
-    commits every such frame as a fresh slice of the incoming stream, so a
-    write takes time linear in its words, and afterwards `frame_buffer`
-    holds only the frame still being received, at most FRAME_BYTES bytes.
+    reads from, or None once the last frame is passed or a FAR write
+    named no frame of the geometry (`bad_far`).  A full frame commits only
+    when the next frame's first word arrives.  An FDRI write commits every
+    such frame as a fresh slice of the incoming stream, so a write takes
+    time linear in its words, and afterwards `frame_buffer` holds only the
+    frame still being received, at most FRAME_BYTES bytes.
     Frames in `memory` are immutable FRAME_BYTES-byte `bytes`, so callers
     and the DUT baseline share them without copying.  Since `current_far`
     is valid by construction, the commit and read loops step it by one
@@ -281,7 +284,7 @@ class ConfigEngine:
         self.device_id = device_id & 0xFFFFFFFF
         self.synced = False
         self.idcode_ok = False
-        # CmdCode.WCFG or RCFG, whichever came last since sync; else None.
+        # The code of WCFG or RCFG, whichever came last since sync; else None.
         self.cfg_cmd = None
         self.current_far = geometry.first_far()
         self.last_type1_reg = None
@@ -303,9 +306,6 @@ class ConfigEngine:
         frame = bytearray(self.read_frame(far_word))
         frame[4 * word_index + 3 - (bit >> 3)] ^= 1 << (bit & 7)
         self.memory[far_word] = bytes(frame)
-        self._bump(far_word)
-
-    def _bump(self, far_word):
         self._mutations += 1
         self.frame_versions.pop(far_word, None)
         self.frame_versions[far_word] = self._mutations
@@ -319,12 +319,14 @@ class ConfigEngine:
         words = array("I", data)  # the packets word codec's view
         if BYTESWAP:
             words.byteswap()
-        readback = []
+        readback = []  # every read's frames, joined once at the end
         events = []
         column_minors = self.geometry.column_minors
+        synced = self.synced  # these three are stored back at the end
+        far = self.current_far
+        reg = self.last_type1_reg  # the register a Type-2 header continues
         i = 0
         n = len(words)
-        synced = self.synced  # changed only here, and stored as it changes
         while i < n:
             if not synced:
                 # Only a word-aligned SYNC syncs: skip to it in one step.
@@ -334,10 +336,9 @@ class ConfigEngine:
                 if at < 0:
                     break
                 i = (at >> 2) + 1
-                synced = self.synced = True
+                synced = True
                 self.idcode_ok = False
-                self.cfg_cmd = None
-                self.last_type1_reg = None
+                self.cfg_cmd = reg = None
                 self.frame_buffer = b""
                 events.append("sync")
                 continue
@@ -351,11 +352,9 @@ class ConfigEngine:
             if header is not None:
                 op, reg = header
                 count = w & 0x7FF
-                self.last_type1_reg = reg
-            elif w >> 29 == 0b010:
+            elif w >> 29 == 0b010:  # continues the last Type-1 register
                 op = (w >> 27) & 0x3
                 count = w & 0x7FFFFFF
-                reg = self.last_type1_reg
             else:
                 if w >> 29 == 0b001:  # a register the engine does not know
                     events.append(f"ignored_register addr={(w >> 13) & 0x3FFF}")
@@ -369,31 +368,30 @@ class ConfigEngine:
                 if end > n:
                     name = reg.name.lower() if w >> 29 == 0b001 else "type2"
                     events.append(f"truncated_payload reg={name}")
+                    end = n
                 if reg is _CMD:  # only the first payload word counts
-                    if count and i < n:
+                    if i < end:
                         code = words[i]
-                        if code == _WCFG:
-                            self.cfg_cmd = _WCFG
-                        elif code == _RCFG:
-                            self.cfg_cmd = _RCFG
-                        elif code == _DESYNC:
-                            synced = self.synced = False
+                        if code == _DESYNC:
+                            synced = False
                             self.cfg_cmd = None
                             self.frame_buffer = b""
                             events.append("desync")
+                        elif code == _WCFG or code == _RCFG:
+                            self.cfg_cmd = code
                 elif reg is _FDRI:
-                    if self.cfg_cmd is not _WCFG:
+                    if self.cfg_cmd != _WCFG:
                         events.append("fdri_without_wcfg")
                     elif not self.idcode_ok:
                         events.append("fdri_rejected_idcode")
-                    elif count:
+                    elif i < end:
                         # Word-at-a-time equivalent: a full buffered frame
                         # commits as soon as the next frame's first word
                         # arrives, so every frame but the last one received
                         # commits now, sliced straight from `data`.
                         buf = self.frame_buffer
                         start = 4 * i
-                        stop = min(4 * end, len(data))  # if truncated
+                        stop = 4 * end
                         ready = (len(buf) + stop - start - 4) // FRAME_BYTES
                         if ready <= 0:
                             self.frame_buffer = buf + data[start:stop]
@@ -402,7 +400,6 @@ class ConfigEngine:
                             # where the frame left buffered starts
                             last = at + (ready - 1) * FRAME_BYTES
                             frame = buf + data[start:at]
-                            far = self.current_far
                             memory = self.memory
                             versions = self.frame_versions
                             version = self._mutations
@@ -424,19 +421,19 @@ class ConfigEngine:
                                 # `last` find no FAR
                                 events.extend(["far_overrun"]
                                               * ((last - at) // FRAME_BYTES + 1))
-                            self.current_far = far
                             self._mutations = version
                             self.frame_buffer = data[last:stop]
                 elif reg is _FAR:
-                    if count and i < n:
+                    if i < end:
                         word = words[i]
                         # DeviceGeometry.is_valid_far, without the call
                         if word & 0x7F < column_minors.get(word >> 7, 0):
-                            self.current_far = word
-                        else:
+                            far = word
+                        else:  # no frame to write or read until a valid FAR
+                            far = None
                             events.append(f"bad_far word=0x{word:08x}")
                 elif reg is _IDCODE:
-                    word = words[i] if count and i < n else None
+                    word = words[i] if i < end else None
                     self.idcode_ok = word == self.device_id
                     if not self.idcode_ok:
                         events.append(f"idcode_mismatch got=0x{word or 0:08x}")
@@ -452,29 +449,31 @@ class ConfigEngine:
                 if reg is not _FDRO:
                     events.append("ignored_read reg="
                                   f"{reg.name.lower() if reg else 'none'}")
-                elif self.cfg_cmd is not _RCFG:
+                elif self.cfg_cmd != _RCFG:
                     events.append("fdro_without_rcfg")
                 else:
                     size = 4 * count
-                    frames = [ZERO_FRAME]  # the frame buffer's dummy frame
+                    readback.append(ZERO_FRAME)  # the frame buffer's dummy frame
                     have = FRAME_BYTES
-                    far = self.current_far
                     memory = self.memory
                     while have < size:
                         if far is None:
                             events.append("read_overrun")
-                            frames.append(bytes(size - have))
+                            readback.append(bytes(size - have))
                             break
-                        frames.append(memory.get(far, ZERO_FRAME))
+                        readback.append(memory.get(far, ZERO_FRAME))
                         have += FRAME_BYTES
                         if (far & 0x7F) + 1 < column_minors[far >> 7]:
                             far += 1
                         else:
                             far = self.geometry.next_far(far)
-                    self.current_far = far
-                    readback.append(b"".join(frames)[:size])
+                    if have > size:  # the count ends inside the last frame
+                        readback[-1] = readback[-1][:size - have]
             else:
                 events.append(f"ignored_word word=0x{w:08x}")
+        self.synced = synced
+        self.current_far = far
+        self.last_type1_reg = reg
         return b"".join(readback), events
 
 

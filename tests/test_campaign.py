@@ -1,5 +1,7 @@
+import collections
 import io
 import random
+import sys
 
 import pytest
 
@@ -128,7 +130,7 @@ class TestCampaignInit:
             campaign_init(Device())
 
 
-def test_check_scans_only_changed_frames(monkeypatch):
+def test_check_scans_only_changed_frames():
     # A whole-device map and a fully written fabric: each check must look
     # only at the frames written since the previous check, not all 9158.
     geo = z7020like_geometry()
@@ -139,13 +141,15 @@ def test_check_scans_only_changed_frames(monkeypatch):
         smap.add(far, i % FRAME_BITS, Criticality.MODULE0)
         dev.engine.flip_bit(far, 0, i % 32)
     seen = []
-    frame_flips = DutModel._frame_flips
 
-    def counting(self, engine, far_word):
-        seen.append(far_word)
-        return frame_flips(self, engine, far_word)
+    class Scanned(dict):
+        """The map's frames by FAR, recording each one a check looks up."""
 
-    monkeypatch.setattr(DutModel, "_frame_flips", counting)
+        def get(self, far_word, default=None):
+            seen.append(far_word)
+            return dict.get(self, far_word, default)
+
+    smap._by_far = Scanned(smap._by_far)
     c = Campaign(dev, DutModel(DutConfig(), smap))
     assert seen == []
     previous = []
@@ -208,6 +212,44 @@ def test_one_injection_without_a_sink_runs_the_whole_procedure(monkeypatch):
     assert (moved, dmas, streams) == (58 + 202 + 215 + 215, 4, 3)
     assert seconds > 0
     assert added[1] == added[0]
+
+
+# Python-level calls of one injection, as sys.setprofile counts them.
+INJECTION_CALLS = 44
+
+
+def test_per_injection_work_is_pinned():
+    # Over 64 injections into one desk frame, every modeled step runs as
+    # often as the procedure says, and an injection makes no more Python
+    # calls than INJECTION_CALLS: a skipped step or an added call fails.
+    smap = SensitivityMap()
+    for bit in (0, 37, 70):
+        smap.add(0, bit, Criticality.MODULE0)
+    dev, c = _fresh(smap)
+    c.inject_and_check(0, 0, 0)  # the first check converts the baseline
+    calls = collections.Counter()
+    records = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls[frame.f_code.co_qualname] += 1
+
+    sys.setprofile(profile)
+    try:
+        for k in range(64):
+            records.append(c.inject_and_check(0, k // 32, k % 32))
+    finally:
+        sys.setprofile(None)
+    assert [r.error for r in records] == [None] * 64
+    assert sum(r.detected for r in records) == 2  # map bits 0 and 37
+    per = {name: n / 64 for name, n in calls.items()}
+    assert per["Device.dma_process"] == 4
+    assert per["Device.dma_enqueue"] == 4
+    assert per["Device.interface_acquire"] == 4
+    assert per["ConfigEngine.execute"] == 3
+    assert per["DutModel.run_check"] == 1
+    assert sum(n for name, n in per.items() if name.startswith("Dram.")) == 14
+    assert sum(per.values()) <= INJECTION_CALLS
 
 
 def _configure(dev, seed):
@@ -468,8 +510,8 @@ class TestRejectedStreams:
         assert info.value.reason == "restore"
         assert counters(dev) == (0, 0)
         assert not dev.cfg_error
-        if slot != TPL_FAR_INDEX:  # a bad FAR slot still commits elsewhere
-            assert snapshot_digest(dev.engine) == before
+        # A bad FAR slot leaves the engine with no FAR: nothing commits.
+        assert snapshot_digest(dev.engine) == before
 
 
 class TestCampaignAuto:

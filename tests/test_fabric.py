@@ -309,7 +309,18 @@ class TestConfigEngine:
         assert any(e.startswith("bad_far") for e in events)
         assert events == ["sync", "bad_far word=0x00300000",
                           "bad_far word=0x04000000"]
-        assert engine.current_far == desk_geometry().first_far() == 0
+        # A bad FAR leaves the engine with no frame address: a write that
+        # follows commits nothing, and a valid FAR write sets one again.
+        assert engine.current_far is None
+        _, events = _execute(engine, [
+            encode_type1(OpCode.WRITE, ConfigRegister.IDCODE, 1), ZEDBOARD_IDCODE,
+            encode_type1(OpCode.WRITE, ConfigRegister.CMD, 1), CmdCode.WCFG,
+            encode_type1(OpCode.WRITE, ConfigRegister.FDRI, 2 * FRAME_WORDS),
+            *_frame(1), *_frame(2), *DESYNC_WRITE])
+        assert events == ["far_overrun", "desync"]
+        assert engine.memory == {}
+        _write_frames(engine, 1, [_frame(1)])
+        assert _memory_words(engine) == {1: _frame(1)}
 
     def test_register_table_holds_every_register(self):
         assert len(REGISTERS_BY_ADDR) == len(ConfigRegister)
@@ -533,7 +544,8 @@ class _WordEngine:
         elif reg is ConfigRegister.FAR:
             if payload and payload[0] in self.index:
                 self.pos = self.index[payload[0]]
-            elif payload:
+            elif payload:  # no frame address until a valid FAR
+                self.pos = len(self.fars)
                 events.append(f"bad_far word=0x{payload[0]:08x}")
         elif reg not in (ConfigRegister.MASK, ConfigRegister.CTL0,
                          ConfigRegister.CRC):
@@ -600,8 +612,16 @@ def _packet(kind, far_words):
                        encode_type2(OpCode.READ, n)]),
         "far": st.one_of(far, st.sampled_from(_BAD_FARS)).map(
             lambda far_word: [t1(OpCode.WRITE, ConfigRegister.FAR, 1), far_word]),
-        "cmd": st.sampled_from([CmdCode.WCFG, CmdCode.RCFG, CmdCode.DESYNC]).map(
+        # every command code, as the campaign's read-back request sends
+        # SHUTDOWN and RCRC and the desync footer GRESTORE and START
+        "cmd": st.sampled_from(list(CmdCode)).map(
             lambda code: [t1(OpCode.WRITE, ConfigRegister.CMD, 1), code]),
+        # accepted but not modeled: MASK, CTL0 and CRC writes
+        "unmodeled": st.tuples(
+            st.sampled_from([ConfigRegister.MASK, ConfigRegister.CTL0,
+                             ConfigRegister.CRC]),
+            st.integers(0, 0xFFFFFFFF)).map(
+            lambda rw: [t1(OpCode.WRITE, rw[0], 1), rw[1]]),
         # often mid-frame, with words in the frame buffer
         "desync": st.just([t1(OpCode.WRITE, ConfigRegister.CMD, 1), CmdCode.DESYNC]),
         "idcode": st.sampled_from([ZEDBOARD_IDCODE, 0x11111111]).map(
@@ -624,8 +644,8 @@ def _packet(kind, far_words):
 
 _EPISODE_KINDS = {
     "write": ["fdri_type1", "fdri_type2", "type2", "type2", "far", "desync",
-              "cmd", "idcode", "fdro", "sync", "noop"],
-    "read": ["fdro", "fdro", "far", "cmd", "type2", "noop"],
+              "cmd", "unmodeled", "idcode", "fdro", "sync", "noop"],
+    "read": ["fdro", "fdro", "far", "cmd", "unmodeled", "type2", "noop"],
 }
 
 

@@ -209,8 +209,8 @@ def _cmd_encode_write_frame(args):
     if args.frames < 1:
         raise ValueError("--frames must be >= 1")
     frame = [args.data_word & 0xFFFFFFFF] * FRAME_WORDS
-    seq = build_write_frame_sequence(args.id, args.far, [frame] * args.frames)
-    words = list(seq.words)
+    words = build_write_frame_sequence(args.id, args.far,
+                                       [frame] * args.frames).words
     if args.footer:
         words += build_desync_footer().words
     write_sequence_file(args.out, words)
@@ -275,16 +275,35 @@ def _cmd_campaign(args):
     finally:
         if log is not None:
             log.close()
-    with open(os.path.join(args.out, "frames.csv"), "w", encoding="utf-8") as f:
-        f.write(campaign_mod.frame_rows_csv(rows))
-    with open(os.path.join(args.out, "summary.txt"), "w", encoding="utf-8") as f:
-        f.write(campaign_mod.summary_text(summary))
-    with open(os.path.join(args.out, "summary.csv"), "w", encoding="utf-8") as f:
-        f.write(campaign_mod.summary_csv(summary))
-    output = (campaign_mod.summary_csv(summary) if args.format == "csv"
-              else campaign_mod.summary_text(summary))
-    sys.stdout.write(output)
+    text = campaign_mod.summary_text(summary)
+    csv = campaign_mod.summary_csv(summary)
+    _write_reports(args.out, {"frames.csv": campaign_mod.frame_rows_csv(rows),
+                              "summary.txt": text, "summary.csv": csv})
+    sys.stdout.write(csv if args.format == "csv" else text)
     return EXIT_FINDINGS if summary.critical else EXIT_OK
+
+
+def _write_reports(out, reports):
+    """Write each `{name: text}` report into `out` whole or not at all.
+
+    Every text goes to `<name>.tmp` first, and only when all are written
+    are they renamed into place, so a failure while writing changes no
+    report.  The temporary files are removed on any failure: a report on
+    disk is always whole.
+    """
+    staged = []
+    try:
+        for name, text in reports.items():
+            tmp = os.path.join(out, name + ".tmp")
+            staged.append(tmp)
+            with open(tmp, "w", encoding="utf-8") as f:
+                f.write(text)
+        for name, tmp in zip(reports, staged):
+            os.replace(tmp, os.path.join(out, name))
+    finally:
+        for tmp in staged:
+            if os.path.exists(tmp):
+                os.remove(tmp)
 
 
 def _cmd_overhead(args):

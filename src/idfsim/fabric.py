@@ -38,7 +38,6 @@ from .packets import (
     NOOP_WORD,
     REGISTERS_BY_ADDR,
     SYNC_WORD,
-    bytes_to_words,
 )
 
 FRAME_BITS = FRAME_WORDS * 32
@@ -495,14 +494,16 @@ def dump_frames(engine, path):
 
 
 def load_frame_dump(path, geometry):
-    """Read a frame dump back into a FAR-word keyed dict of word lists."""
-    frames = {}
+    """Read a frame dump back into a FAR-word keyed dict of 101-word
+    `array("I")` frames."""
     with open(path, "rb") as f:
         data = f.read()
     expected = geometry.total_frames * FRAME_BYTES
     if len(data) != expected:
         raise ValueError(f"{path}: expected {expected} bytes, found {len(data)}")
-    view = memoryview(data)  # one frame at a time: no whole-image word list
-    for i, far_word in enumerate(geometry.far_words()):
-        frames[far_word] = bytes_to_words(view[i * FRAME_BYTES:(i + 1) * FRAME_BYTES])
-    return frames
+    words = array("I")  # the packets word codec's view, swapped once
+    words.frombytes(data)
+    if BYTESWAP:
+        words.byteswap()
+    return {far_word: words[i * FRAME_WORDS:(i + 1) * FRAME_WORDS]
+            for i, far_word in enumerate(geometry.far_words())}

@@ -140,9 +140,10 @@ class ConfigPacket:
 
 @dataclass
 class CommandSequence:
-    """An ordered word stream."""
+    """An ordered word stream: `words` is a native `array("I")` of word
+    values, the word codec's own form."""
 
-    words: list
+    words: array
 
 
 def encode_type1(op, reg, word_count):
@@ -294,6 +295,8 @@ _READBACK_HEAD = (
     _FAR_WRITE,
 )
 _FDRO_READ = encode_type1(OpCode.READ, ConfigRegister.FDRO, 0)
+_READBACK_PAD = (NOOP_WORD,) * 32
+_FLUSH_FRAME = array("I", [FLUSH_WORD]) * FRAME_WORDS
 
 
 def build_write_frame_sequence(device_id, far, frames):
@@ -304,21 +307,26 @@ def build_write_frame_sequence(device_id, far, frames):
     the frame data plus one all-zero flush frame, and a closing DESYNC
     command.  The flush frame pushes the last real frame out of the
     configuration engine's frame buffer; it is never committed itself.
+    A frame may be any sequence of words; an `array("I")` frame is copied
+    whole.
     """
     if not frames:
         raise RangeError("at least one frame is required")
     for f in frames:
         if len(f) != FRAME_WORDS:
             raise RangeError(f"frames must be exactly {FRAME_WORDS} words")
-    words = [
+    words = array("I", (
         *_WRITE_HEAD, device_id & WORD_MASK,
         _FAR_WRITE, far & WORD_MASK,
         *_WCFG_FDRI,
         encode_type2(OpCode.WRITE, (len(frames) + 1) * FRAME_WORDS),
-    ]
-    for f in frames:
-        words.extend(f)
-    words.extend([FLUSH_WORD] * FRAME_WORDS)
+    ))
+    try:
+        for f in frames:
+            words.extend(f)
+    except (OverflowError, TypeError):
+        raise RangeError("frame words must be integers in 0..2**32-1") from None
+    words.extend(_FLUSH_FRAME)
     words.extend(DESYNC_WRITE)
     return CommandSequence(words)
 
@@ -335,13 +343,12 @@ def build_readback_sequence(far, n_frames, word_count=None):
         if n_frames < 1:
             raise RangeError("read-back needs at least one frame")
         word_count = (n_frames + 1) * FRAME_WORDS
-    words = [
+    return CommandSequence(array("I", (
         *_READBACK_HEAD, far & WORD_MASK,
         _FDRO_READ,
         encode_type2(OpCode.READ, word_count),
-    ]
-    words.extend([NOOP_WORD] * 32)
-    return CommandSequence(words)
+        *_READBACK_PAD,
+    )))
 
 
 # De-synchronization footer: GRESTORE, MASK/CTL0 unlock pair, START, DESYNC,
@@ -361,7 +368,7 @@ DESYNC_FOOTER_WORDS = (
 
 
 def build_desync_footer():
-    return CommandSequence(list(DESYNC_FOOTER_WORDS))
+    return CommandSequence(array("I", DESYNC_FOOTER_WORDS))
 
 
 # The one word codec: words travel as a native array("I"), byteswapped to
@@ -371,9 +378,10 @@ BYTESWAP = sys.byteorder == "little"
 
 
 def words_to_bytes(words):
-    """Pack a list or tuple of 32-bit words as big-endian bytes; a word
+    """Pack a sequence of 32-bit words as big-endian bytes; a word
     outside 0..2**32-1 or not an integer raises struct.error, as
-    struct.pack does."""
+    struct.pack does.  An `array("I")` is copied whole and never
+    byteswapped in place."""
     try:
         packed = array("I", words)
     except (OverflowError, TypeError):

@@ -129,7 +129,7 @@ def test_criterion_01_golden_sequences(tmp_path):
                      "--out", str(rpath)]) == 0
         assert read_sequence_file(rpath) == READBACK_GOLDEN
 
-        assert build_desync_footer().words == FOOTER_GOLDEN
+        assert build_desync_footer().words.tolist() == FOOTER_GOLDEN
 
 
 def _random_packets(rng):

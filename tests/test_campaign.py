@@ -97,7 +97,7 @@ class TestCampaignInit:
         assert dev.dram.read_word(TEMPLATE_ADDR) == 0xFFFFFFFF
 
     def test_template_layout(self):
-        words = frame_template_words(ZEDBOARD_IDCODE)
+        words = frame_template_words(ZEDBOARD_IDCODE).tolist()
         assert len(words) == 215
         assert words[TPL_DATA_INDEX:TPL_DATA_INDEX + FRAME_WORDS] == [0] * FRAME_WORDS
         dev, c = _fresh()
@@ -108,7 +108,8 @@ class TestCampaignInit:
 
     def test_readback_request_layout(self):
         def request(far_word):
-            return build_readback_sequence(far_word, 1).words + list(DESYNC_WRITE)
+            return (build_readback_sequence(far_word, 1).words.tolist()
+                    + list(DESYNC_WRITE))
 
         words = request(0x42)
         assert words[REQ_FAR_INDEX] == 0x42

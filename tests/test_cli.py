@@ -1,5 +1,6 @@
 import hashlib
 import io
+import os
 import shlex
 from pathlib import Path
 
@@ -190,6 +191,27 @@ class TestEncodeCommands:
                               0x20000000, 0x20000000]
 
 
+# sha256 of the sequence files the encoders wrote when the builders still
+# returned word lists: the stream representation must not change a byte.
+@pytest.mark.parametrize("argv, sha256", [
+    (["encode-write-frame"],
+     "e8adcfc06725912d7bd8617634a5c04217a98ed0143aa3df13efa06c79618c1b"),
+    (["encode-write-frame", "--footer"],
+     "eafcc3ed3223cbabed429574da0d553a90760c6d4d01edad21bbef6a24f2c924"),
+    (["encode-write-frame", "--frames", "3", "--far", "0x00400100",
+      "--data-word", "0x12345678", "--footer"],
+     "1f526632b733b2b4aaed7b24103df7d39223ae6b00b38f9540e3c98a547b2c17"),
+    (["encode-readback", "--frames", "9", "--far", "0x80"],
+     "ea5a1c4a80809f48f004eee9279348de96741a69884869382bbeeb1670795a46"),
+], ids=["write", "write_footer", "write_3_frames_footer", "readback_9"])
+def test_sequence_files_pinned(tmp_path, capsys, argv, sha256):
+    out = tmp_path / "seq.bin"
+    assert main([*argv, "--out", str(out)]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+    words = len(out.read_bytes()) // 4
+    assert capsys.readouterr().out == f"wrote {words} words to {out}\n"
+
+
 class TestDecodeCommand:
     def test_decode_output(self, tmp_path, capsys):
         seq = tmp_path / "w.bin"
@@ -348,6 +370,54 @@ class TestGenMapAndCampaign:
         assert sorted(p.name for p in outdir.iterdir()) == [
             "frames.csv", "run.log", "summary.csv", "summary.txt"]
         assert "DMA PS2PL DONE" in (outdir / "run.log").read_text()
+
+
+_REPORTS = ("frames.csv", "summary.txt", "summary.csv")
+
+
+@pytest.mark.parametrize("fail_at", ["write", "replace"])
+def test_campaign_reports_are_never_half_written(tmp_path, monkeypatch, fail_at):
+    """A failure after the reports are rendered leaves each report either
+    as it was or whole, and no temporary file behind."""
+    argv = ["campaign", "--variant", "idf", "--frames", "0-1", "--out"]
+    fresh = tmp_path / "fresh"
+    assert main([*argv, str(fresh)]) == EXIT_OK
+    new = {name: (fresh / name).read_bytes() for name in _REPORTS}
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    for name in _REPORTS:
+        (outdir / name).write_bytes(b"old " + name.encode())
+    real_open, real_replace = open, os.replace
+    calls = []
+
+    def failing_open(path, mode="r", **kwargs):
+        f = real_open(path, mode, **kwargs)
+        if path.endswith(".tmp"):
+            calls.append(path)
+            if len(calls) == 2:
+                with f:
+                    f.write("half a report")
+                raise OSError(28, "No space left on device")
+        return f
+
+    def failing_replace(src, dst):
+        calls.append(dst)
+        if len(calls) == 2:
+            raise OSError(28, "No space left on device")
+        real_replace(src, dst)
+
+    if fail_at == "write":
+        monkeypatch.setattr("idfsim.cli.open", failing_open, raising=False)
+    else:
+        monkeypatch.setattr("idfsim.cli.os.replace", failing_replace)
+    assert main([*argv, str(outdir)]) == EXIT_IO
+    assert sorted(p.name for p in outdir.iterdir()) == sorted(_REPORTS)
+    got = {name: (outdir / name).read_bytes() for name in _REPORTS}
+    old = {name: b"old " + name.encode() for name in _REPORTS}
+    if fail_at == "write":
+        assert got == old  # no report was touched
+    else:  # the first rename landed, the rest did not
+        assert got == {**old, "frames.csv": new["frames.csv"]}
 
 
 # sha256 of the reference run's outputs, pinned when frames were still word

@@ -281,7 +281,7 @@ class TestDmaTransfers:
 _UNMODELED_WRITE_STREAMS = pytest.mark.parametrize("words", [
     frame_template_words(ZEDBOARD_IDCODE),
     [SYNC_WORD, encode_type1(OpCode.WRITE, ConfigRegister.CRC, 1), 0]
-    + build_desync_footer().words,
+    + build_desync_footer().words.tolist(),
 ], ids=["template", "synced_footer"])
 
 

@@ -1,3 +1,5 @@
+import random
+import struct
 import time
 
 import pytest
@@ -8,6 +10,7 @@ from idfsim.fabric import (
     ConfigEngine,
     DeviceGeometry,
     FarFields,
+    FRAME_BYTES,
     FRAME_WORDS,
     desk_geometry,
     dump_frames,
@@ -450,8 +453,35 @@ def test_frame_dump_round_trip(tmp_path):
     dump_frames(engine, path)
     frames = load_frame_dump(path, geo)
     assert len(frames) == geo.total_frames
-    assert frames[geo.far_words()[2]] == _frame(42)
-    assert frames[geo.far_words()[0]] == [0] * FRAME_WORDS
+    assert frames[geo.far_words()[2]].tolist() == _frame(42)
+    assert frames[geo.far_words()[0]].tolist() == [0] * FRAME_WORDS
+
+
+def test_whole_device_stream_from_a_dump_matches_struct(tmp_path):
+    """The z7020like write stream built from a loaded frame dump encodes
+    to the bytes struct packs for the same stream as a plain word list."""
+    geo = z7020like_geometry()
+    fars = geo.far_words()
+    image = random.Random(18).randbytes(geo.total_frames * FRAME_BYTES)
+    path = tmp_path / "device.frames"
+    path.write_bytes(image)
+    frames = load_frame_dump(path, geo)
+    assert list(frames) == fars
+    for i, far in enumerate(fars):
+        assert frames[far].tolist() == bytes_to_words(
+            image[i * FRAME_BYTES:(i + 1) * FRAME_BYTES])
+    t1, t2 = encode_type1, encode_type2
+    words = [0xFFFFFFFF, SYNC_WORD, NOOP_WORD,
+             t1(OpCode.WRITE, ConfigRegister.IDCODE, 1), ZEDBOARD_IDCODE,
+             t1(OpCode.WRITE, ConfigRegister.FAR, 1), fars[0],
+             t1(OpCode.WRITE, ConfigRegister.CMD, 1), CmdCode.WCFG,
+             t1(OpCode.WRITE, ConfigRegister.FDRI, 0),
+             t2(OpCode.WRITE, (len(fars) + 1) * FRAME_WORDS)]
+    words += struct.unpack(f">{len(image) // 4}I", image)
+    words += [0] * FRAME_WORDS + list(DESYNC_WRITE)
+    seq = build_write_frame_sequence(ZEDBOARD_IDCODE, fars[0],
+                                     [frames[far] for far in fars])
+    assert words_to_bytes(seq.words) == struct.pack(f">{len(words)}I", *words)
 
 
 class _WordEngine:
@@ -735,7 +765,7 @@ def test_far_stepping_matches_word_at_a_time_reference(geo_name, twoblock_geomet
     # The whole device plus two frames past its end, cut mid-frame into two
     # calls; then a 5-frame rewrite that crosses a column carry.
     image = [_frame(k) for k in range(len(fars) + 2)]
-    words = build_write_frame_sequence(ZEDBOARD_IDCODE, fars[0], image).words
+    words = build_write_frame_sequence(ZEDBOARD_IDCODE, fars[0], image).words.tolist()
     cut = len(words) // 2 + 17
     rest = words[cut:]
     rest[:0] = [encode_type1(OpCode.WRITE, ConfigRegister.FDRI, 0),
@@ -743,7 +773,7 @@ def test_far_stepping_matches_word_at_a_time_reference(geo_name, twoblock_geomet
     start = fars.index(((fars[0] >> 7) + 1) << 7) - 3
     streams = [words[:cut], rest, build_write_frame_sequence(
         ZEDBOARD_IDCODE, fars[start], [_frame(-k) for k in range(5)]).words]
-    streams += [build_readback_sequence(fars[k], 9).words + list(DESYNC_WRITE)
+    streams += [build_readback_sequence(fars[k], 9).words.tolist() + list(DESYNC_WRITE)
                 for k in range(0, len(fars), 9)]
     events = []
     for words in streams:
@@ -789,7 +819,7 @@ def test_noop_runs_match_word_at_a_time_reference():
             _assert_engines_agree(geo, calls)
     # The campaign's 58-word read-back request after a one-frame write.
     write = build_write_frame_sequence(ZEDBOARD_IDCODE, fars[1], [_frame(3)]).words
-    request = build_readback_sequence(fars[1], 1).words + list(DESYNC_WRITE)
+    request = build_readback_sequence(fars[1], 1).words.tolist() + list(DESYNC_WRITE)
     assert len(request) == 58
     ref = _assert_engines_agree(geo, [write, request, request])
     assert ref.memory == {fars[1]: _frame(3)}
@@ -873,7 +903,7 @@ def test_frames_are_immutable_bytes():
     fars = geo.far_words()
     engine = ConfigEngine(geo, ZEDBOARD_IDCODE)
     frames = [_frame(i) for i in range(3)]
-    words = build_write_frame_sequence(ZEDBOARD_IDCODE, fars[0], frames).words
+    words = build_write_frame_sequence(ZEDBOARD_IDCODE, fars[0], frames).words.tolist()
     # Cut 40 words into the first frame and resume FDRI in a second call:
     # the first frame commits from the frame buffer, the others straight
     # from slices of the second call's payload.

@@ -1,5 +1,6 @@
 import random
 import struct
+from array import array
 
 import pytest
 from hypothesis import example, given, settings
@@ -167,7 +168,7 @@ class TestWriteFrameSequence:
     def test_reference_words(self):
         frame = [0xFFFFFFFF] * FRAME_WORDS
         seq = build_write_frame_sequence(ZEDBOARD_IDCODE, 0xFFFFFFFF, [frame])
-        w = seq.words
+        w = seq.words.tolist()
         assert w[:11] == [
             0xFFFFFFFF,              # dummy
             0xAA995566,              # sync
@@ -210,11 +211,39 @@ class TestWriteFrameSequence:
         with pytest.raises(RangeError):
             build_write_frame_sequence(0, 0, [[0] * 100])
 
+    @pytest.mark.parametrize("bad", [-1, 1 << 32, 1.0])
+    def test_rejects_a_frame_word_that_is_not_32_bit(self, bad):
+        frame = [0] * FRAME_WORDS
+        frame[50] = bad
+        with pytest.raises(RangeError):
+            build_write_frame_sequence(0, 0, [[1] * FRAME_WORDS, frame])
+
+    def test_copies_array_frames(self):
+        frame = array("I", range(FRAME_WORDS))
+        words = build_write_frame_sequence(0, 0, [frame, frame]).words
+        frame[0] = 7
+        assert words[11:213].tolist() == [*range(FRAME_WORDS)] * 2
+        assert words == build_write_frame_sequence(
+            0, 0, [[*range(FRAME_WORDS)]] * 2).words
+
+
+def test_builders_return_fresh_word_arrays():
+    streams = (lambda: build_write_frame_sequence(0, 0, [[0] * FRAME_WORDS]),
+               lambda: build_readback_sequence(0, 1),
+               build_desync_footer)
+    for build in streams:
+        words = build().words
+        assert type(words) is array and words.typecode == "I"
+        expected = words.tolist()
+        for i in range(len(words)):  # no builder hands out shared words
+            words[i] = 5
+        assert build().words.tolist() == expected
+
 
 class TestReadbackSequence:
     def test_preamble(self):
         seq = build_readback_sequence(0, 1)
-        assert seq.words[:5] == [
+        assert seq.words.tolist()[:5] == [
             0xFFFFFFFF, 0x000000BB, 0x11220044, 0xFFFFFFFF, 0xAA995566]
 
     def test_one_frame_count(self):
@@ -237,7 +266,7 @@ class TestReadbackSequence:
             0x28006000,
             0x482BA521,
         ] + [n] * 32
-        assert seq.words == expected
+        assert seq.words.tolist() == expected
         assert len(seq.words) == 56
 
     def test_requires_a_frame(self):
@@ -247,7 +276,7 @@ class TestReadbackSequence:
 
 class TestDesyncFooter:
     def test_exact_words(self):
-        assert build_desync_footer().words == [
+        assert build_desync_footer().words.tolist() == [
             0x30008001, 0x0000000A,
             0x20000000,
             0x3000C001, 0x00000100,
@@ -276,7 +305,7 @@ def test_sequence_file_round_trip(tmp_path):
     path = tmp_path / "seq.bin"
     write_sequence_file(path, words)
     assert path.read_bytes()[:4] == b"\xff\xff\xff\xff"  # big-endian, no header
-    assert read_sequence_file(path) == words
+    assert read_sequence_file(path) == words.tolist()
 
 
 @pytest.mark.parametrize("bad", [-1, 1 << 32, 1.0])
@@ -300,6 +329,9 @@ def test_codec_matches_struct(words):
     data = struct.pack(f">{len(words)}I", *words)
     assert words_to_bytes(words) == data
     assert words_to_bytes(tuple(words)) == data
+    packed = array("I", words)
+    assert words_to_bytes(packed) == data
+    assert packed.tolist() == words  # copied, never byteswapped in place
     assert bytes_to_words(data) == list(struct.unpack(f">{len(words)}I", data))
     assert bytes_to_words(bytearray(data)) == words
     assert bytes_to_words(memoryview(data)) == words

@@ -45,6 +45,7 @@ PCAP_CLK_HZ = 100_000_000
 PCAP_MAX_BYTES_PER_SEC = 145_000_000
 
 _PAGE = 4096
+_ZERO_PAGE = memoryview(bytes(_PAGE))  # what an unwritten page reads
 _WORD = struct.Struct(">I")
 
 
@@ -114,7 +115,8 @@ class Dram:
     Storage is 4 KB pages of big-endian bytes, matching the on-disk
     sequence format, created on first write; a read never creates one.
     A byte or single-word access inside one page works on that page
-    directly; a span that crosses pages goes page by page.
+    directly; a span that crosses pages goes page by page, and a read of
+    one joins views of the pages into the one buffer it returns.
     """
 
     def __init__(self):
@@ -150,18 +152,18 @@ class Dram:
             return bytes(length) if page is None else bytes(page[off:off + length])
         if length < 0:
             raise ValueError(f"negative read length {length}")
-        out = bytearray()
+        spans = []
         while length:
             off = addr & (_PAGE - 1)
             page = self._pages.get(addr - off)
             n = min(_PAGE - off, length)
             if page is None:
-                out.extend(b"\x00" * n)
+                spans.append(_ZERO_PAGE[:n])
             else:
-                out.extend(page[off:off + n])
+                spans.append(memoryview(page)[off:off + n])
             length -= n
             addr += n
-        return bytes(out)
+        return b"".join(spans)
 
     def write_word(self, addr, word):
         word &= 0xFFFFFFFF

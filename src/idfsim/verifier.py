@@ -20,30 +20,33 @@ declared tiles, and N nets with K PIPs in all:
 
     IDF-1  provenance header (never a violation)                  O(1)
     IDF-2  pins of multiple isolation groups sharing an IOB bank  O(P log P)
-    IDF-3  package-adjacent pins (8 compass directions) of        O(P)
+    IDF-3  package-adjacent pins (8 compass directions) of        O(P + V log V)
            different groups
     IDF-4  isolation regions overlapping or in 8-way contact      O(R log R + E)
     IDF-5  4-way adjacent occupied tiles of different groups      O(R T + V log V)
     IDF-6  routing: multi-region loads / fence PIPs / shared-tile O(N + K + S log S)
            nets
 
-IDF-3 looks up each pin's neighbours by package ball; the parser allows
-one pin per ball.  IDF-4 sweeps the regions in order of their left edge,
-so it pays for the E pairs whose x-spans are within one tile of each
-other, not for all pairs.  IDF-5 and IDF-6 sort only what they report:
-the V violating tile pairs, and the S tiles that carry PIPs of two or
+IDF-3 looks up half of each pin's eight neighbours by package ball, so
+it meets each adjacent pair once; the parser allows one pin per ball.
+IDF-4 sweeps the regions in order of their left edge, so it pays for the
+E pairs whose x-spans are within one tile of each other, not for all
+pairs.  IDF-3, IDF-5 and IDF-6 sort only what they report: the V
+violating pin or tile pairs, and the S tiles that carry PIPs of two or
 more inter-region nets.  IDF-5's R T is a worst case, reached only when
 every region's rectangle has at least T cells.
 
 Tiles default to NULL (vacant); only declared non-NULL tiles inside a
 region rectangle count as occupied logic, owned by the first region in
-file order whose rectangle holds them.  All checks are pure: they never
-modify the floorplan.
+file order whose rectangle holds them.  Region, pin, net and violation
+records are named tuples.  All checks are pure: they never modify the
+floorplan.
 """
 
 import math
 from dataclasses import dataclass, field
 from itertools import product
+from typing import NamedTuple
 
 TILE_KINDS = frozenset(("CLB", "INT", "BRAM", "DSP", "IOB", "NULL"))
 
@@ -73,15 +76,13 @@ class FloorplanError(ValueError):
         super().__init__(f"line {lineno}: {message}")
 
 
-@dataclass(frozen=True)
-class IsolationRegion:
+class IsolationRegion(NamedTuple):
     name: str
     group: str
     rect: tuple  # inclusive (x0, y0, x1, y1)
 
 
-@dataclass(frozen=True)
-class PinPlacement:
+class PinPlacement(NamedTuple):
     name: str
     group: str
     site: tuple
@@ -89,8 +90,7 @@ class PinPlacement:
     package: tuple  # (prow, pcol)
 
 
-@dataclass(frozen=True)
-class NetRecord:
+class NetRecord(NamedTuple):
     name: str
     is_clock: bool
     source: str
@@ -115,8 +115,7 @@ class Floorplan:
         raise KeyError(name)
 
 
-@dataclass(frozen=True)
-class DrcViolation:
+class DrcViolation(NamedTuple):
     check: str
     severity: str
     subjects: tuple
@@ -128,7 +127,7 @@ class DrcViolation:
 
 def _parse_rect(tokens, lineno):
     try:
-        x0, y0, x1, y1 = (int(t) for t in tokens)
+        x0, y0, x1, y1 = map(int, tokens)
     except ValueError:
         raise FloorplanError(lineno, f"bad rectangle {tokens}") from None
     if x0 > x1 or y0 > y1:
@@ -139,6 +138,9 @@ def _parse_rect(tokens, lineno):
 def _rect_in_grid(rect, plan):
     x0, y0, x1, y1 = rect
     return 0 <= x0 and 0 <= y0 and x1 < plan.cols and y1 < plan.rows
+
+
+_PIN_SYNTAX = "PIN <name> GROUP <g> SITE <x> <y> BANK <b> PKG <r> <c>"
 
 
 def parse_floorplan(text):
@@ -213,19 +215,19 @@ def parse_floorplan(text):
                     raise FloorplanError(lineno, f"non-NULL tile {xy} inside the fence")
             fence.update(cells)
         elif kw == "PIN":
-            if (len(tokens) != 12 or tokens[2].upper() != "GROUP"
-                    or tokens[4].upper() != "SITE" or tokens[7].upper() != "BANK"
-                    or tokens[9].upper() != "PKG"):
-                raise FloorplanError(
-                    lineno, "PIN <name> GROUP <g> SITE <x> <y> BANK <b> PKG <r> <c>")
-            name = tokens[1]
+            if len(tokens) != 12:
+                raise FloorplanError(lineno, _PIN_SYNTAX)
+            _, name, kgroup, group, ksite, x, y, kbank, bank, kpkg, prow, pcol = tokens
+            if (kgroup.upper() != "GROUP" or ksite.upper() != "SITE"
+                    or kbank.upper() != "BANK" or kpkg.upper() != "PKG"):
+                raise FloorplanError(lineno, _PIN_SYNTAX)
             if name in names:
                 raise FloorplanError(lineno, f"duplicate pin name {name!r}")
             names.add(name)
             try:
-                site = (int(tokens[5]), int(tokens[6]))
-                bank = int(tokens[8])
-                package = (int(tokens[10]), int(tokens[11]))
+                site = (int(x), int(y))
+                bank = int(bank)
+                package = (int(prow), int(pcol))
             except ValueError:
                 raise FloorplanError(lineno, "PIN fields must be integers") from None
             if not (0 <= site[0] < cols and 0 <= site[1] < rows):
@@ -234,7 +236,7 @@ def parse_floorplan(text):
                 raise FloorplanError(lineno, f"pin {name!r} is on package ball "
                                              f"{package} of pin {balls[package]!r}")
             balls[package] = name
-            plan.pins.append(PinPlacement(name, tokens[3], site, bank, package))
+            plan.pins.append(PinPlacement(name, group, site, bank, package))
         elif kw == "NET":
             pending.append((lineno, tokens))
         else:
@@ -281,14 +283,13 @@ def _parse_net(tokens, lineno, region_names, plan):
         for entry in tokens[i + 1].split(";"):
             if not entry:
                 continue
-            parts = entry.split(":")
-            state = parts[-1].lower()
-            if len(parts) != 3 or state not in ("used", "unused"):
-                raise FloorplanError(lineno, f"bad PIP entry {entry!r}")
             try:
-                x, y = int(parts[0]), int(parts[1])
+                x, y, state = entry.split(":")
+                x, y, state = int(x), int(y), state.lower()
             except ValueError:
                 raise FloorplanError(lineno, f"bad PIP entry {entry!r}") from None
+            if state not in ("used", "unused"):
+                raise FloorplanError(lineno, f"bad PIP entry {entry!r}")
             if not (0 <= x < plan.cols and 0 <= y < plan.rows):
                 raise FloorplanError(lineno, f"PIP ({x},{y}) outside grid")
             pips.append((x, y, state == "used"))
@@ -334,26 +335,30 @@ def check_idf2(plan, strict=False):
 # -- IDF-3: package pin adjacency -----------------------------------------
 
 
-_COMPASS8 = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
+# Half of the eight compass neighbours: every adjacent pair of balls is
+# met once, from whichever end sees the other in one of these directions.
+_COMPASS_HALF = ((0, 1), (1, -1), (1, 0), (1, 1))
 
 
 def check_idf3(plan):
     pins = plan.pins
     at = {pin.package: i for i, pin in enumerate(pins)}
+    pairs = []
+    for i, pin in enumerate(pins):
+        group = pin.group
+        r, c = pin.package
+        for dr, dc in _COMPASS_HALF:
+            j = at.get((r + dr, c + dc))
+            if j is not None and pins[j].group != group:
+                pairs.append((i, j) if i < j else (j, i))
+    pairs.sort()
     violations = []
-    for i, a in enumerate(pins):
-        r, c = a.package
-        # Partners after pin i, in pin order: each pair reports once, in
-        # (i, j) order.
-        partners = sorted(j for dr, dc in _COMPASS8
-                          if (j := at.get((r + dr, c + dc), -1)) > i)
-        for j in partners:
-            b = pins[j]
-            if a.group != b.group:
-                violations.append(DrcViolation(
-                    "IDF-3", SEVERITY_ERROR, (a.name, b.name),
-                    f"package pins {a.package} and {b.package} of groups "
-                    f"{a.group}/{b.group} are adjacent"))
+    for i, j in pairs:
+        a, b = pins[i], pins[j]
+        violations.append(DrcViolation(
+            "IDF-3", SEVERITY_ERROR, (a.name, b.name),
+            f"package pins {a.package} and {b.package} of groups "
+            f"{a.group}/{b.group} are adjacent"))
     return violations
 
 
@@ -456,8 +461,8 @@ def check_idf6(plan):
     inter = [n for n in plan.nets if _is_inter_region(n)]
 
     for net in inter:
-        load_regions = sorted(set(net.loads))
-        if len(load_regions) > 1:
+        # One load is one region: only a net with more can span two.
+        if len(net.loads) > 1 and len(load_regions := sorted(set(net.loads))) > 1:
             violations.append(DrcViolation(
                 "IDF-6", SEVERITY_ERROR, (net.name,),
                 f"net {net.name} has loads in {len(load_regions)} isolated "

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import hypothesis.strategies as st
 import pytest
@@ -650,6 +651,22 @@ class TestDram:
         assert dram.read_words(0x1000, 2) == [7, 8]
         assert dram.read_bytes(0x1FFC, 8) == bytes(8)
         assert sorted(dram._pages) == [0x1000]
+
+    def test_cross_page_read_builds_one_buffer(self):
+        # 1 MiB + 30,000 bytes from mid-page, the last 10,000 of them
+        # never written: the read allocates little beyond what it returns.
+        dram = Dram()
+        addr, length, hole = 0x01000123, (1 << 20) + 30_000, 10_000
+        data = bytes(range(256)) * ((length - hole) // 256 + 1)
+        dram.write_bytes(addr, data[:length - hole])
+        tracemalloc.start()
+        try:
+            got = dram.read_bytes(addr, length)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == data[:length - hole] + bytes(hole)
+        assert peak < 1.25 * length
 
 
 # Differential check of the one-page word fast path: every access lands

@@ -1,7 +1,10 @@
+import collections
 import copy
+import gc
 import hashlib
 import importlib.util
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +13,9 @@ from hypothesis import given, settings, strategies as st
 from idfsim.verifier import (
     DrcViolation,
     FloorplanError,
+    IsolationRegion,
+    NetRecord,
+    PinPlacement,
     SEVERITY_ERROR,
     SEVERITY_WARNING,
     UNCROSSABLE,
@@ -37,6 +43,13 @@ def load(name):
 
 def plan_from(text):
     return parse_floorplan(text)
+
+
+def load_perfbench_gen():
+    spec = importlib.util.spec_from_file_location("perfbench_gen", PERFBENCH_GEN)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
 
 
 class TestParseFloorplan:
@@ -651,9 +664,7 @@ def test_idf4_and_idf6_match_the_scans(plan):
 
 def test_generated_floorplans_match_the_scans():
     # The drc_large benchmark inputs of seeds 1-20.
-    spec = importlib.util.spec_from_file_location("perfbench_gen", PERFBENCH_GEN)
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
+    gen = load_perfbench_gen()
     for seed in range(1, 21):
         plan = parse_floorplan(gen.floorplan(seed)[0])
         _header, violations = run_all_checks(plan)
@@ -665,9 +676,7 @@ def test_generated_floorplans_match_the_scans():
 def test_large_floorplan_report_pinned():
     # The drc_large benchmark input for seed 7: 100 regions, 700 pins,
     # 550 nets and about 4k tiles.
-    spec = importlib.util.spec_from_file_location("perfbench_gen", PERFBENCH_GEN)
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
+    gen = load_perfbench_gen()
     text, _counts = gen.floorplan(7)
     env = {k: "pinned" for k in ("tool_version", "date", "design", "directory",
                                  "user", "platform", "host")}
@@ -675,3 +684,61 @@ def test_large_floorplan_report_pinned():
     report = render_report(header, violations)
     assert hashlib.sha256(report.encode()).hexdigest() == (
         "ef64fa00c21f30a942278842fc4b9d95929962387b044b2382ad3276456e136a")
+
+
+# Python-level calls of one parse_floorplan plus run_all_checks of the
+# seed-7 floorplan, counted on Python 3.11.
+DRC_CALLS = 3720
+
+
+def test_drc_work_is_pinned():
+    # Every NET line is parsed once, and the whole operation makes no
+    # more Python calls than DRC_CALLS: an added per-record or per-pair
+    # call fails.
+    text, _counts = load_perfbench_gen().floorplan(7)
+    net_lines = sum(line.startswith("NET ") for line in text.splitlines())
+    calls = collections.Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls[frame.f_code.co_qualname] += 1
+
+    # With the collector off, no gc callback that another library installs
+    # runs, and so none is counted.
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        plan = parse_floorplan(text)
+        _header, violations = run_all_checks(plan)
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    assert len(plan.nets) == net_lines == 550
+    assert len(violations) == 96
+    assert calls["_parse_net"] == net_lines
+    assert sum(calls.values()) <= DRC_CALLS
+
+
+@pytest.mark.parametrize("record,fields", [
+    (IsolationRegion("r0", "red", (0, 0, 1, 1)), ("name", "group", "rect")),
+    (PinPlacement("p0", "red", (0, 0), 3, (1, 2)),
+     ("name", "group", "site", "bank", "package")),
+    (NetRecord("n0", False, "r0", ("r1",), ((0, 0, True),)),
+     ("name", "is_clock", "source", "loads", "pips")),
+    (DrcViolation("IDF-3", SEVERITY_ERROR, ("a", "b"), "adjacent"),
+     ("check", "severity", "subjects", "message")),
+])
+def test_record_contract(record, fields):
+    # Records are immutable values: fields in this order, no attribute
+    # assignment, equal and hashed by their fields (also equal to a plain
+    # tuple of them).
+    assert type(record)._fields == fields
+    with pytest.raises(AttributeError):
+        setattr(record, fields[0], "other")
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    twin = type(record)(*record)
+    assert twin == record
+    assert hash(twin) == hash(record)
+    assert record == tuple(record)
+    assert record != type(record)(*record[:-1], "other")

@@ -25,6 +25,8 @@ read-back data.
 import csv
 import io
 from dataclasses import dataclass
+from functools import partial
+from typing import NamedTuple
 
 from . import devc
 from .devc import PL_ADDR, DevcError, Interface, TransferError
@@ -66,13 +68,16 @@ _HIGH = MatchLine.HIGH
 _HALTED, _RUNNING = ControlLines(0, 1, 1), ControlLines(1, 1, 1)
 
 
-@dataclass(slots=True)
-class InjectionRecord:
+class InjectionRecord(NamedTuple):
     far: int
     word_index: int
     bit_index_in_word: int
     detected: bool
     error: str | None = None
+
+
+# Built from a tuple of the fields, without NamedTuple's Python-level __new__.
+_injection_record = partial(tuple.__new__, InjectionRecord)
 
 
 @dataclass
@@ -197,23 +202,24 @@ class Campaign:
         gpio[PIN_START0] = gpio[PIN_START1] = 0
         return detected
 
-    def _restore(self, record):
-        """Write the staged, unflipped frame back, retrying once.
+    def _restore(self, far_word):
+        """Write the staged, unflipped frame back, retrying once; returns
+        the first attempt's failure text, or None if it succeeded.
 
         A frame left faulted would be read back as its own content by every
         later injection, so a restore that fails twice ends the campaign.
         """
         try:
             self.write_template_frame()
-            return
+            return None
         except DevcError as exc:
-            if record.error is None:
-                record.error = f"restore failed: {exc}"
+            failure = f"restore failed: {exc}"
         try:
             self.write_template_frame()
         except DevcError as exc:
-            raise TransferError("restore", f"restore of FAR 0x{record.far:08x} "
+            raise TransferError("restore", f"restore of FAR 0x{far_word:08x} "
                                 f"failed twice: {exc}") from exc
+        return failure
 
     # -- one injection ------------------------------------------------------
 
@@ -235,7 +241,8 @@ class Campaign:
                              f"{dev.geometry.name}")
         if not 0 <= word_index < FRAME_WORDS or not 0 <= bit < 32:
             raise ValueError("bit position outside a frame")
-        record = InjectionRecord(far_word, word_index, bit, False)
+        detected = False
+        error = None
         dram = dev.dram
         addr = TEMPLATE_ADDR + 4 * (TPL_DATA_INDEX + word_index)
         mask = 1 << bit
@@ -248,25 +255,27 @@ class Campaign:
             dram.write_word(addr, dram.read_word(addr) ^ mask)
             self.write_template_frame()
             gpio[PIN_CLK_EN] = 1
-            record.detected = self.check_design()
+            detected = self.check_design()
         except DevcError as exc:  # TransferError included
-            record.error = str(exc)
+            error = str(exc)
         finally:
             try:
                 if staged:
                     gpio[PIN_CLK_EN] = 0
                     dram.write_word(addr, dram.read_word(addr) ^ mask)
-                    self._restore(record)
+                    failure = self._restore(far_word)
+                    if error is None:
+                        error = failure
             finally:
                 gpio[PIN_CLK_EN] = 1
                 events = dev.drain_events()
                 if self.log is not None:
                     for event in events:
                         self.log.write(devc.render_event(event) + "\n")
-        if record.error is None:
-            counter = ERROR_COUNTER_ADDR if record.detected else OK_COUNTER_ADDR
+        if error is None:
+            counter = ERROR_COUNTER_ADDR if detected else OK_COUNTER_ADDR
             dram.write_word(counter, dram.read_word(counter) + 1)
-        return record
+        return _injection_record((far_word, word_index, bit, detected, error))
 
     # -- campaign loop -------------------------------------------------------
 

@@ -48,6 +48,9 @@ _CLASS_TOKENS = {
     "comparator": Criticality.COMPARATOR,
 }
 
+# Bit indices in the spelling `SensitivityMap.save` writes.
+_BIT_TOKENS = {str(bit): bit for bit in range(FRAME_BITS)}
+
 
 class MatchLine(Enum):
     LOW = "low"    # outputs equal
@@ -156,22 +159,50 @@ class SensitivityMap:
 
     @classmethod
     def load(cls, path):
+        """Read a map file: one `FAR_hex bit_index class` line per critical
+        bit, with `#` comments and blank lines allowed.  A later line for
+        the same (FAR, bit) replaces the earlier one; a bad line raises
+        ValueError naming `path:lineno`.
+
+        One pass with no call per line: each distinct FAR token is
+        converted once and leads straight to its frame's bit dict, which
+        every spelling of that FAR shares, and each bit token is looked up
+        in a table of the canonical spellings, or converted once.
+        """
         smap = cls()
+        by_far = smap._by_far
+        frame_of = {}                   # FAR token -> its frame's bit dict
+        bit_of = dict(_BIT_TOKENS)      # bit token -> bit index
+        classes = _CLASS_TOKENS
         with open(path, "r", encoding="utf-8") as f:
             for lineno, raw in enumerate(f, 1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                parts = line.split()
+                parts = raw.split()
                 if len(parts) != 3:
+                    if not parts or parts[0].startswith("#"):
+                        continue
                     raise ValueError(f"{path}:{lineno}: expected 'FAR bit class'")
-                try:
-                    far_word = int(parts[0], 16)
-                    bit = int(parts[1])
-                    crit = _CLASS_TOKENS[parts[2]]
-                except (ValueError, KeyError):
-                    raise ValueError(f"{path}:{lineno}: cannot parse {line!r}") from None
-                smap.add(far_word, bit, crit)
+                far_tok, bit_tok, class_tok = parts
+                bits = frame_of.get(far_tok)
+                bit = bit_of.get(bit_tok)
+                crit = classes.get(class_tok)
+                if bits is None or bit is None or crit is None:
+                    # A comment, a token not seen before, or a bad line.
+                    if far_tok.startswith("#"):
+                        continue
+                    try:
+                        far_word = int(far_tok, 16)
+                        bit = int(bit_tok)
+                        crit = classes[class_tok]
+                    except (ValueError, KeyError):
+                        raise ValueError(f"{path}:{lineno}: cannot parse "
+                                         f"{raw.strip()!r}") from None
+                    if not 0 <= bit < FRAME_BITS:
+                        raise ValueError(f"{path}:{lineno}: bit index {bit} "
+                                         f"outside 0..{FRAME_BITS - 1}")
+                    bits = frame_of[far_tok] = by_far.setdefault(far_word, {})
+                    bit_of[bit_tok] = bit
+                bits[bit] = crit
+        smap._count = sum(map(len, by_far.values()))
         return smap
 
 

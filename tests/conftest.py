@@ -1,6 +1,21 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from idfsim.devc import Device, TransferError
+
+PERFBENCH_GEN = Path(__file__).parent.parent / "perfbench" / "gen.py"
+
+
+@pytest.fixture(scope="session")
+def perfbench_gen():
+    """The benchmark's seeded input generators, `perfbench/gen.py`, which
+    import nothing from idfsim."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen", PERFBENCH_GEN)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
 
 
 @pytest.fixture

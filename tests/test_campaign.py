@@ -216,7 +216,7 @@ def test_one_injection_without_a_sink_runs_the_whole_procedure(monkeypatch):
 
 
 # Python-level calls of one injection, as sys.setprofile counts them.
-INJECTION_CALLS = 44
+INJECTION_CALLS = 43
 
 
 def test_per_injection_work_is_pinned():

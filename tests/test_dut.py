@@ -1,8 +1,11 @@
+import collections
+import gc
 import random
+import sys
 
 import pytest
 import hypothesis.strategies as st
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from idfsim.aes import aes256_encrypt
@@ -199,11 +202,131 @@ class TestSensitivityMap:
         path.write_text("0x0 12 nonsense\n")
         with pytest.raises(ValueError, match="map.txt:1"):
             SensitivityMap.load(path)
+        path.write_text("0x80 5000 module0\n")
+        with pytest.raises(ValueError, match="map.txt:1: bit index 5000 "
+                           "outside 0..3231"):
+            SensitivityMap.load(path)
 
     def test_bit_range_enforced(self):
         smap = SensitivityMap()
         with pytest.raises(ValueError):
             smap.add(0, FRAME_BITS, Criticality.MODULE0)
+
+
+def _reference_load(path):
+    """The line-by-line loader the one-pass `SensitivityMap.load` replaced,
+    one `add` per line.  Its one change: `add`'s bit-range error names the
+    line, as every other bad line's does."""
+    classes = {"module0": Criticality.MODULE0, "module1": Criticality.MODULE1,
+               "comparator": Criticality.COMPARATOR}
+    smap = SensitivityMap()
+    with open(path, "r", encoding="utf-8") as f:
+        for lineno, raw in enumerate(f, 1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            if len(parts) != 3:
+                raise ValueError(f"{path}:{lineno}: expected 'FAR bit class'")
+            try:
+                far_word = int(parts[0], 16)
+                bit = int(parts[1])
+                crit = classes[parts[2]]
+            except (ValueError, KeyError):
+                raise ValueError(f"{path}:{lineno}: cannot parse {line!r}") from None
+            try:
+                smap.add(far_word, bit, crit)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    return smap
+
+
+def _loaded(load, path):
+    """Everything a load shows: the frames' bit dicts in insertion order
+    and the public views, or the exception it raised."""
+    try:
+        smap = load(path)
+    except Exception as exc:  # compared, not handled
+        return type(exc), str(exc)
+    graph = [(far, list(bits.items())) for far, bits in smap._by_far.items()]
+    return (graph, list(smap.iter_entries()), smap.critical_count, smap.frames)
+
+
+# One FAR in several spellings, a second FAR, and bit tokens in and out of
+# the canonical spelling.
+_FAR_SPELLINGS = ["0xb", "0x0000000B", "B", "b", "0X0b", "0x80", "80",
+                  "0x00000080"]
+_BIT_SPELLINGS = ["0", "5", "05", "+5", "31", "3231", "1_0"]
+_MAP_LINES = st.one_of(
+    st.builds(lambda far, bit, cls, sep: sep.join((far, bit, cls)),
+              st.sampled_from(_FAR_SPELLINGS), st.sampled_from(_BIT_SPELLINGS),
+              st.sampled_from(["module0", "module1", "comparator"]),
+              st.sampled_from([" ", "\t", "   "])),
+    st.sampled_from(["# sensitivity map", "#", "  # 0x80 5 module0",
+                     "#0x80 5 module0", "", "   ", "\t"]),
+)
+_BAD_LINES = st.sampled_from([
+    "0x80 5", "0x80 5 module0 extra",                   # token count
+    "0xZZ 5 module0", "0x80 five module0", "0x80 5.0 module0",
+    "0x80 5 Module0", "0x80 5 not_critical",            # cannot parse
+    "0x80 3232 module0", "0x80 -1 module0", "B 5000 comparator",  # range
+    "0x80 5000 bogus", "0xZZ 5000 module0",             # both: parse first
+])
+
+
+class TestLoadDifferential:
+    @settings(max_examples=300, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(lines=st.lists(_MAP_LINES, max_size=30),
+           bad=st.none() | st.tuples(st.integers(0, 30), _BAD_LINES),
+           endings=st.lists(st.sampled_from(["\n", "\r\n"]), min_size=31,
+                            max_size=31),
+           final_newline=st.booleans())
+    def test_matches_the_line_by_line_loader(self, tmp_path, lines, bad,
+                                             endings, final_newline):
+        if bad is not None:
+            at, line = bad
+            lines = lines[:at] + [line] + lines[at:]
+        text = "".join(line + end for line, end in zip(lines, endings))
+        if not final_newline:
+            text = text.rstrip("\r\n")
+        path = tmp_path / "map.txt"
+        path.write_bytes(text.encode("utf-8"))
+        assert _loaded(SensitivityMap.load, path) == _loaded(_reference_load,
+                                                             path)
+
+
+# Python-level calls of loading the seed-7 ref20 benchmark map, counted on
+# Python 3.11, besides the UTF-8 decoder's: the line-by-line loader made
+# one `add` call per map line, 25,911 in all.
+MAP_LOAD_CALLS = 6
+
+
+def test_map_load_work_is_pinned(tmp_path, perfbench_gen):
+    # The load makes no Python-level call per line: a call added to the
+    # loop fails.  The text file object decodes 8 KiB at a time, through a
+    # decoder whose `decode` is Python-level on 3.11: one call per chunk.
+    text, per_frame = perfbench_gen.sensitivity_map(7, perfbench_gen.REF_FRAMES)
+    path = tmp_path / "sensitivity.map"
+    path.write_text(text, encoding="utf-8")
+    calls = collections.Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls[frame.f_code.co_qualname] += 1
+
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        smap = SensitivityMap.load(path)
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    assert smap.critical_count == sum(per_frame.values()) == 25911
+    assert {far: len(smap.bits_for(far)) for far in smap.frames} == per_frame
+    chunks = calls.pop("BufferedIncrementalDecoder.decode", 0)
+    assert chunks <= path.stat().st_size // 8192 + 2
+    assert sum(calls.values()) <= MAP_LOAD_CALLS, calls
 
 
 def _engine():

@@ -2,7 +2,6 @@ import collections
 import copy
 import gc
 import hashlib
-import importlib.util
 import math
 import sys
 from pathlib import Path
@@ -34,7 +33,6 @@ from idfsim.verifier import (
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
-PERFBENCH_GEN = Path(__file__).parent.parent / "perfbench" / "gen.py"
 
 
 def load(name):
@@ -43,13 +41,6 @@ def load(name):
 
 def plan_from(text):
     return parse_floorplan(text)
-
-
-def load_perfbench_gen():
-    spec = importlib.util.spec_from_file_location("perfbench_gen", PERFBENCH_GEN)
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    return gen
 
 
 class TestParseFloorplan:
@@ -662,22 +653,20 @@ def test_idf4_and_idf6_match_the_scans(plan):
     assert check_idf6(plan) == reference_idf6(plan)
 
 
-def test_generated_floorplans_match_the_scans():
+def test_generated_floorplans_match_the_scans(perfbench_gen):
     # The drc_large benchmark inputs of seeds 1-20.
-    gen = load_perfbench_gen()
     for seed in range(1, 21):
-        plan = parse_floorplan(gen.floorplan(seed)[0])
+        plan = parse_floorplan(perfbench_gen.floorplan(seed)[0])
         _header, violations = run_all_checks(plan)
         assert violations == (check_idf2(plan) + reference_idf3(plan)
                               + reference_idf4(plan) + reference_idf5(plan)
                               + reference_idf6(plan)), seed
 
 
-def test_large_floorplan_report_pinned():
+def test_large_floorplan_report_pinned(perfbench_gen):
     # The drc_large benchmark input for seed 7: 100 regions, 700 pins,
     # 550 nets and about 4k tiles.
-    gen = load_perfbench_gen()
-    text, _counts = gen.floorplan(7)
+    text, _counts = perfbench_gen.floorplan(7)
     env = {k: "pinned" for k in ("tool_version", "date", "design", "directory",
                                  "user", "platform", "host")}
     header, violations = run_all_checks(parse_floorplan(text), env)
@@ -691,11 +680,11 @@ def test_large_floorplan_report_pinned():
 DRC_CALLS = 3720
 
 
-def test_drc_work_is_pinned():
+def test_drc_work_is_pinned(perfbench_gen):
     # Every NET line is parsed once, and the whole operation makes no
     # more Python calls than DRC_CALLS: an added per-record or per-pair
     # call fails.
-    text, _counts = load_perfbench_gen().floorplan(7)
+    text, _counts = perfbench_gen.floorplan(7)
     net_lines = sum(line.startswith("NET ") for line in text.splitlines())
     calls = collections.Counter()
 

@@ -326,6 +326,24 @@ class TestInjectAndCheck:
         assert record.detected
         assert snapshot_digest(dev.engine) == before
 
+    def test_interface_held_by_jtag_is_an_uncounted_error(self):
+        smap = SensitivityMap()
+        smap.add(0, 0, Criticality.MODULE0)
+        dev, c = _fresh(smap)
+        before = snapshot_digest(dev.engine)
+        assert dev.interface_acquire(Interface.JTAG)
+        record = c.inject_and_check(0, 0, 0)
+        assert record.error == ("PCAP could not acquire the configuration "
+                                "interface")
+        assert record.detected is False
+        assert counters(dev) == (0, 0)
+        assert snapshot_digest(dev.engine) == before
+        dev.interface_release_on_desync()
+        record = c.inject_and_check(0, 0, 0)
+        assert (record.detected, record.error) == (True, None)
+        assert counters(dev) == (1, 0)
+        assert snapshot_digest(dev.engine) == before
+
     def test_bit_position_validated(self):
         _, c = _fresh()
         with pytest.raises(ValueError):
@@ -605,6 +623,18 @@ class TestSummaryRendering:
         assert "Frame Errors (With IDF)" in text
         assert "Total Injections: 64640" in text
         assert "440" in text
+
+    def test_text_counts_transfer_errors(self, fail_dma_calls):
+        _, c = _fresh()
+        fail_dma_calls({3})  # the first fault write
+        summary, _rows = c.run_auto([0])
+        assert summary_text(summary) == (
+            "Injection Type: Frame Errors (With IDF)\n"
+            "Total Injections: 3231\n"
+            "Non-critical bits (no error): 3231\n"
+            "Critical bits (error detected): 0\n"
+            "Estimated testing time (min): 21.9932\n"
+            "Transfer errors (skipped): 1\n")
 
     def test_csv(self):
         from idfsim.campaign import CampaignSummary

@@ -2,6 +2,7 @@ import hashlib
 import io
 import os
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,7 +23,7 @@ from idfsim import campaign as campaign_mod
 from idfsim.campaign import READBACK_REQ_ADDR, TEMPLATE_ADDR
 from idfsim.devc import boot_device
 from idfsim.dut import Criticality, DutConfig, DutModel, SensitivityMap
-from idfsim.fabric import FRAME_BYTES, desk_geometry
+from idfsim.fabric import FRAME_BYTES, desk_geometry, snapshot_digest
 from idfsim.packets import read_sequence_file
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -148,6 +149,32 @@ class TestInteractiveSession:
     def test_campaign_confirmation_declined(self):
         status, output = _session("4\nn\n0\n")
         assert "Aborted" in output
+
+    def test_campaign_confirmed_prints_the_summary(self):
+        smap = SensitivityMap()
+        smap.add(0, 0, Criticality.MODULE0)
+        dev = boot_device()
+        before = snapshot_digest(dev.engine)
+        out = io.StringIO()
+        status = interactive_session(io.StringIO("4\ny\n0\n"), out, dev,
+                                     DutModel(DutConfig(), smap), [0])
+        assert status == EXIT_OK
+        assert out.getvalue().endswith(
+            "Inject over 1 frames (3232 flips). Proceed? (y/n)\n"
+            "Injection Type: Frame Errors (With IDF)\n"
+            "Total Injections: 3232\n"
+            "Non-critical bits (no error): 3231\n"
+            "Critical bits (error detected): 1\n"
+            "Estimated testing time (min): 22\n"
+            f"{PROMPT_LINE}\n")
+        assert snapshot_digest(dev.engine) == before
+
+
+def test_interactive_command(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("0\n"))
+    assert main(["interactive", "--frames", "0"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == [
+        *BANNER_LINES, *MENU_LINES, PROMPT_LINE]
 
 
 def test_hex_dump_format():

@@ -25,6 +25,7 @@ from idfsim.packets import (
     bytes_to_words,
     decode_stream,
     describe_packet,
+    encode_packet,
     encode_packets,
     encode_type1,
     encode_type2,
@@ -120,6 +121,22 @@ class TestDecodeStream:
         words = [0x30008001, 0x00000007, NOOP_WORD]
         packets = decode_stream(words)
         assert sum(1 + len(p.payload) for p in packets) == len(words)
+
+    @pytest.mark.parametrize("words, offset, message", [
+        ([NOOP_WORD, 0x30008801, 1], 1,
+         "reserved bits set in type1 header 0x30008801"),
+        ([SYNC_WORD, NOOP_WORD, 0x20000001], 2, "malformed no-op word 0x20000001"),
+        ([0x38008001, 1], 0, "reserved opcode in type1 header 0x38008001"),
+        ([NOOP_WORD, 0x50000002, 7], 1,
+         "truncated type2 write payload: need 2, have 1"),
+        ([0x30004000, 0x40000000], 1, "invalid opcode in type2 header 0x40000000"),
+    ], ids=["type1_reserved_bits", "malformed_noop", "type1_reserved_opcode",
+            "type2_truncated", "type2_noop_opcode"])
+    def test_error_offset_and_message(self, words, offset, message):
+        with pytest.raises(DecodeError) as excinfo:
+            decode_stream(words)
+        assert excinfo.value.offset == offset
+        assert str(excinfo.value) == f"word {offset}: {message}"
 
 
 def _random_packet_list(rng):
@@ -346,3 +363,43 @@ def test_describe_packet():
     assert describe_packet(ConfigPacket.sync()) == "sync"
     p = ConfigPacket.type1_write(ConfigRegister.CMD, [7])
     assert describe_packet(p) == "type1 write CMD count=1"
+
+
+# One packet of each kind and op, its words and its description.
+_EACH_PACKET = [
+    (ConfigPacket.dummy(), [0xFFFFFFFF], "dummy"),
+    (ConfigPacket(PacketKind.BUS_WIDTH_SYNC), [0x000000BB], "bus width sync"),
+    (ConfigPacket(PacketKind.BUS_WIDTH_DETECT), [0x11220044],
+     "bus width detect"),
+    (ConfigPacket.sync(), [0xAA995566], "sync"),
+    (ConfigPacket.noop(), [0x20000000], "noop"),
+    (ConfigPacket.type1_write(ConfigRegister.CMD, [7]), [0x30008001, 7],
+     "type1 write CMD count=1"),
+    (ConfigPacket.type1_read(ConfigRegister.FDRO, 0), [0x28006000],
+     "type1 read FDRO count=0"),
+    (ConfigPacket.type2_write([5, 6]), [0x50000002, 5, 6],
+     "type2 write count=2"),
+    (ConfigPacket.type2_read(2_860_321), [0x482BA521],
+     "type2 read count=2860321"),
+]
+
+
+@pytest.mark.parametrize("packet, words, text", _EACH_PACKET,
+                         ids=[text for _, _, text in _EACH_PACKET])
+def test_encode_and_describe_each_packet(packet, words, text):
+    assert encode_packet(packet) == words
+    assert decode_stream(words) == [packet]
+    assert describe_packet(packet) == text
+
+
+@pytest.mark.parametrize("kind, word_count", [
+    (PacketKind.TYPE1, 2), (PacketKind.TYPE2, 0),
+    (PacketKind.TYPE1, 2048),  # checked before the count overflows the header
+])
+def test_encode_rejects_a_payload_shorter_or_longer_than_its_count(
+        kind, word_count):
+    reg = ConfigRegister.CMD if kind is PacketKind.TYPE1 else None
+    packet = ConfigPacket(kind, OpCode.WRITE, reg, word_count, (7,))
+    with pytest.raises(RangeError,
+                       match="^write payload length must equal word count$"):
+        encode_packet(packet)

@@ -143,10 +143,11 @@ def campaign_init(device):
 class Campaign:
     """Runs injections against one exclusively-owned device."""
 
-    def __init__(self, device, dut, input4=0, fail_fast=False, log=None):
+    input4 = 0  # the 4-bit operand both modules encrypt on each check
+
+    def __init__(self, device, dut, fail_fast=False, log=None):
         self.device = device
         self.dut = dut
-        self.input4 = input4
         self.fail_fast = fail_fast
         self.log = log
         self._template_len, self._request_len = campaign_init(device)
@@ -335,14 +336,16 @@ def merge_summaries(*summaries):
 # -- report rendering ----------------------------------------------------------
 
 
-def frame_rows_csv(rows):
+def _csv_text(header, rows):
     buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["far", "injections", "critical", "non_critical"])
-    for row in rows:
-        w.writerow([f"0x{row.far:08x}", row.injections, row.critical,
-                    row.non_critical])
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
     return buf.getvalue()
+
+
+def frame_rows_csv(rows):
+    return _csv_text(["far", "injections", "critical", "non_critical"],
+                     ([f"0x{row.far:08x}", row.injections, row.critical,
+                       row.non_critical] for row in rows))
 
 
 def summary_text(summary):
@@ -360,14 +363,12 @@ def summary_text(summary):
 
 
 def summary_csv(summary):
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["variant", "total_injections", "non_critical", "critical",
-                "estimated_minutes", "transfer_errors"])
-    w.writerow([summary.variant, summary.total_injections,
-                summary.non_critical, summary.critical,
-                f"{summary.estimated_minutes:g}", summary.transfer_errors])
-    return buf.getvalue()
+    return _csv_text(["variant", "total_injections", "non_critical",
+                      "critical", "estimated_minutes", "transfer_errors"],
+                     [[summary.variant, summary.total_injections,
+                       summary.non_critical, summary.critical,
+                       f"{summary.estimated_minutes:g}",
+                       summary.transfer_errors]])
 
 
 # -- utilization and overhead ---------------------------------------------------
@@ -459,9 +460,6 @@ def overhead_diff(without_idf, with_idf):
 
 
 def overhead_csv(rows):
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["site_type", "overhead", "percent"])
-    for row in rows:
-        w.writerow([row.site_type, row.overhead, f"{row.percent:.1f}"])
-    return buf.getvalue()
+    return _csv_text(["site_type", "overhead", "percent"],
+                     ([row.site_type, row.overhead, f"{row.percent:.1f}"]
+                      for row in rows))

@@ -222,9 +222,6 @@ class Device:
         self.events = []
         return out
 
-    def get_pin(self, pin):
-        return self.gpio.get(pin, 0)
-
     # -- lock and registers ----------------------------------------------
 
     def unlock(self, key):

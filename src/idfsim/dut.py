@@ -117,7 +117,6 @@ class SensitivityMap:
 
     def __init__(self):
         self._by_far = {}
-        self._count = 0
 
     def add(self, far_word, bit, criticality):
         if not 0 <= bit < FRAME_BITS:
@@ -126,24 +125,15 @@ class SensitivityMap:
             criticality = Criticality(criticality)
         if criticality is _NOT_CRITICAL:
             return
-        bits = self._by_far.setdefault(far_word, {})
-        if bit not in bits:
-            self._count += 1
-        bits[bit] = criticality
-
-    def criticality(self, far_word, bit):
-        return self._by_far.get(far_word, {}).get(bit, Criticality.NOT_CRITICAL)
+        self._by_far.setdefault(far_word, {})[bit] = criticality
 
     @property
     def critical_count(self):
-        return self._count
+        return sum(map(len, self._by_far.values()))
 
     @property
     def frames(self):
         return sorted(self._by_far)
-
-    def bits_for(self, far_word):
-        return self._by_far.get(far_word, {})
 
     def iter_entries(self):
         for far_word in sorted(self._by_far):
@@ -202,7 +192,6 @@ class SensitivityMap:
                     bits = frame_of[far_tok] = by_far.setdefault(far_word, {})
                     bit_of[bit_tok] = bit
                 bits[bit] = crit
-        smap._count = sum(map(len, by_far.values()))
         return smap
 
 
@@ -325,7 +314,7 @@ class DutModel:
         flipped = self._flipped
         baseline = self.baseline
         for far_word in changed:
-            bits = self.smap._by_far.get(far_word)  # bits_for, without the call
+            bits = self.smap._by_far.get(far_word)
             if bits:
                 cur = engine.memory.get(far_word, ZERO_FRAME)
                 if cur != baseline.get(far_word, ZERO_FRAME):

@@ -148,10 +148,6 @@ class DeviceGeometry:
     def total_frames(self):
         return sum(self.column_minors.values())
 
-    @property
-    def total_bits(self):
-        return self.total_frames * FRAME_BITS
-
     def is_valid_far(self, far_word):
         """True when the integer FAR word addresses a frame of this geometry."""
         return far_word & 0x7F < self.column_minors.get(far_word >> 7, 0)

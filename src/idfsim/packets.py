@@ -76,12 +76,15 @@ class PacketKind(Enum):
     TYPE2 = "type2"
 
 
+# The one-word packets: the special framing words and the Type-1 no-op.
 _SPECIAL_WORDS = {
     DUMMY_WORD: PacketKind.DUMMY,
     BUS_WIDTH_SYNC_WORD: PacketKind.BUS_WIDTH_SYNC,
     BUS_WIDTH_DETECT_WORD: PacketKind.BUS_WIDTH_DETECT,
     SYNC_WORD: PacketKind.SYNC,
+    NOOP_WORD: PacketKind.NOOP,
 }
+_KIND_WORDS = {kind: word for word, kind in _SPECIAL_WORDS.items()}
 
 REGISTERS_BY_ADDR = {int(r): r for r in ConfigRegister}
 
@@ -175,30 +178,19 @@ def encode_type2(op, word_count):
 def encode_packet(packet):
     """Encode one packet into its word list."""
     kind = packet.kind
-    if kind is PacketKind.DUMMY:
-        return [DUMMY_WORD]
-    if kind is PacketKind.BUS_WIDTH_SYNC:
-        return [BUS_WIDTH_SYNC_WORD]
-    if kind is PacketKind.BUS_WIDTH_DETECT:
-        return [BUS_WIDTH_DETECT_WORD]
-    if kind is PacketKind.SYNC:
-        return [SYNC_WORD]
-    if kind is PacketKind.NOOP:
-        return [NOOP_WORD]
+    word = _KIND_WORDS.get(kind)
+    if word is not None:
+        return [word]
+    write = packet.op is OpCode.WRITE
+    if write and len(packet.payload) != packet.word_count:
+        raise RangeError("write payload length must equal word count")
     if kind is PacketKind.TYPE1:
-        if packet.op is OpCode.WRITE:
-            if len(packet.payload) != packet.word_count:
-                raise RangeError("write payload length must equal word count")
-            return [encode_type1(packet.op, packet.reg, packet.word_count),
-                    *packet.payload]
-        return [encode_type1(packet.op, packet.reg, packet.word_count)]
-    if kind is PacketKind.TYPE2:
-        if packet.op is OpCode.WRITE:
-            if len(packet.payload) != packet.word_count:
-                raise RangeError("write payload length must equal word count")
-            return [encode_type2(packet.op, packet.word_count), *packet.payload]
-        return [encode_type2(packet.op, packet.word_count)]
-    raise RangeError(f"cannot encode packet kind {kind}")
+        header = encode_type1(packet.op, packet.reg, packet.word_count)
+    elif kind is PacketKind.TYPE2:
+        header = encode_type2(packet.op, packet.word_count)
+    else:
+        raise RangeError(f"cannot encode packet kind {kind}")
+    return [header, *packet.payload] if write else [header]
 
 
 def encode_packets(packets):
@@ -234,12 +226,8 @@ def decode_stream(words):
             count = w & 0x7FF
             if w & 0x1800:
                 raise DecodeError(i, f"reserved bits set in type1 header 0x{w:08x}")
-            if op_bits == OpCode.NOOP:
-                if reg_addr or count:
-                    raise DecodeError(i, f"malformed no-op word 0x{w:08x}")
-                packets.append(ConfigPacket.noop())
-                i += 1
-                continue
+            if op_bits == OpCode.NOOP:  # NOOP_WORD is a special word
+                raise DecodeError(i, f"malformed no-op word 0x{w:08x}")
             if op_bits == 0b11:
                 raise DecodeError(i, f"reserved opcode in type1 header 0x{w:08x}")
             reg = REGISTERS_BY_ADDR.get(reg_addr)
@@ -416,8 +404,7 @@ def read_sequence_file(path):
 def describe_packet(packet):
     """One-line human description, used by the decode CLI."""
     kind = packet.kind
-    if kind in (PacketKind.DUMMY, PacketKind.BUS_WIDTH_SYNC,
-                PacketKind.BUS_WIDTH_DETECT, PacketKind.SYNC, PacketKind.NOOP):
+    if kind in _KIND_WORDS:
         return kind.value.replace("_", " ")
     op = packet.op.name.lower()
     if kind is PacketKind.TYPE1:

@@ -53,8 +53,8 @@ TILE_KINDS = frozenset(("CLB", "INT", "BRAM", "DSP", "IOB", "NULL"))
 SEVERITY_ERROR = "error"
 SEVERITY_WARNING = "warning"
 
-# Fence-width consequences: spans removed from the routing resources able
-# to cross the fence, by orientation; None marks an uncrossable fence.
+# Spans removed from the routing resources able to cross a fence, by width
+# and orientation; from `_H/_V_UNCROSSABLE_FROM` up a fence is UNCROSSABLE.
 _H_CONSEQUENCES = ((1, 1, {1}), (2, 3, {1, 2}), (4, 5, {1, 2, 4}))
 _V_CONSEQUENCES = ((1, 1, {1}), (2, 3, {1, 2}), (4, 5, {1, 2, 4}),
                    (6, 8, {1, 2, 4, 6}))

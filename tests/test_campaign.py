@@ -89,7 +89,7 @@ class TestCampaignInit:
         campaign_init(dev)
         assert dev.dram.read_word(ERROR_COUNTER_ADDR) == 0
         assert dev.dram.read_word(OK_COUNTER_ADDR) == 0
-        assert dev.get_pin(PIN_CLK_EN) == 1
+        assert dev.gpio.get(PIN_CLK_EN, 0) == 1
 
     def test_template_first_word_is_dummy(self):
         dev = boot_device()
@@ -286,7 +286,8 @@ def test_campaign_on_a_configured_fabric():
     summary, rows = c.run_auto(targets)
     assert [row.far for row in rows] == targets
     for row in rows:
-        assert 0 < row.critical == len(smap.bits_for(row.far))
+        assert 0 < row.critical == sum(far == row.far
+                                       for far, _, _ in smap.iter_entries())
         assert row.injections == FRAME_BITS
     assert summary.transfer_errors == 0
     assert summary.critical == smap.critical_count
@@ -309,7 +310,7 @@ class TestInjectAndCheck:
         record = c.inject_and_check(0, 0, 0)
         assert record.detected is True
         assert counters(dev) == (1, 0)
-        assert dev.get_pin(13) == 1
+        assert dev.gpio.get(13, 0) == 1
 
     def test_memory_restored(self):
         dev, c = _fresh()
@@ -445,7 +446,7 @@ class TestTransferErrors:
             c.run_auto([0])
         assert info.value.reason == "restore"
         assert counters(dev) == (0, 0)
-        assert dev.get_pin(PIN_CLK_EN) == 1
+        assert dev.gpio.get(PIN_CLK_EN, 0) == 1
 
     def test_errors_skipped_not_dropped(self, monkeypatch):
         smap = SensitivityMap()

@@ -10,6 +10,7 @@ from idfsim.fabric import (
     ConfigEngine,
     DeviceGeometry,
     FarFields,
+    FRAME_BITS,
     FRAME_BYTES,
     FRAME_WORDS,
     desk_geometry,
@@ -113,7 +114,7 @@ class TestGeometry:
     def test_z7020like_counts(self):
         geo = z7020like_geometry()
         assert geo.total_frames == 9158
-        assert geo.total_bits == 29_598_656
+        assert geo.total_frames * FRAME_BITS == 29_598_656
 
     def test_next_far_minor_increment(self):
         geo = desk_geometry()

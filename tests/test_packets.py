@@ -403,3 +403,8 @@ def test_encode_rejects_a_payload_shorter_or_longer_than_its_count(
     with pytest.raises(RangeError,
                        match="^write payload length must equal word count$"):
         encode_packet(packet)
+
+
+def test_encode_rejects_an_unknown_kind():
+    with pytest.raises(RangeError, match="^cannot encode packet kind bogus$"):
+        encode_packet(ConfigPacket("bogus"))

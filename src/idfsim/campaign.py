@@ -422,14 +422,13 @@ class OverheadRow:
     site_type: str
     overhead: int
     percent: float
-    warning: str | None = None
 
 
 def overhead_diff(without_idf, with_idf):
     """Per-site resources reserved by isolation: available delta and percent.
 
     Returns (rows, warnings).  Sites missing from either report are skipped
-    with a warning; negative overheads are kept but flagged.
+    with a warning; a negative overhead is kept, with a warning.
     """
     rows = []
     warnings = []
@@ -451,11 +450,10 @@ def overhead_diff(without_idf, with_idf):
             continue
         overhead = a.available - b.available
         percent = 100.0 * overhead / a.available if a.available else 0.0
-        warning = None
         if overhead < 0:
-            warning = "negative overhead: inconsistent input data"
-            warnings.append(f"site {site!r}: {warning}")
-        rows.append(OverheadRow(site, overhead, percent, warning))
+            warnings.append(f"site {site!r}: negative overhead: "
+                            "inconsistent input data")
+        rows.append(OverheadRow(site, overhead, percent))
     return rows, warnings
 
 

@@ -17,7 +17,7 @@ import socket
 import sys
 
 from . import __version__, campaign as campaign_mod, devc, verifier
-from .dut import DutConfig, DutModel, SensitivityMap, sensitivity_generate
+from .dut import DutModel, SensitivityMap, sensitivity_generate
 from .fabric import FRAME_WORDS, load_geometry
 from .packets import (
     DUMMY_WORD,
@@ -180,7 +180,7 @@ def interactive_session(stdin, stdout, device, dut, far_words):
             if confirm.strip().lower() != "y":
                 say("Aborted")
                 continue
-            summary, _rows = runner.run_auto(far_words, variant=dut.config.variant)
+            summary, _rows = runner.run_auto(far_words)
             stdout.write(campaign_mod.summary_text(summary))
         elif choice == "5":
             for line in MENU_LINES:
@@ -266,7 +266,7 @@ def _cmd_campaign(args):
     # Before the run: a bad --out fails fast, and --log may lie inside it.
     os.makedirs(args.out, exist_ok=True)
     device = devc.boot_device(geometry)
-    dut = DutModel(DutConfig(variant=variant), smap)
+    dut = DutModel(sensitivity_map=smap)
     log = open(args.log, "w", encoding="utf-8") if args.log else None
     try:
         runner = campaign_mod.Campaign(device, dut, fail_fast=args.fail_fast,
@@ -326,7 +326,7 @@ def _cmd_interactive(args):
     geometry = load_geometry(args.geometry)
     smap = _load_map(args.map, geometry)
     device = devc.boot_device(geometry)
-    dut = DutModel(DutConfig(), smap)
+    dut = DutModel(sensitivity_map=smap)
     far_words = _parse_frame_range(args.frames, geometry)
     return interactive_session(sys.stdin, sys.stdout, device, dut, far_words)
 

@@ -119,13 +119,19 @@ class SensitivityMap:
         self._by_far = {}
 
     def add(self, far_word, bit, criticality):
+        """Set one bit's class, replacing any earlier one; NOT_CRITICAL
+        unmaps the bit, and its frame once that holds no bits."""
         if not 0 <= bit < FRAME_BITS:
             raise ValueError(f"bit index {bit} outside 0..{FRAME_BITS - 1}")
         if not isinstance(criticality, Criticality):
             criticality = Criticality(criticality)
-        if criticality is _NOT_CRITICAL:
-            return
-        self._by_far.setdefault(far_word, {})[bit] = criticality
+        bits = self._by_far.setdefault(far_word, {})
+        if criticality is not _NOT_CRITICAL:
+            bits[bit] = criticality
+        else:
+            bits.pop(bit, None)
+            if not bits:
+                del self._by_far[far_word]
 
     @property
     def critical_count(self):

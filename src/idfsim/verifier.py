@@ -43,7 +43,6 @@ records are named tuples.  All checks are pure: they never modify the
 floorplan.
 """
 
-import math
 from dataclasses import dataclass, field
 from itertools import product
 from typing import NamedTuple
@@ -53,13 +52,14 @@ TILE_KINDS = frozenset(("CLB", "INT", "BRAM", "DSP", "IOB", "NULL"))
 SEVERITY_ERROR = "error"
 SEVERITY_WARNING = "warning"
 
-# Spans removed from the routing resources able to cross a fence, by width
-# and orientation; from `_H/_V_UNCROSSABLE_FROM` up a fence is UNCROSSABLE.
-_H_CONSEQUENCES = ((1, 1, {1}), (2, 3, {1, 2}), (4, 5, {1, 2, 4}))
-_V_CONSEQUENCES = ((1, 1, {1}), (2, 3, {1, 2}), (4, 5, {1, 2, 4}),
-                   (6, 8, {1, 2, 4, 6}))
-_H_UNCROSSABLE_FROM = 6
-_V_UNCROSSABLE_FROM = 9
+# Spans removed from the routing resources able to cross a fence, by
+# orientation: each row gives the widest fence of a step and its spans.  A
+# fence wider than the last row is UNCROSSABLE.
+_CONSEQUENCES = {
+    "h": ((1, frozenset({1})), (3, frozenset({1, 2})), (5, frozenset({1, 2, 4}))),
+    "v": ((1, frozenset({1})), (3, frozenset({1, 2})), (5, frozenset({1, 2, 4})),
+          (8, frozenset({1, 2, 4, 6}))),
+}
 
 
 class _Uncrossable:
@@ -107,12 +107,6 @@ class Floorplan:
     fence: set = field(default_factory=set)
     pins: list = field(default_factory=list)
     nets: list = field(default_factory=list)
-
-    def region(self, name):
-        for r in self.regions:
-            if r.name == name:
-                return r
-        raise KeyError(name)
 
 
 class DrcViolation(NamedTuple):
@@ -518,43 +512,14 @@ def fence_consequence(width, orientation):
     """Routing spans removed by a fence of the given width, or UNCROSSABLE."""
     if width < 1:
         raise ValueError("fence width must be >= 1")
-    o = orientation.lower()[:1]
-    if o == "h":
-        table, limit = _H_CONSEQUENCES, _H_UNCROSSABLE_FROM
-    elif o == "v":
-        table, limit = _V_CONSEQUENCES, _V_UNCROSSABLE_FROM
-    else:
+    table = _CONSEQUENCES.get(orientation.lower()[:1])
+    if table is None:
         raise ValueError(f"orientation must be horizontal or vertical, "
                          f"not {orientation!r}")
-    if width >= limit:
-        return UNCROSSABLE
-    for lo, hi, spans in table:
-        if lo <= width <= hi:
-            return frozenset(spans)
-    raise AssertionError("unreachable")
-
-
-def min_fence_between(plan, region_a, region_b):
-    """Minimal (horizontal, vertical) tile gap between two region rectangles.
-
-    A gap is math.inf when the rectangles do not face each other on that
-    axis; overlapping regions are an error.
-    """
-    a = plan.region(region_a) if isinstance(region_a, str) else region_a
-    b = plan.region(region_b) if isinstance(region_b, str) else region_b
-    ax0, ay0, ax1, ay1 = a.rect
-    bx0, by0, bx1, by1 = b.rect
-    overlap_x = ax0 <= bx1 and bx0 <= ax1
-    overlap_y = ay0 <= by1 and by0 <= ay1
-    if overlap_x and overlap_y:
-        raise ValueError(f"regions {a.name} and {b.name} overlap")
-    h_width = math.inf
-    v_width = math.inf
-    if overlap_y:
-        h_width = max(bx0 - ax1, ax0 - bx1) - 1
-    if overlap_x:
-        v_width = max(by0 - ay1, ay0 - by1) - 1
-    return h_width, v_width
+    for widest, spans in table:
+        if width <= widest:
+            return spans
+    return UNCROSSABLE
 
 
 def render_report(header, violations):

@@ -715,8 +715,7 @@ class TestOverheadDiff:
         a, b = self._reports("X,1,0,10\n", "X,1,0,12\n")
         rows, warnings = overhead_diff(a, b)
         assert rows[0].overhead == -2
-        assert rows[0].warning is not None
-        assert warnings
+        assert warnings == ["site 'X': negative overhead: inconsistent input data"]
 
     def test_csv_rendering(self):
         a, b = self._reports("Slice LUTs,2664,0,53200\n",

@@ -187,6 +187,32 @@ class TestSensitivityMap:
         with pytest.raises(ValueError):
             by_name.add(0, 0, "module2")
 
+    @pytest.mark.parametrize("first, second", [
+        (Criticality.MODULE0, Criticality.NOT_CRITICAL),
+        (Criticality.NOT_CRITICAL, Criticality.MODULE0),
+        (Criticality.MODULE0, Criticality.MODULE1),
+    ])
+    def test_later_add_replaces_earlier(self, first, second):
+        smap = SensitivityMap()
+        smap.add(0, 5, first)
+        smap.add(0, 5, second)
+        entries = [] if second is Criticality.NOT_CRITICAL else [(0, 5, second)]
+        assert list(smap.iter_entries()) == entries
+        assert smap.frames == [far for far, _, _ in entries]
+        assert smap.critical_count == len(entries)
+        # unmapping a bit of a frame the map lacks adds no frame
+        smap.add(3, 1, Criticality.NOT_CRITICAL)
+        assert smap.frames == [far for far, _, _ in entries]
+
+    def test_unmapping_one_bit_keeps_its_frame(self):
+        smap = SensitivityMap()
+        smap.add(0, 5, Criticality.MODULE0)
+        smap.add(0, 6, Criticality.MODULE1)
+        smap.add(0, 5, Criticality.NOT_CRITICAL)
+        assert list(smap.iter_entries()) == [(0, 6, Criticality.MODULE1)]
+        assert smap.frames == [0]
+        assert smap.critical_count == 1
+
     def test_file_format(self, tmp_path):
         smap = SensitivityMap()
         smap.add(0x00000080, 35, Criticality.MODULE1)

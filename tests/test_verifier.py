@@ -2,7 +2,6 @@ import collections
 import copy
 import gc
 import hashlib
-import math
 import sys
 from pathlib import Path
 
@@ -26,7 +25,6 @@ from idfsim.verifier import (
     check_idf5,
     check_idf6,
     fence_consequence,
-    min_fence_between,
     parse_floorplan,
     render_report,
     run_all_checks,
@@ -398,7 +396,8 @@ def test_report_line_format():
 
 
 class TestFenceConsequence:
-    # the nine reference rows: four horizontal, five vertical
+    # the nine reference rows (four horizontal, five vertical), then the
+    # other widths up to 10, so every width from 1 to 10 is pinned both ways
     @pytest.mark.parametrize("width,orient,expected", [
         (1, "horizontal", {1}),
         (2, "horizontal", {1, 2}),
@@ -409,6 +408,17 @@ class TestFenceConsequence:
         (4, "vertical", {1, 2, 4}),
         (6, "vertical", {1, 2, 4, 6}),
         (9, "vertical", UNCROSSABLE),
+        (3, "horizontal", {1, 2}),
+        (5, "horizontal", {1, 2, 4}),
+        (7, "horizontal", UNCROSSABLE),
+        (8, "horizontal", UNCROSSABLE),
+        (9, "horizontal", UNCROSSABLE),
+        (10, "horizontal", UNCROSSABLE),
+        (3, "vertical", {1, 2}),
+        (5, "vertical", {1, 2, 4}),
+        (7, "vertical", {1, 2, 4, 6}),
+        (8, "vertical", {1, 2, 4, 6}),
+        (10, "vertical", UNCROSSABLE),
     ])
     def test_reference_rows(self, width, orient, expected):
         result = fence_consequence(width, orient)
@@ -439,34 +449,6 @@ class TestFenceConsequence:
                 spans = fence_consequence(width, orient)
                 assert previous <= spans
                 previous = spans
-
-
-class TestMinFenceBetween:
-    def test_one_tile_gap(self):
-        plan = plan_from("DEVICE 12 8\nREGION a GROUP g RECT 0 0 3 3\n"
-                         "REGION b GROUP h RECT 5 0 8 3\n")
-        assert min_fence_between(plan, "a", "b") == (1, math.inf)
-
-    def test_touching_is_zero(self):
-        plan = plan_from("DEVICE 12 8\nREGION a GROUP g RECT 0 0 3 3\n"
-                         "REGION b GROUP h RECT 4 0 7 3\n")
-        assert min_fence_between(plan, "a", "b") == (0, math.inf)
-
-    def test_overlap_is_error(self):
-        plan = plan_from("DEVICE 12 8\nREGION a GROUP g RECT 0 0 4 4\n"
-                         "REGION b GROUP h RECT 3 3 6 6\n")
-        with pytest.raises(ValueError):
-            min_fence_between(plan, "a", "b")
-
-    def test_clean_fixture_widths(self):
-        plan = load("clean.fp")
-        h, v = min_fence_between(plan, "aes0", "aes1")
-        assert h >= 1 and v >= 1
-
-    def test_vertical_gap(self):
-        plan = plan_from("DEVICE 12 12\nREGION a GROUP g RECT 0 0 3 3\n"
-                         "REGION b GROUP h RECT 0 6 3 9\n")
-        assert min_fence_between(plan, "a", "b") == (math.inf, 2)
 
 
 # -- differential check against the all-pairs scans --------------------------

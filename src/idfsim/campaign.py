@@ -98,14 +98,6 @@ class CampaignSummary:
     transfer_errors: int = 0
 
 
-def _rejections(events):
-    """The engine events but sync and desync of the last DMA in `events`."""
-    last = max(i for i, record in enumerate(events)
-               if record[0].startswith("DMA QUEUED"))
-    return [record[1] for record in events[last:]
-            if record[0] == "ENGINE {}" and record[1] not in ("sync", "desync")]
-
-
 def estimate_time(injections):
     """Projected campaign minutes at the reference hardware rate."""
     if injections < 0:
@@ -129,6 +121,9 @@ def campaign_init(device):
     counters, enable the DUT clock; returns both sequences' word counts."""
     if not device.cfg_done:
         raise DevcError("device not initialized: run the bring-up sequence first")
+    if device.cfg_error:
+        raise DevcError("device has a rejected stream pending: "
+                        + ", ".join(device.cfg_error))
     template = frame_template_words(device.engine.device_id)
     request = build_readback_sequence(0, 1).words
     request.extend(DESYNC_WRITE)  # see the module docstring
@@ -158,17 +153,19 @@ class Campaign:
 
     def _transfer(self, src, dst, nwords):
         """Acquire PCAP, run one DMA of `nwords` words, then poll and clear
-        `cfg_error`: a rejected stream raises reason "config"."""
+        `cfg_error`: a rejected stream raises reason "config", naming the
+        engine events that rejected it."""
         dev = self.device
         if not dev.interface_acquire(_PCAP):
             raise TransferError("not-owner", "PCAP could not acquire the "
                                 "configuration interface")
         dev.dma_enqueue(src, dst, nwords, nwords)
         dev.dma_process()
-        if dev.cfg_error:
-            dev.cfg_error = False
+        rejected = dev.cfg_error
+        if rejected:
+            dev.cfg_error = []
             raise TransferError("config", "configuration engine rejected the "
-                                "stream: " + ", ".join(_rejections(dev.events)))
+                                "stream: " + ", ".join(rejected))
 
     def read_frame(self, far_word):
         """Read one frame over PCAP; lands at READBACK_DST_ADDR in DRAM."""

@@ -15,7 +15,8 @@ Transfer rules modeled after the real PCAP path:
   clock slowed to 25 MHz (divisor >= 4); at full rate it overflows.
 
 All failed transfers are all-or-nothing: no PL or DRAM state changes.
-A stream the engine rejects in part only sets `Device.cfg_error`.
+A stream the engine rejects in part only sets `Device.cfg_error` to the
+list of engine events that rejected it.
 
 Device events are records, flat `(format, *args)` tuples, appended to
 `Device.events` where they happen: nothing is formatted while a transfer
@@ -205,7 +206,7 @@ class Device:
         self.ctrl = CtrlReg()
         self.locked = True
         self.cfg_done = False
-        self.cfg_error = False  # set by a rejected stream; the poller clears it
+        self.cfg_error = []  # a rejected stream's events; the poller clears it
         self.set_pcap_clock_divisor(1)
         self.owner = None
         self.dma_queue = _DescriptorQueue()
@@ -307,8 +308,8 @@ class Device:
         Errors consume the descriptor, log `DMA ERROR` and leave all PL
         and DRAM state untouched.  A PS->PL transfer streams its words
         through the engine, releases the interface when the engine reports
-        `desync` and sets `cfg_error` on any other event but `sync`, since
-        frames may already be committed; a PL->PS transfer drains the
+        `desync` and makes its other events but `sync` the new `cfg_error`,
+        since frames may already be committed; a PL->PS transfer drains the
         pending read-back whole into DRAM.
         """
         try:
@@ -328,6 +329,7 @@ class Device:
             if direction == "ps2pl":
                 readback, engine_events = self.engine.execute(
                     self.dram.read_bytes(src, 4 * nwords))
+                rejected = []
                 for ev in engine_events:
                     events.append(("ENGINE {}", ev))
                     if ev == "desync":
@@ -335,7 +337,9 @@ class Device:
                             events.append(("DESYNC RELEASE {0.name}", self.owner))
                             self.owner = None
                     elif ev != "sync":
-                        self.cfg_error = True
+                        rejected.append(ev)
+                if rejected:
+                    self.cfg_error = rejected
                 if readback:
                     if self.pending_readback is not None:
                         events.append(("READBACK DROPPED UNREAD",))

@@ -348,14 +348,6 @@ class DutModel:
             flipped.pop(far_word, None)
         return flipped
 
-    def flipped_critical_bits(self, engine):
-        """All flipped critical bits, grouped by class, each sorted (far, bit)."""
-        grouped = {_MODULE0: [], _MODULE1: [], _COMPARATOR: []}
-        for far_word, flips in sorted(self._rescan(engine).items()):
-            for bit, crit in flips:
-                grouped[crit].append((far_word, bit))
-        return grouped
-
     def run_check(self, engine, lines, input4):
         if not lines.clk_en:
             raise DesignHaltedError("design halted: clock enable is low")

@@ -241,7 +241,10 @@ def load_geometry(source):
                 raise ValueError(f"{source}:{lineno}: {exc}") from None
     if name is None or rows is None or not columns:
         raise ValueError(f"{source}: geometry needs name, rows_per_half and columns")
-    return DeviceGeometry(name, rows, columns, block_types)
+    try:
+        return DeviceGeometry(name, rows, columns, block_types)
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
 
 
 class ConfigEngine:

@@ -91,6 +91,23 @@ class TestCampaignInit:
         assert dev.dram.read_word(OK_COUNTER_ADDR) == 0
         assert dev.gpio.get(PIN_CLK_EN, 0) == 1
 
+    def test_refuses_a_pending_rejected_stream(self):
+        # A stream the engine rejected before the campaign is not charged
+        # to the campaign's first injection.
+        dev = boot_device()
+        dev.interface_acquire(Interface.PCAP)
+        words = build_write_frame_sequence(ZEDBOARD_IDCODE ^ 1, 0,
+                                           [[0] * FRAME_WORDS]).words
+        dev.dram.write_words(TEMPLATE_ADDR, words)
+        dev.dma_enqueue(TEMPLATE_ADDR, devc.PL_ADDR, len(words), len(words))
+        dev.dma_process()
+        with pytest.raises(DevcError) as info:
+            Campaign(dev, DutModel(DutConfig(), SensitivityMap()))
+        assert str(info.value) == (
+            "device has a rejected stream pending: idcode_mismatch "
+            "got=0x23727092, fdri_rejected_idcode, fdri_rejected_idcode")
+        assert dev.gpio.get(PIN_CLK_EN, 0) == 0  # refused before any set-up
+
     def test_template_first_word_is_dummy(self):
         dev = boot_device()
         campaign_init(dev)
@@ -610,6 +627,11 @@ class TestMergeSummaries:
         assert merge_summaries(merge_summaries(a, b), c) == \
             merge_summaries(a, merge_summaries(b, c))
 
+    def test_nothing_to_merge(self):
+        from idfsim.campaign import merge_summaries
+        with pytest.raises(ValueError, match="^nothing to merge$"):
+            merge_summaries()
+
     def test_mixed_variants_rejected(self):
         from idfsim.campaign import CampaignSummary, merge_summaries
         with pytest.raises(ValueError):
@@ -674,6 +696,15 @@ class TestParseUtilization:
         report = parse_utilization("# header\nA,1,2,3\n")
         assert len(report.rows) == 1
 
+    def test_blank_line_skipped(self):
+        report = parse_utilization("A,1,2,3\n  \nB,4,5,6\n")
+        assert [r.site_type for r in report.rows] == ["A", "B"]
+
+    def test_three_field_row_reports_line(self):
+        with pytest.raises(ValueError) as info:
+            parse_utilization("A,1,2,3\nB,1,2\n")
+        assert str(info.value) == "line 2: expected 4 fields, got 3"
+
 
 class TestOverheadDiff:
     def _reports(self, without_rows, with_rows):
@@ -710,6 +741,12 @@ class TestOverheadDiff:
         rows, warnings = overhead_diff(a, b)
         assert [r.site_type for r in rows] == ["X"]
         assert any("Y" in w for w in warnings)
+
+    def test_one_sided_availability_skipped_with_warning(self):
+        a, b = self._reports("X,1,0,10\nY,1,0,-\n", "X,1,0,8\nY,1,0,4\n")
+        rows, warnings = overhead_diff(a, b)
+        assert [r.site_type for r in rows] == ["X"]
+        assert warnings == ["site 'Y' has no comparable availability; skipped"]
 
     def test_negative_overhead_flagged(self):
         a, b = self._reports("X,1,0,10\n", "X,1,0,12\n")

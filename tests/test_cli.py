@@ -117,6 +117,17 @@ class TestInteractiveSession:
         status, output = _session("2\n0x00000001\n0\n")
         assert "Frame written to FAR 0x00000001" in output
 
+    def test_eof_at_the_far_prompt_exits_cleanly(self):
+        status, output = _session("1\n")
+        assert status == EXIT_OK
+        assert output.endswith(f"{PROMPT_LINE}\nEnter FAR (hex):\n{PROMPT_LINE}\n")
+
+    def test_far_outside_the_geometry_reprompts(self):
+        status, output = _session("2\n0x00020000\n0\n")  # row 1; desk has one
+        assert status == EXIT_OK
+        assert output.endswith("Enter FAR (hex):\nInvalid FAR: '0x00020000'\n"
+                               f"{PROMPT_LINE}\n")
+
     def test_write_frame_then_check_design(self):
         # The baseline holds a set comparator bit at FAR 1; writing the zero
         # template there clears it, and the next check reports the change.
@@ -170,6 +181,22 @@ class TestInteractiveSession:
         assert snapshot_digest(dev.engine) == before
 
 
+@pytest.mark.parametrize("frames, reply", [
+    ("0,,1", "Inject over 2 frames (6464 flips). Proceed? (y/n)"),
+    ("16-18", "error: frame range '16-18' outside 0..17"),
+    (",", "error: empty frame selection"),
+], ids=["empty_part_skipped", "range_outside", "nothing_selected"])
+def test_interactive_frame_selection(monkeypatch, capsys, frames, reply):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("4\nn\n0\n"))
+    status = main(["interactive", "--frames", frames])
+    captured = capsys.readouterr()
+    if reply.startswith("error: "):
+        assert (status, captured.out, captured.err) == (EXIT_IO, "", reply + "\n")
+    else:
+        assert status == EXIT_OK
+        assert reply in captured.out.splitlines()
+
+
 def test_interactive_command(monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO("0\n"))
     assert main(["interactive", "--frames", "0"]) == EXIT_OK
@@ -208,6 +235,13 @@ class TestEncodeCommands:
         out = tmp_path / "r.bin"
         main(["encode-readback", "--count", "2860321", "--out", str(out)])
         assert 0x482BA521 in read_sequence_file(out)
+
+    def test_write_frame_needs_a_frame(self, tmp_path, capsys):
+        out = tmp_path / "w.bin"
+        assert main(["encode-write-frame", "--frames", "0",
+                     "--out", str(out)]) == EXIT_IO
+        assert capsys.readouterr().err == "error: --frames must be >= 1\n"
+        assert not out.exists()
 
     def test_footer_flag(self, tmp_path):
         out = tmp_path / "w.bin"
@@ -488,6 +522,18 @@ class TestOverheadCommand:
         assert "Slice LUTs,1260,2.4" in out
         assert "OUT_FIFO,4,25.0" in out
         assert "MMCME2_ADV,2,50.0" in out
+
+    def test_warnings_go_to_stderr(self, tmp_path, capsys):
+        without = tmp_path / "without.csv"
+        with_ = tmp_path / "with.csv"
+        without.write_text("X,1,0,10\nY,1,0,10\n")
+        with_.write_text("X,1,0,12\n")
+        assert main(["overhead", str(without), str(with_)]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out == "X: -2 (-20.0%)\n"
+        assert captured.err == (
+            "warning: site 'X': negative overhead: inconsistent input data\n"
+            "warning: site 'Y' missing from one report; skipped\n")
 
     def test_text_format(self, capsys):
         main(["overhead",

@@ -159,6 +159,13 @@ class TestDmaDescriptor:
         assert _text(dev) == [
             "DMA QUEUED PS2PL SRC=0x00200000 DST=0xffffffff LEN=10"]
 
+    def test_process_with_an_empty_queue(self):
+        dev = _ready_device()
+        with pytest.raises(DescriptorError, match="^no DMA descriptor queued$"):
+            dev.dma_process()
+        assert _text(dev) == []
+        assert (dev.words_moved, dev.sim_seconds) == (0, 0.0)
+
     def test_negative_length_is_rejected(self):
         dev = _ready_device()
         for lengths in ((-5, -5), (-5, 5), (5, -5)):
@@ -457,10 +464,24 @@ def test_event_text_at_every_site(state, act, expected):
     dev.drain_events()
     act(dev)
     assert _text(dev) == expected
-    # any engine event but sync and desync flags a configuration error
-    assert dev.cfg_error == any(
-        e.startswith("ENGINE ") and e not in ("ENGINE sync", "ENGINE desync")
-        for e in expected)
+    # the engine events but sync and desync are the stream's rejection
+    assert dev.cfg_error == [
+        e[len("ENGINE "):] for e in expected
+        if e.startswith("ENGINE ") and e not in ("ENGINE sync", "ENGINE desync")]
+
+
+def test_cfg_error_holds_the_last_rejected_stream():
+    dev = _ready_device()
+    desync = _t1(ConfigRegister.CMD, CmdCode.DESYNC)
+    _run(dev, [SYNC_WORD, 0x60000000, *desync])
+    assert dev.cfg_error == ["ignored_word word=0x60000000"]
+    dev.interface_acquire(Interface.PCAP)
+    _run(dev, [SYNC_WORD, *_t1(ConfigRegister.FAR, 0x04000000), *desync])
+    assert dev.cfg_error == ["bad_far word=0x04000000"]
+    # a clean stream leaves the pending rejection for the poller
+    dev.interface_acquire(Interface.PCAP)
+    _run(dev, [SYNC_WORD, *desync])
+    assert dev.cfg_error == ["bad_far word=0x04000000"]
 
 
 class TestClockDivisor:

@@ -226,6 +226,22 @@ class TestGeometry:
         with pytest.raises(ValueError):
             load_geometry(path)
 
+    @pytest.mark.parametrize("line, message", [
+        ("rows_per_half 0", "rows_per_half must be >= 1"),
+        ("column CLB 200", "column CLB: minor count 200 outside 1..128"),
+        ("rows_per_half 40", "FAR field row=39 outside 0..31"),
+    ], ids=["no_rows", "minor_count", "row_field"])
+    def test_load_file_names_a_refused_value(self, tmp_path, line, message):
+        path = tmp_path / "geo.cfg"
+        path.write_text(f"name x\nrows_per_half 1\ncolumn CLB 4\n{line}\n")
+        with pytest.raises(ValueError) as info:
+            load_geometry(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    def test_geometry_needs_a_column(self):
+        with pytest.raises(ValueError, match="^geometry needs at least one column$"):
+            DeviceGeometry("x", 1, [])
+
 
 def _write_frames(engine, far_word, frames, device_id=ZEDBOARD_IDCODE):
     seq = build_write_frame_sequence(device_id, far_word, frames)
@@ -434,6 +450,14 @@ class TestSnapshotDigest:
         engine.flip_bit(0, 50, 17)
         assert snapshot_digest(engine) == base
 
+    @pytest.mark.parametrize("word, bit", [(-1, 0), (FRAME_WORDS, 0), (0, 32),
+                                           (0, -1)])
+    def test_flip_outside_a_frame(self, word, bit):
+        engine = ConfigEngine(desk_geometry(), ZEDBOARD_IDCODE)
+        with pytest.raises(ValueError, match="^bit position outside a frame$"):
+            engine.flip_bit(0, word, bit)
+        assert engine.memory == {} and engine.frame_versions == {}
+
     def test_distinct_across_desk_single_flips(self):
         # collision-free at desk scale: every single-bit flip of word 0
         # yields a distinct digest
@@ -456,6 +480,15 @@ def test_frame_dump_round_trip(tmp_path):
     assert len(frames) == geo.total_frames
     assert frames[geo.far_words()[2]].tolist() == _frame(42)
     assert frames[geo.far_words()[0]].tolist() == [0] * FRAME_WORDS
+
+
+def test_frame_dump_of_the_wrong_size(tmp_path):
+    geo = desk_geometry()
+    path = tmp_path / "frames.bin"
+    path.write_bytes(bytes(geo.total_frames * FRAME_BYTES - 4))
+    with pytest.raises(ValueError) as info:
+        load_frame_dump(path, geo)
+    assert str(info.value) == f"{path}: expected 7272 bytes, found 7268"
 
 
 def test_whole_device_stream_from_a_dump_matches_struct(tmp_path):

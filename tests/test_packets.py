@@ -64,6 +64,10 @@ class TestEncodeType1:
         with pytest.raises(RangeError):
             encode_type1(OpCode.WRITE, ConfigRegister.FDRI, 2048)
 
+    def test_noop_carries_no_count(self):
+        with pytest.raises(RangeError, match="^no-op word count must be 0$"):
+            encode_type1(OpCode.NOOP, None, 1)
+
 
 class TestEncodeType2:
     def test_reference_read_count(self):
@@ -83,6 +87,10 @@ class TestEncodeType2:
     def test_overflow(self):
         with pytest.raises(RangeError):
             encode_type2(OpCode.READ, TYPE2_MAX_COUNT + 1)
+
+    def test_noop_rejected(self):
+        with pytest.raises(RangeError, match="^type2 headers are read or write only$"):
+            encode_type2(OpCode.NOOP, 0)
 
 
 class TestDecodeStream:

@@ -173,6 +173,53 @@ class TestParseFloorplan:
         assert len(plan.nets) == 2
 
 
+# Every parser refusal, pinned to its text and line: the bad line is line 3,
+# after a device and one region, and a valid line follows it.
+_PLAN_HEAD = "DEVICE 4 4\nREGION a GROUP g RECT 0 0 1 1\n"
+_PIN_SYNTAX_TEXT = "PIN <name> GROUP <g> SITE <x> <y> BANK <b> PKG <r> <c>"
+
+
+@pytest.mark.parametrize("line, message", [
+    ("REGION b GROUP g RECT 0 x 1 1", "bad rectangle ['0', 'x', '1', '1']"),
+    ("FENCE RECT 2 0 1 1", "inverted rectangle ['2', '0', '1', '1']"),
+    ("TILE 1 1", "TILE needs <x> <y> <kind>"),
+    ("TILE 1 y CLB", "TILE coordinates must be integers"),
+    ("TILE 4 0 CLB", "tile (4,0) outside grid"),
+    ("DEVICE 4 4", "duplicate DEVICE line"),
+    ("FENCE 2 2 3 3", "FENCE RECT <x0> <y0> <x1> <y1>"),
+    ("FENCE RECT 2 2 3 4", "fence outside grid"),
+    ("PIN p GROUP g SITE 0 0 BANK 1", _PIN_SYNTAX_TEXT),
+    ("PIN p GROUP g SITE 0 0 BANK 1 PACKAGE 1 1", _PIN_SYNTAX_TEXT),
+    ("PIN a GROUP g SITE 0 0 BANK 1 PKG 1 1", "duplicate pin name 'a'"),
+    ("PIN p GROUP g SITE 0 0 BANK x PKG 1 1", "PIN fields must be integers"),
+    ("PIN p GROUP g SITE 0 4 BANK 1 PKG 1 1", "pin site (0, 4) outside grid"),
+    ("WIRE a b", "unknown keyword 'WIRE'"),
+    ("NET", "NET needs a name"),
+    ("NET n CLOCK LOADS a", "NET missing SRC <region>"),
+    ("NET n SRC a", "NET missing LOADS <r1,r2,...>"),
+    ("NET n SRC a LOADS ,,", "NET needs at least one load region"),
+    ("NET n SRC a LOADS a VIA x", "unexpected token 'VIA'"),
+    ("NET n SRC a LOADS a PIPS 1:1", "bad PIP entry '1:1'"),
+    ("NET n SRC a LOADS a PIPS 1:1:maybe", "bad PIP entry '1:1:maybe'"),
+])
+def test_parse_error_text_and_line(line, message):
+    with pytest.raises(FloorplanError) as excinfo:
+        plan_from(f"{_PLAN_HEAD}{line}\nTILE 3 3 CLB\n")
+    assert excinfo.value.lineno == 3
+    assert str(excinfo.value) == f"line 3: {message}"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("DEVICE 4\n", "line 1: DEVICE needs <cols> <rows>"),
+    ("# nothing\n", "line 1: missing DEVICE line"),
+])
+def test_parse_error_on_the_device_line(text, message):
+    with pytest.raises(FloorplanError) as excinfo:
+        plan_from(text)
+    assert excinfo.value.lineno == 1
+    assert str(excinfo.value) == message
+
+
 class TestIdf1:
     def test_all_seven_fields(self):
         plan = load("clean.fp")

@@ -146,6 +146,7 @@ class Campaign:
         self.fail_fast = fail_fast
         self.log = log
         self._template_len, self._request_len = campaign_init(device)
+        self._staged_far = 0  # the FAR the template is built with
         if not dut.baseline_captured:
             dut.capture_baseline(device.engine)
 
@@ -180,11 +181,19 @@ class Campaign:
     def write_template_frame(self):
         """Stream the resident template (current FAR + data words) to the PL."""
         self._transfer(TEMPLATE_ADDR, PL_ADDR, self._template_len)
+        # A model invariant, not a PS step (the PS cannot see where a frame
+        # landed): the engine's newest committed frame is the staged FAR.
+        landed = next(reversed(self.device.engine.frame_versions), None)
+        if landed != self._staged_far:
+            where = "nothing" if landed is None else f"FAR 0x{landed:08x}"
+            raise TransferError("misdirected", f"write staged for FAR "
+                                f"0x{self._staged_far:08x} committed {where}")
 
     def stage_frame(self, far_word, frame=None):
         """Point the template at `far_word`; load `frame` as its data if given."""
         dram = self.device.dram
         dram.write_word(TEMPLATE_ADDR + 4 * TPL_FAR_INDEX, far_word)
+        self._staged_far = far_word
         if frame is not None:
             dram.write_bytes(TEMPLATE_ADDR + 4 * TPL_DATA_INDEX, frame)
 

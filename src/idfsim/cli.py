@@ -22,7 +22,6 @@ from .fabric import FRAME_WORDS, load_geometry
 from .packets import (
     DUMMY_WORD,
     ZEDBOARD_IDCODE,
-    DecodeError,
     build_desync_footer,
     build_readback_sequence,
     build_write_frame_sequence,
@@ -35,7 +34,6 @@ from .packets import (
 
 EXIT_OK = 0
 EXIT_FINDINGS = 1
-EXIT_USAGE = 2
 EXIT_IO = 3
 
 BANNER_LINES = (
@@ -85,11 +83,13 @@ def _parse_frame_range(selection, geometry):
         part = part.strip()
         if not part:
             continue
-        if "-" in part:
-            lo, hi = part.split("-", 1)
-            lo, hi = int(lo), int(hi)
-        else:
-            lo = hi = int(part)
+        lo, dash, hi = part.partition("-")
+        try:
+            lo = int(lo)
+            hi = int(hi) if dash else lo
+        except ValueError:
+            raise ValueError(f"frame selection part {part!r} is not an "
+                             "index or a lo-hi range") from None
         if lo > hi or lo < 0 or hi >= len(far_words):
             raise ValueError(f"frame range {part!r} outside 0..{len(far_words) - 1}")
         for index in range(lo, hi + 1):
@@ -413,8 +413,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DecodeError, devc.DevcError, verifier.FloorplanError, ValueError,
-            OSError) as exc:
+    except (devc.DevcError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -18,6 +18,7 @@ Control lines mirror the PS GPIO wiring: a clock enable, one start per
 module, and the match line routed back.
 """
 
+import hashlib
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -238,25 +239,13 @@ def sensitivity_generate(seed, geometry, frames, critical_count,
 
 _TOP_WORD_POS = FRAME_BITS - 32  # position of word 0, bit 0 in a frame int
 
-_XS_MULT = 0x2545F4914F6CDD1D
-_M64 = (1 << 64) - 1
-
 
 def fault_mask(far_word, bit):
-    """Deterministic nonzero 128-bit corruption mask for one flipped bit.
-
-    Four rounds of xorshift64* seeded with (far << 12) | bit; the high 32
-    bits of each round concatenate to 128 bits, OR 1 guarantees nonzero.
-    """
-    x = ((far_word << 12) | bit) & _M64
-    mask = 0
-    for _ in range(4):
-        x ^= x >> 12
-        x = (x ^ (x << 25)) & _M64
-        x ^= x >> 27
-        out = (x * _XS_MULT) & _M64
-        mask = (mask << 32) | (out >> 32)
-    return mask | 1
+    """Deterministic nonzero 128-bit corruption mask for one flipped bit:
+    the BLAKE2b digest of (far << 12) | bit, OR 1 so it is never zero."""
+    digest = hashlib.blake2b(((far_word << 12) | bit).to_bytes(8, "big"),
+                             digest_size=16).digest()
+    return int.from_bytes(digest, "big") | 1
 
 
 def widen_input(input4):

@@ -528,7 +528,10 @@ class TestRejectedStreams:
         (TPL_IDCODE_INDEX, ZEDBOARD_IDCODE ^ 1, "idcode_mismatch got=0x23727092"),
         (TPL_WCFG_INDEX, 0, "fdri_without_wcfg"),
         (TPL_FAR_INDEX, BAD_FAR, f"bad_far word=0x{BAD_FAR:08x}"),
-    ], ids=["idcode", "wcfg", "far"])
+        # The next desk FAR after the target 0x80: the engine accepts the
+        # stream, and only the newest committed frame shows the miss.
+        (TPL_FAR_INDEX, 0x81, "staged for FAR 0x00000080 committed FAR 0x00000081"),
+    ], ids=["idcode", "wcfg", "far", "far-slot-0x81"])
     def test_rejected_template_ends_the_campaign(self, monkeypatch, slot,
                                                  value, event):
         # The fault write and both restores stream the same corrupted
@@ -548,7 +551,31 @@ class TestRejectedStreams:
         assert counters(dev) == (0, 0)
         assert not dev.cfg_error
         # A bad FAR slot leaves the engine with no FAR: nothing commits.
+        # A misdirected one commits at 0x81, and the restore blanks it again.
         assert snapshot_digest(dev.engine) == before
+
+    def test_misdirected_template_on_a_configured_fabric(self, monkeypatch):
+        # On a configured fabric the misdirected write does change 0x81, so
+        # the campaign must stop before it counts the injection.
+        dev = boot_device()
+        image = _configure(dev, seed=1501)
+        far = dev.geometry.far_words()[4]
+        smap = SensitivityMap()
+        smap.add(far, 0, Criticality.MODULE0)
+        c = Campaign(dev, DutModel(DutConfig(), smap))
+        stage = Campaign.stage_frame
+
+        def corrupt(self, far_word, frame=None):
+            stage(self, far_word, frame)
+            dev.dram.write_word(TEMPLATE_ADDR + 4 * TPL_FAR_INDEX, 0x81)
+
+        monkeypatch.setattr(Campaign, "stage_frame", corrupt)
+        with pytest.raises(TransferError, match="failed twice: .*committed "
+                           "FAR 0x00000081") as info:
+            c.run_auto([far])
+        assert info.value.reason == "restore"
+        assert counters(dev) == (0, 0)
+        assert dev.engine.read_frame(far) == image[far]
 
 
 class TestCampaignAuto:

@@ -185,7 +185,11 @@ class TestInteractiveSession:
     ("0,,1", "Inject over 2 frames (6464 flips). Proceed? (y/n)"),
     ("16-18", "error: frame range '16-18' outside 0..17"),
     (",", "error: empty frame selection"),
-], ids=["empty_part_skipped", "range_outside", "nothing_selected"])
+    ("3-", "error: frame selection part '3-' is not an index or a lo-hi range"),
+    ("-2", "error: frame selection part '-2' is not an index or a lo-hi range"),
+    ("x", "error: frame selection part 'x' is not an index or a lo-hi range"),
+], ids=["empty_part_skipped", "range_outside", "nothing_selected",
+        "open_range", "negative", "not_a_number"])
 def test_interactive_frame_selection(monkeypatch, capsys, frames, reply):
     monkeypatch.setattr(sys, "stdin", io.StringIO("4\nn\n0\n"))
     status = main(["interactive", "--frames", frames])

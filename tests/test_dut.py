@@ -97,6 +97,10 @@ class TestFaultMask:
         for far in (0, 0x80, 0x00400100):
             for bit in range(0, 64):
                 assert fault_mask(far, bit) != fault_mask(far, bit + 1)
+            # Pairwise distinct over a whole frame: with both modules
+            # faulted, run_check compares their masks.
+            masks = {fault_mask(far, bit) for bit in range(FRAME_BITS)}
+            assert len(masks) == FRAME_BITS
 
     def test_128_bit_range(self):
         for bit in (0, 1, 3231):

@@ -3,15 +3,17 @@
 An injection cycle follows the PS-side procedure exactly: stop the module
 clocks, read the target frame back over PCAP into DRAM, XOR one bit, write
 the modified frame back, restart the clocks, pulse the start lines, sample
-the match line, then restore the original frame the same way.  DRAM keeps
-two counters, detected errors at 0xFFFF0000 and error-free injections at
-0xFFFF0008, which the summary must always agree with.
+the match line, then restore the frame from the read-back it holds.
+DRAM keeps two counters, detected errors at 0xFFFF0000 and error-free
+injections at 0xFFFF0008, which the summary must always agree with.
 
 The frame write reuses a resident template: one full frame-write command
 sequence, uploaded to DRAM at 0x00200000 during campaign initialization.
 It has no desync footer, which its own closing DESYNC would leave unread.
 Injections patch the FAR payload and the 101 data words in place and
-stream the whole template to the PL.
+stream the whole template to the PL.  The restore writes the held
+read-back over all 101 data words, not just the flipped bit, so the frame
+goes back as it was read even if the staged copy changed in DRAM.
 
 The read-back request is resident the same way: the one-frame
 `build_readback_sequence` plus a closing DESYNC command, 58 words uploaded
@@ -210,8 +212,9 @@ class Campaign:
         return detected
 
     def _restore(self, far_word):
-        """Write the staged, unflipped frame back, retrying once; returns
-        the first attempt's failure text, or None if it succeeded.
+        """Stream the template, whose data words hold the read-back again,
+        retrying once; returns the first attempt's failure text, or None if
+        it succeeded.
 
         A frame left faulted would be read back as its own content by every
         later injection, so a restore that fails twice ends the campaign.
@@ -236,14 +239,15 @@ class Campaign:
         The frame is read back from the PL over PCAP and staged in the
         template, one bit of it is flipped in DRAM and the template written
         to `far_word`; the clocks restart and the match line is sampled.
-        Once the frame is staged the restore runs whatever happened, so a
-        failed transfer records its error on the injection, which is not
-        counted, and never leaves the fabric modified.  A restore that
-        fails twice raises `TransferError` with reason "restore".
+        Once the frame is read back the restore runs whatever happened: it
+        writes the held read-back over the template's data words in one
+        step and streams the template again, leaving its FAR slot as it
+        is.  So a failed transfer records its error on the injection, which
+        is not counted, and never leaves the fabric modified.  A restore
+        that fails twice raises `TransferError` with reason "restore".
         """
         dev = self.device
-        minors = dev.geometry.column_minors.get(far_word >> 7, 0)
-        if far_word & 0x7F >= minors:  # DeviceGeometry.is_valid_far, inlined
+        if not dev.geometry.is_valid_far(far_word):
             raise ValueError(f"FAR 0x{far_word:08x} invalid for geometry "
                              f"{dev.geometry.name}")
         if not 0 <= word_index < FRAME_WORDS or not 0 <= bit < 32:
@@ -252,14 +256,13 @@ class Campaign:
         error = None
         dram = dev.dram
         addr = TEMPLATE_ADDR + 4 * (TPL_DATA_INDEX + word_index)
-        mask = 1 << bit
         gpio = dev.gpio
         gpio[PIN_CLK_EN] = 0
-        staged = False
+        frame = None  # the read-back, held for the restore
         try:
-            self.stage_frame(far_word, self.read_frame(far_word))
-            staged = True
-            dram.write_word(addr, dram.read_word(addr) ^ mask)
+            frame = self.read_frame(far_word)
+            self.stage_frame(far_word, frame)
+            dram.write_word(addr, dram.read_word(addr) ^ (1 << bit))
             self.write_template_frame()
             gpio[PIN_CLK_EN] = 1
             detected = self.check_design()
@@ -267,9 +270,9 @@ class Campaign:
             error = str(exc)
         finally:
             try:
-                if staged:
+                if frame is not None:
                     gpio[PIN_CLK_EN] = 0
-                    dram.write_word(addr, dram.read_word(addr) ^ mask)
+                    dram.write_bytes(TEMPLATE_ADDR + 4 * TPL_DATA_INDEX, frame)
                     failure = self._restore(far_word)
                     if error is None:
                         error = failure

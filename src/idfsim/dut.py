@@ -63,7 +63,6 @@ class MatchLine(Enum):
 _NOT_CRITICAL = Criticality.NOT_CRITICAL
 _MODULE0 = Criticality.MODULE0
 _MODULE1 = Criticality.MODULE1
-_COMPARATOR = Criticality.COMPARATOR
 _LOW = MatchLine.LOW
 _HIGH = MatchLine.HIGH
 
@@ -267,11 +266,11 @@ class DutModel:
     such a frame differs from its baseline: after an injection's fault
     write that is one bit, after its restore none.  The difference is found
     by XOR of the frames as integers; a baseline frame is converted once,
-    the first time a check finds that frame changed.
+    the first time a check finds that frame changed.  `config`, a
+    `DutConfig`, is accepted but not kept: no check depends on the variant.
     """
 
     def __init__(self, config=None, sensitivity_map=None):
-        self.config = config if config is not None else DutConfig()
         self.smap = sensitivity_map if sensitivity_map is not None else SensitivityMap()
         self.baseline = {}
         self.baseline_captured = False

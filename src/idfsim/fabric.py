@@ -18,17 +18,16 @@ top 19 bits.
 
 FAR field layout (block_type[25:23], top_bottom[22], row[21:17],
 column[16:7], minor[6:0]).  Frame addresses are plain integer FAR words
-throughout; FarFields is only the decoded view that far_encode and
-far_decode give.  far_encode, far_decode, the `far >> 7` keys of
-DeviceGeometry.column_minors and the minor `far & 0x7F` that the geometry
-methods compare with them, and ConfigEngine.execute's FAR-write check and
-within-column step `far + 1` depend on the bit positions.
+throughout, and DeviceGeometry owns the layout: it alone packs fields into
+FAR words, keys DeviceGeometry.column_minors on `far >> 7` and compares the
+minor `far & 0x7F` with them.  ConfigEngine.execute inlines the same
+arithmetic at three sites, for speed: the FAR-write check and the
+within-column step `far + 1` of the commit and read loops.
 """
 
 import hashlib
 import re
 from array import array
-from dataclasses import dataclass
 
 from .packets import (
     BYTESWAP,
@@ -69,46 +68,6 @@ _TYPE1_HEADERS = {(0b001 << 16) | (op << 14) | addr: (op, reg)
                   for addr, reg in REGISTERS_BY_ADDR.items() for op in range(4)}
 _SYNC_BYTES = SYNC_WORD.to_bytes(4, "big")
 
-_FAR_FIELD_LIMITS = {
-    "block_type": 7,
-    "top_bottom": 1,
-    "row": 31,
-    "column": 1023,
-    "minor": 127,
-}
-
-
-@dataclass(frozen=True)
-class FarFields:
-    block_type: int
-    top_bottom: int
-    row: int
-    column: int
-    minor: int
-
-    def __post_init__(self):
-        for name, limit in _FAR_FIELD_LIMITS.items():
-            v = getattr(self, name)
-            if not 0 <= v <= limit:
-                raise ValueError(f"FAR field {name}={v} outside 0..{limit}")
-
-
-def far_encode(f):
-    return ((f.block_type << 23) | (f.top_bottom << 22) | (f.row << 17)
-            | (f.column << 7) | f.minor)
-
-
-def far_decode(word):
-    if word >> 26:
-        raise ValueError(f"FAR word 0x{word:08x} has bits set above [25]")
-    return FarFields(
-        block_type=(word >> 23) & 0x7,
-        top_bottom=(word >> 22) & 0x1,
-        row=(word >> 17) & 0x1F,
-        column=(word >> 7) & 0x3FF,
-        minor=word & 0x7F,
-    )
-
 
 class DeviceGeometry:
     """Frame address space of one device profile.
@@ -132,9 +91,13 @@ class DeviceGeometry:
         block_types = sorted(set(int(b) for b in block_types))
         if not block_types:
             raise ValueError("geometry needs at least one block type")
-        # the keys pack the fields unchecked: the extreme FARs must be valid
-        FarFields(block_types[0], 0, 0, 0, 0)
-        FarFields(block_types[-1], 1, rows_per_half - 1, len(minors) - 1, 0)
+        # the keys pack the fields unchecked: the extreme values must fit
+        for field, v, limit in (("block_type", block_types[0], 7),
+                                ("block_type", block_types[-1], 7),
+                                ("row", rows_per_half - 1, 31),
+                                ("column", len(minors) - 1, 1023)):
+            if not 0 <= v <= limit:
+                raise ValueError(f"FAR field {field}={v} outside 0..{limit}")
         self.name = name
         self.column_minors = {
             (block_type << 16) | (half << 15) | (row << 10) | column: m

@@ -266,7 +266,7 @@ def test_per_injection_work_is_pinned():
     assert per["Device.interface_acquire"] == 4
     assert per["ConfigEngine.execute"] == 3
     assert per["DutModel.run_check"] == 1
-    assert sum(n for name, n in per.items() if name.startswith("Dram.")) == 14
+    assert sum(n for name, n in per.items() if name.startswith("Dram.")) == 13
     assert sum(per.values()) <= INJECTION_CALLS
 
 
@@ -576,6 +576,30 @@ class TestRejectedStreams:
         assert info.value.reason == "restore"
         assert counters(dev) == (0, 0)
         assert dev.engine.read_frame(far) == image[far]
+
+
+@pytest.mark.parametrize("configured", [False, True], ids=["desk", "seeded"])
+def test_corrupted_template_data_word_is_not_kept(monkeypatch, configured):
+    # A staged data word corrupted in DRAM goes out with the fault write,
+    # but the restore writes the held read-back over every data word, so
+    # the fabric ends as it began.  The injection's count is not pinned.
+    dev = boot_device()
+    if configured:
+        _configure(dev, seed=1501)
+    far = dev.geometry.far_words()[4]
+    smap = SensitivityMap()
+    smap.add(far, 0, Criticality.MODULE0)
+    c = Campaign(dev, DutModel(DutConfig(), smap))
+    before = snapshot_digest(dev.engine)
+    stage = Campaign.stage_frame
+
+    def corrupt(self, far_word, frame=None):
+        stage(self, far_word, frame)
+        dev.dram.write_word(TEMPLATE_ADDR + 4 * (TPL_DATA_INDEX + 5), 0xDEADBEEF)
+
+    monkeypatch.setattr(Campaign, "stage_frame", corrupt)
+    c.inject_and_check(far, 0, 0)
+    assert snapshot_digest(dev.engine) == before
 
 
 class TestCampaignAuto:

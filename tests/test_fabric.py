@@ -1,22 +1,21 @@
 import random
 import struct
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+import idfsim
 from idfsim.fabric import (
     ConfigEngine,
     DeviceGeometry,
-    FarFields,
     FRAME_BITS,
     FRAME_BYTES,
     FRAME_WORDS,
     desk_geometry,
     dump_frames,
-    far_decode,
-    far_encode,
     load_frame_dump,
     load_geometry,
     snapshot_digest,
@@ -65,42 +64,17 @@ def _stepped_fars(geo):
     return fars
 
 
+def _far(bt, half, row, col, minor):
+    """A FAR word packed from its fields, independently of DeviceGeometry."""
+    return (bt << 23) | (half << 22) | (row << 17) | (col << 7) | minor
+
+
 @pytest.fixture(scope="module")
 def twoblock_geometry(tmp_path_factory):
     path = tmp_path_factory.mktemp("geo") / "twoblock.cfg"
     path.write_text("name twoblock\nrows_per_half 2\nblock_types 0 1\n"
                     "column CLB 3\ncolumn BRAM 2\n")
     return load_geometry(path)
-
-
-class TestFarCodec:
-    def test_all_zero(self):
-        assert far_encode(FarFields(0, 0, 0, 0, 0)) == 0x00000000
-
-    def test_round_trip_exhaustive_desk(self):
-        geo = desk_geometry()
-        for far_word in geo.far_words():
-            f = far_decode(far_word)
-            assert far_encode(f) == far_word
-            assert far_decode(far_encode(f)) == f
-
-    @given(st.integers(0, 7), st.integers(0, 1), st.integers(0, 31),
-           st.integers(0, 1023), st.integers(0, 127))
-    def test_round_trip_property(self, bt, tb, row, col, minor):
-        f = FarFields(bt, tb, row, col, minor)
-        assert far_decode(far_encode(f)) == f
-        assert far_decode(far_encode(f)).minor == f.minor
-
-    def test_field_range_errors(self):
-        with pytest.raises(ValueError):
-            FarFields(8, 0, 0, 0, 0)
-        with pytest.raises(ValueError):
-            FarFields(0, 0, 0, 0, 128)
-
-    def test_decode_rejects_high_bits(self):
-        with pytest.raises(ValueError,
-                           match=r"FAR word 0x04000000 has bits set above \[25\]"):
-            far_decode(0x04000000)
 
 
 class TestGeometry:
@@ -118,9 +92,9 @@ class TestGeometry:
 
     def test_next_far_minor_increment(self):
         geo = desk_geometry()
-        f = far_encode(FarFields(0, 0, 0, 0, 0))
+        f = _far(0, 0, 0, 0, 0)
         n = geo.next_far(f)
-        assert n == far_encode(FarFields(0, 0, 0, 0, 1))
+        assert n == _far(0, 0, 0, 0, 1)
 
     def test_next_far_end(self):
         geo = desk_geometry()
@@ -130,7 +104,7 @@ class TestGeometry:
     def test_next_far_invalid(self):
         geo = desk_geometry()
         with pytest.raises(ValueError):
-            geo.next_far(far_encode(FarFields(0, 0, 0, 0, 99)))
+            geo.next_far(_far(0, 0, 0, 0, 99))
         with pytest.raises(ValueError):
             geo.next_far(0x04000000)  # bit 26 is outside the FAR fields
 
@@ -181,19 +155,17 @@ class TestGeometry:
         beyond = [1 << 26]  # words that must be invalid: bit 26, and each
         for bt in block_types:  # field one past its limit where it fits
             if bt + 1 <= 7 and bt + 1 not in block_types:
-                beyond.append(far_encode(FarFields(bt + 1, 0, 0, 0, 0)))
+                beyond.append(_far(bt + 1, 0, 0, 0, 0))
             for half in (0, 1):
                 if rows < 32:
-                    beyond.append(far_encode(FarFields(bt, half, rows, 0, 0)))
+                    beyond.append(_far(bt, half, rows, 0, 0))
                 for row in range(rows):
                     if len(minors) < 1024:
-                        beyond.append(far_encode(
-                            FarFields(bt, half, row, len(minors), 0)))
+                        beyond.append(_far(bt, half, row, len(minors), 0))
                     for column, m in enumerate(minors):
                         if m < 128:
-                            beyond.append(far_encode(
-                                FarFields(bt, half, row, column, m)))
-                        fars.extend(far_encode(FarFields(bt, half, row, column, minor))
+                            beyond.append(_far(bt, half, row, column, m))
+                        fars.extend(_far(bt, half, row, column, minor)
                                     for minor in range(m))
         assert geo.far_words() == fars
         assert geo.first_far() == fars[0]
@@ -241,6 +213,15 @@ class TestGeometry:
     def test_geometry_needs_a_column(self):
         with pytest.raises(ValueError, match="^geometry needs at least one column$"):
             DeviceGeometry("x", 1, [])
+
+
+def test_only_fabric_reads_the_far_layout_table():
+    # DeviceGeometry owns the FAR field layout: no other module reaches
+    # into its column table.
+    src = Path(idfsim.__file__).parent
+    readers = [path.name for path in sorted(src.glob("*.py"))
+               if path.name != "fabric.py" and "column_minors" in path.read_text()]
+    assert readers == []
 
 
 def _write_frames(engine, far_word, frames, device_id=ZEDBOARD_IDCODE):

@@ -23,7 +23,7 @@ declared tiles, and N nets with K PIPs in all:
     IDF-3  package-adjacent pins (8 compass directions) of        O(P + V log V)
            different groups
     IDF-4  isolation regions overlapping or in 8-way contact      O(R log R + E)
-    IDF-5  4-way adjacent occupied tiles of different groups      O(R T + V log V)
+    IDF-5  4-way adjacent occupied tiles of different groups      O(G + A + T + V log V)
     IDF-6  routing: multi-region loads / fence PIPs / shared-tile O(N + K + S log S)
            nets
 
@@ -33,18 +33,27 @@ IDF-4 sweeps the regions in order of their left edge, so it pays for the
 E pairs whose x-spans are within one tile of each other, not for all
 pairs.  IDF-3, IDF-5 and IDF-6 sort only what they report: the V
 violating pin or tile pairs, and the S tiles that carry PIPs of two or
-more inter-region nets.  IDF-5's R T is a worst case, reached only when
-every region's rectangle has at least T cells.
+more inter-region nets.  IDF-5 paints region ownership over the
+G = cols x (rows + 1) tile keys, one slice per rectangle column, so it
+pays for the A cells of all region rectangles, not for rectangles times
+tiles; the parser already pays for the fence's area.
 
 Tiles default to NULL (vacant); only declared non-NULL tiles inside a
 region rectangle count as occupied logic, owned by the first region in
-file order whose rectangle holds them.  Region, pin, net and violation
-records are named tuples.  All checks are pure: they never modify the
-floorplan.
+file order whose rectangle holds them.
+
+A tile is one integer key, `x * (rows + 1) + y`, from the parser to the
+checks: `Floorplan.tiles` maps keys to kinds and `Floorplan.fence` is a
+set of keys.  The spare row makes `key + 1` of a top-row tile name no
+tile, and keys sort in (x, y) order.  The packing is inlined in the
+parser's TILE and FENCE branches, `_occupied_tiles`, `check_idf5` and
+`check_idf6`; reports and errors decode keys with `divmod(key, rows + 1)`.
+Region, pin, net and violation records are named tuples and keep their
+(x, y) coordinates.  All checks are pure: they never modify the floorplan.
 """
 
 from dataclasses import dataclass, field
-from itertools import product
+from functools import partial
 from typing import NamedTuple
 
 TILE_KINDS = frozenset(("CLB", "INT", "BRAM", "DSP", "IOB", "NULL"))
@@ -102,9 +111,9 @@ class NetRecord(NamedTuple):
 class Floorplan:
     cols: int
     rows: int
-    tiles: dict = field(default_factory=dict)
+    tiles: dict = field(default_factory=dict)   # tile key -> kind
     regions: list = field(default_factory=list)
-    fence: set = field(default_factory=set)
+    fence: set = field(default_factory=set)     # tile keys
     pins: list = field(default_factory=list)
     nets: list = field(default_factory=list)
 
@@ -117,6 +126,14 @@ class DrcViolation(NamedTuple):
 
     def line(self):
         return f"{self.check}|{self.severity}|{','.join(self.subjects)}|{self.message}"
+
+
+# Each built from a tuple of the fields, without NamedTuple's Python-level
+# __new__.
+_region = partial(tuple.__new__, IsolationRegion)
+_pin = partial(tuple.__new__, PinPlacement)
+_net = partial(tuple.__new__, NetRecord)
+_violation = partial(tuple.__new__, DrcViolation)
 
 
 def _parse_rect(tokens, lineno):
@@ -139,7 +156,7 @@ _PIN_SYNTAX = "PIN <name> GROUP <g> SITE <x> <y> BANK <b> PKG <r> <c>"
 
 def parse_floorplan(text):
     """Parse and structurally validate a floorplan description."""
-    plan = cols = rows = tiles = fence = None
+    plan = cols = rows = stride = tiles = fence = None
     pending = []  # (lineno, tokens) gathered before full validation
     names = set()
     balls = {}  # package ball -> name of the pin on it
@@ -162,13 +179,13 @@ def parse_floorplan(text):
                 raise FloorplanError(lineno, "TILE coordinates must be integers") from None
             if not (0 <= x < cols and 0 <= y < rows):
                 raise FloorplanError(lineno, f"tile ({x},{y}) outside grid")
-            site = (x, y)
-            if site in tiles:
+            key = x * stride + y
+            if key in tiles:
                 raise FloorplanError(lineno, f"duplicate tile ({x},{y})")
             # Fence tiles carry no placed logic.
-            if kind != "NULL" and site in fence:
-                raise FloorplanError(lineno, f"non-NULL tile {site} inside the fence")
-            tiles[site] = kind
+            if kind != "NULL" and key in fence:
+                raise FloorplanError(lineno, f"non-NULL tile {(x, y)} inside the fence")
+            tiles[key] = kind
         elif kw == "DEVICE":
             if plan is not None:
                 raise FloorplanError(lineno, "duplicate DEVICE line")
@@ -181,7 +198,7 @@ def parse_floorplan(text):
             if cols < 1 or rows < 1:
                 raise FloorplanError(lineno, "DEVICE needs at least one column and one row")
             plan = Floorplan(cols=cols, rows=rows)
-            tiles, fence = plan.tiles, plan.fence
+            stride, tiles, fence = rows + 1, plan.tiles, plan.fence
         elif plan is None:
             raise FloorplanError(lineno, "DEVICE must come first")
         elif kw == "REGION":
@@ -192,10 +209,9 @@ def parse_floorplan(text):
                 raise FloorplanError(lineno, f"duplicate region name {name!r}")
             names.add(name)
             rect = _parse_rect(tokens[5:9], lineno)
-            region = IsolationRegion(name, tokens[3], rect)
             if not _rect_in_grid(rect, plan):
                 raise FloorplanError(lineno, f"region {name!r} outside grid")
-            plan.regions.append(region)
+            plan.regions.append(_region((name, tokens[3], rect)))
         elif kw == "FENCE":
             if len(tokens) != 6 or tokens[1].upper() != "RECT":
                 raise FloorplanError(lineno, "FENCE RECT <x0> <y0> <x1> <y1>")
@@ -203,11 +219,13 @@ def parse_floorplan(text):
             if not _rect_in_grid(rect, plan):
                 raise FloorplanError(lineno, "fence outside grid")
             x0, y0, x1, y1 = rect
-            cells = [(x, y) for x in range(x0, x1 + 1) for y in range(y0, y1 + 1)]
-            for xy in cells:
-                if tiles.get(xy, "NULL") != "NULL":
-                    raise FloorplanError(lineno, f"non-NULL tile {xy} inside the fence")
-            fence.update(cells)
+            for x in range(x0, x1 + 1):
+                column = range(x * stride + y0, x * stride + y1 + 1)
+                for key in column:
+                    if tiles.get(key, "NULL") != "NULL":
+                        xy = divmod(key, stride)
+                        raise FloorplanError(lineno, f"non-NULL tile {xy} inside the fence")
+                fence.update(column)
         elif kw == "PIN":
             if len(tokens) != 12:
                 raise FloorplanError(lineno, _PIN_SYNTAX)
@@ -230,7 +248,7 @@ def parse_floorplan(text):
                 raise FloorplanError(lineno, f"pin {name!r} is on package ball "
                                              f"{package} of pin {balls[package]!r}")
             balls[package] = name
-            plan.pins.append(PinPlacement(name, group, site, bank, package))
+            plan.pins.append(_pin((name, group, site, bank, package)))
         elif kw == "NET":
             pending.append((lineno, tokens))
         else:
@@ -293,7 +311,7 @@ def _parse_net(tokens, lineno, region_names, plan):
                                          f"region {region!r}")
     if i + 2 < len(tokens):
         raise FloorplanError(lineno, f"unexpected token {tokens[i + 2]!r}")
-    return NetRecord(name, is_clock, source, loads, tuple(pips))
+    return _net((name, is_clock, source, loads, tuple(pips)))
 
 
 # -- IDF-1: provenance ---------------------------------------------------
@@ -320,9 +338,9 @@ def check_idf2(plan, strict=False):
     for bank in sorted(banks):
         groups = sorted({p.group for p in banks[bank]})
         if len(groups) > 1:
-            violations.append(DrcViolation(
+            violations.append(_violation((
                 "IDF-2", severity, tuple(groups),
-                f"bank {bank} hosts pins from {len(groups)} isolation groups"))
+                f"bank {bank} hosts pins from {len(groups)} isolation groups")))
     return violations
 
 
@@ -349,10 +367,10 @@ def check_idf3(plan):
     violations = []
     for i, j in pairs:
         a, b = pins[i], pins[j]
-        violations.append(DrcViolation(
+        violations.append(_violation((
             "IDF-3", SEVERITY_ERROR, (a.name, b.name),
             f"package pins {a.package} and {b.package} of groups "
-            f"{a.group}/{b.group} are adjacent"))
+            f"{a.group}/{b.group} are adjacent")))
     return violations
 
 
@@ -390,9 +408,9 @@ def check_idf4(plan):
     for i, j in pairs:
         a, b = regions[i], regions[j]
         kind = "overlaps" if _rect_gap(a.rect, b.rect) == 0 else "touches"
-        violations.append(DrcViolation(
+        violations.append(_violation((
             "IDF-4", SEVERITY_ERROR, (a.name, b.name),
-            f"region {a.name} ({a.group}) {kind} region {b.name} ({b.group})"))
+            f"region {a.name} ({a.group}) {kind} region {b.name} ({b.group})")))
     return violations
 
 
@@ -400,46 +418,48 @@ def check_idf4(plan):
 
 
 def _occupied_tiles(plan):
-    """(x, y) -> group for every non-NULL tile inside a region rectangle.
+    """Tile key -> group for every non-NULL tile inside a region rectangle.
 
-    The first region in file order that holds a tile owns it.  Each region
-    tests its rectangle's cells against the logic tiles not yet owned, or
-    those tiles against its rectangle, whichever are fewer.
+    The first region in file order that holds a tile owns it: the regions
+    paint their groups over every key in reverse file order, one slice per
+    rectangle column, so the first region's paint is the one left.
     """
-    free = {xy for xy, kind in plan.tiles.items() if kind != "NULL"}
-    owned = {}
-    for region in plan.regions:
+    stride = plan.rows + 1
+    paint = [None] * (plan.cols * stride)
+    for region in reversed(plan.regions):
         x0, y0, x1, y1 = region.rect
-        if (x1 - x0 + 1) * (y1 - y0 + 1) <= len(free):
-            inside = free.intersection(product(range(x0, x1 + 1), range(y0, y1 + 1)))
-        else:
-            inside = {(x, y) for (x, y) in free if x0 <= x <= x1 and y0 <= y <= y1}
-        free -= inside
-        owned.update(dict.fromkeys(inside, region.group))
-    return owned
+        h = y1 - y0 + 1
+        run = [region.group] * h
+        for at in range(x0 * stride + y0, x1 * stride + y0 + 1, stride):
+            paint[at:at + h] = run
+    return {key: group for key, kind in plan.tiles.items()
+            if kind != "NULL" and (group := paint[key]) is not None}
 
 
 def check_idf5(plan):
     owned = _occupied_tiles(plan)
-    # (x, y, 0 for the right neighbour or 1 for the one above, groups)
+    stride = plan.rows + 1
+    # (key, 0 for the right neighbour or 1 for the one above, groups)
     found = []
-    for (x, y), group in owned.items():
+    for key, group in owned.items():
         # Only look right and up, so each unordered pair reports once.
-        other = owned.get((x + 1, y))
+        other = owned.get(key + stride)
         if other is not None and other != group:
-            found.append((x, y, 0, group, other))
-        other = owned.get((x, y + 1))
+            found.append((key, 0, group, other))
+        # Above a top-row tile is the spare row, which holds no tile.
+        other = owned.get(key + 1)
         if other is not None and other != group:
-            found.append((x, y, 1, group, other))
+            found.append((key, 1, group, other))
     found.sort()
     violations = []
-    for x, y, up, group, other in found:
+    for key, up, group, other in found:
+        x, y = divmod(key, stride)
         nx, ny = (x, y + 1) if up else (x + 1, y)
-        violations.append(DrcViolation(
+        violations.append(_violation((
             "IDF-5", SEVERITY_ERROR,
             (f"({x},{y})", f"({nx},{ny})"),
             f"occupied tiles ({x},{y})[{group}] and ({nx},{ny})"
-            f"[{other}] are adjacent"))
+            f"[{other}] are adjacent")))
     return violations
 
 
@@ -457,40 +477,42 @@ def check_idf6(plan):
     for net in inter:
         # One load is one region: only a net with more can span two.
         if len(net.loads) > 1 and len(load_regions := sorted(set(net.loads))) > 1:
-            violations.append(DrcViolation(
+            violations.append(_violation((
                 "IDF-6", SEVERITY_ERROR, (net.name,),
                 f"net {net.name} has loads in {len(load_regions)} isolated "
-                f"regions ({','.join(load_regions)})"))
+                f"regions ({','.join(load_regions)})")))
 
     fence = plan.fence
+    stride = plan.rows + 1
     for net in inter:
-        fence_pips = [(x, y, used) for (x, y, used) in net.pips
-                      if (x, y) in fence]
-        if not fence_pips:
+        fence_used = [used for (x, y, used) in net.pips if x * stride + y in fence]
+        if not fence_used:
             continue
-        if net.is_clock and not any(used for _, _, used in fence_pips):
+        if net.is_clock and not any(fence_used):
             continue  # clock nets may leave unused PIPs in the fence
-        violations.append(DrcViolation(
+        violations.append(_violation((
             "IDF-6", SEVERITY_ERROR, (net.name,),
-            f"net {net.name} has PIPs in the fence"))
+            f"net {net.name} has PIPs in the fence")))
 
-    first = {}   # (x, y) -> the first net with a PIP on that tile
-    shared = {}  # (x, y) -> names of all its nets, once a second one arrives
+    first = {}   # tile key -> the first net with a PIP on that tile
+    shared = {}  # tile key -> names of all its nets, once a second one arrives
     for net in inter:
         for (x, y, _used) in net.pips:
-            seen = first.setdefault((x, y), net.name)
+            key = x * stride + y
+            seen = first.setdefault(key, net.name)
             if seen != net.name:
-                shared.setdefault((x, y), {seen}).add(net.name)
+                shared.setdefault(key, {seen}).add(net.name)
     nets_by_name = {n.name: n for n in inter}
-    for (x, y) in sorted(shared):
-        names = sorted(shared[(x, y)])
+    for key in sorted(shared):
+        names = sorted(shared[key])
         endpoints = {(nets_by_name[n].source, tuple(sorted(nets_by_name[n].loads)))
                      for n in names}
         if len(endpoints) > 1:
-            violations.append(DrcViolation(
+            x, y = divmod(key, stride)
+            violations.append(_violation((
                 "IDF-6", SEVERITY_ERROR, tuple(names),
                 f"tile ({x},{y}) hosts inter-region nets without a common "
-                f"source and load"))
+                f"source and load")))
     return violations
 
 

@@ -1,9 +1,9 @@
 """Fault-injection campaign driver and report arithmetic.
 
 An injection cycle follows the PS-side procedure exactly: stop the module
-clocks, read the target frame back over PCAP into DRAM, XOR one bit, write
-the modified frame back, restart the clocks, pulse the start lines, sample
-the match line, then restore the frame from the read-back it holds.
+clocks, read the target frame back over PCAP into DRAM, stage it with one
+bit flipped, write it back, restart the clocks, pulse the start lines,
+sample the match line, then restore the frame from the read-back it holds.
 DRAM keeps two counters, detected errors at 0xFFFF0000 and error-free
 injections at 0xFFFF0008, which the summary must always agree with.
 
@@ -40,7 +40,7 @@ from .dut import (
     PIN_START0,
     PIN_START1,
 )
-from .fabric import FRAME_BYTES, FRAME_WORDS
+from .fabric import FRAME_BITS, FRAME_BYTES, FRAME_WORDS, flip_frame_bit
 from .packets import (
     DESYNC_WRITE,
     build_readback_sequence,
@@ -72,8 +72,7 @@ _HALTED, _RUNNING = ControlLines(0, 1, 1), ControlLines(1, 1, 1)
 
 class InjectionRecord(NamedTuple):
     far: int
-    word_index: int
-    bit_index_in_word: int
+    bit: int
     detected: bool
     error: str | None = None
 
@@ -233,12 +232,12 @@ class Campaign:
 
     # -- one injection ------------------------------------------------------
 
-    def inject_and_check(self, far_word, word_index, bit):
-        """Flip one configuration bit, sample the match line, restore.
+    def inject_and_check(self, far_word, bit):
+        """Flip bit `bit` of frame `far_word`, sample the match line, restore.
 
-        The frame is read back from the PL over PCAP and staged in the
-        template, one bit of it is flipped in DRAM and the template written
-        to `far_word`; the clocks restart and the match line is sampled.
+        The frame is read back from the PL over PCAP, the read-back staged
+        in the template with one bit flipped and written to `far_word`; the
+        clocks restart and the match line is sampled.
         Once the frame is read back the restore runs whatever happened: it
         writes the held read-back over the template's data words in one
         step and streams the template again, leaving its FAR slot as it
@@ -250,19 +249,17 @@ class Campaign:
         if not dev.geometry.is_valid_far(far_word):
             raise ValueError(f"FAR 0x{far_word:08x} invalid for geometry "
                              f"{dev.geometry.name}")
-        if not 0 <= word_index < FRAME_WORDS or not 0 <= bit < 32:
+        if not 0 <= bit < FRAME_BITS:
             raise ValueError("bit position outside a frame")
         detected = False
         error = None
         dram = dev.dram
-        addr = TEMPLATE_ADDR + 4 * (TPL_DATA_INDEX + word_index)
         gpio = dev.gpio
         gpio[PIN_CLK_EN] = 0
         frame = None  # the read-back, held for the restore
         try:
             frame = self.read_frame(far_word)
-            self.stage_frame(far_word, frame)
-            dram.write_word(addr, dram.read_word(addr) ^ (1 << bit))
+            self.stage_frame(far_word, flip_frame_bit(frame, bit))
             self.write_template_frame()
             gpio[PIN_CLK_EN] = 1
             detected = self.check_design()
@@ -285,30 +282,29 @@ class Campaign:
         if error is None:
             counter = ERROR_COUNTER_ADDR if detected else OK_COUNTER_ADDR
             dram.write_word(counter, dram.read_word(counter) + 1)
-        return _injection_record((far_word, word_index, bit, detected, error))
+        return _injection_record((far_word, bit, detected, error))
 
     # -- campaign loop -------------------------------------------------------
 
     def run_auto(self, far_words, variant="with_idf"):
         """Full automatic campaign over a FAR list; returns (summary, rows).
 
-        Each frame's 3232 injections run word-major, bit 0 to 31.
+        Each frame's 3232 injections run bit 0 to 3231, so word-major.
         """
         rows = []
         errors = 0
         for far_word in far_words:
             critical = non_critical = 0
-            for word_index in range(FRAME_WORDS):
-                for bit in range(32):
-                    record = self.inject_and_check(far_word, word_index, bit)
-                    if record.error is not None:
-                        if self.fail_fast:
-                            raise TransferError("campaign", record.error)
-                        errors += 1
-                    elif record.detected:
-                        critical += 1
-                    else:
-                        non_critical += 1
+            for bit in range(FRAME_BITS):
+                record = self.inject_and_check(far_word, bit)
+                if record.error is not None:
+                    if self.fail_fast:
+                        raise TransferError("campaign", record.error)
+                    errors += 1
+                elif record.detected:
+                    critical += 1
+                else:
+                    non_critical += 1
             rows.append(FrameRow(far_word, critical + non_critical, critical,
                                  non_critical))
         summary = _summary(variant, sum(r.injections for r in rows),

@@ -323,8 +323,8 @@ class DutModel:
                     while diff:
                         pos = diff.bit_length() - 1
                         diff ^= 1 << pos
-                        # Word w's bit k sits at position 32 * (100 - w) + k
-                        # of the big-endian frame; the same map turns it back.
+                        # fabric.flip_frame_bit's inverse: map bit b lies at
+                        # position 32 * (100 - (b >> 5)) + (b & 31).
                         bit = (_TOP_WORD_POS - (pos & ~31)) | (pos & 31)
                         crit = bits.get(bit)
                         if crit is not None:

@@ -2,12 +2,14 @@
 
 Frame memory is addressed by FAR (frame address register) values.  A frame
 is exactly 101 32-bit words (3232 bits), held as 404 big-endian bytes from
-DRAM through the engine to the DUT.  The configuration engine consumes
-packet streams: writes go through a one-frame buffer and commit a frame only
-once the first word of the next frame arrives, so the trailing all-zero
-flush frame in a write sequence is what pushes the last real frame into
-memory.  Reads emit one dummy frame of zeros ahead of real frame data for
-the same reason.
+DRAM through the engine to the DUT.  A configuration bit is one index
+0..3231, bit `b & 31` of word `b >> 5`: flip_frame_bit alone maps it to a
+byte and mask, and DutModel._rescan inlines the inverse in its hot loop.
+The configuration engine consumes packet streams: writes go through a
+one-frame buffer and commit a frame only once the first word of the next
+frame arrives, so the trailing all-zero flush frame in a write sequence is
+what pushes the last real frame into memory.  Reads emit one dummy frame of
+zeros ahead of real frame data for the same reason.
 
 Stream decoding costs a few steps per packet, not per word.  Before sync
 the engine skips to the next word-aligned SYNC word with one byte search
@@ -67,6 +69,13 @@ _DESYNC = int(CmdCode.DESYNC)
 _TYPE1_HEADERS = {(0b001 << 16) | (op << 14) | addr: (op, reg)
                   for addr, reg in REGISTERS_BY_ADDR.items() for op in range(4)}
 _SYNC_BYTES = SYNC_WORD.to_bytes(4, "big")
+
+
+def flip_frame_bit(frame, bit):
+    """`frame` with bit `bit & 31` of word `bit >> 5` flipped."""
+    flipped = bytearray(frame)
+    flipped[(bit >> 3) ^ 3] ^= 1 << (bit & 7)
+    return bytes(flipped)
 
 
 class DeviceGeometry:
@@ -260,13 +269,11 @@ class ConfigEngine:
     def read_frame(self, far_word):
         return self.memory.get(far_word, ZERO_FRAME)
 
-    def flip_bit(self, far_word, word_index, bit):
+    def flip_bit(self, far_word, bit):
         """XOR one configuration bit (test/fault bookkeeping)."""
-        if not 0 <= word_index < FRAME_WORDS or not 0 <= bit < 32:
+        if not 0 <= bit < FRAME_BITS:
             raise ValueError("bit position outside a frame")
-        frame = bytearray(self.read_frame(far_word))
-        frame[4 * word_index + 3 - (bit >> 3)] ^= 1 << (bit & 7)
-        self.memory[far_word] = bytes(frame)
+        self.memory[far_word] = flip_frame_bit(self.read_frame(far_word), bit)
         self._mutations += 1
         self.frame_versions.pop(far_word, None)
         self.frame_versions[far_word] = self._mutations

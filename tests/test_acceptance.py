@@ -180,9 +180,9 @@ def test_criterion_03_fabric_identity():
         target = geo.far_words()[0]
         base = snapshot_digest(engine)
         for bit in range(FRAME_WORDS * 32):
-            engine.flip_bit(target, bit >> 5, bit & 31)
+            engine.flip_bit(target, bit)
             assert snapshot_digest(engine) != base
-            engine.flip_bit(target, bit >> 5, bit & 31)
+            engine.flip_bit(target, bit)
             assert snapshot_digest(engine) == base
 
 
@@ -313,10 +313,10 @@ def test_criterion_08_dmr_properties():
                        if crit in (Criticality.MODULE0, Criticality.MODULE1)]
         assert module_bits
         for far_word, bit in module_bits:
-            engine.flip_bit(far_word, bit >> 5, bit & 31)
+            engine.flip_bit(far_word, bit)
             result = DutModel(sensitivity_map=smap).run_check(engine, lines, 5)
             assert result.match_line is MatchLine.HIGH
-            engine.flip_bit(far_word, bit >> 5, bit & 31)
+            engine.flip_bit(far_word, bit)
         result = DutModel(sensitivity_map=smap).run_check(engine, lines, 5)
         assert result.match_line is MatchLine.LOW
 

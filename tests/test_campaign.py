@@ -137,7 +137,7 @@ class TestCampaignInit:
         assert dev.dram.read_words(READBACK_REQ_ADDR, 58) == request(0)
         # Each read patches the resident request's FAR and nothing else.
         a, b = desk_geometry().far_words()[5:7]
-        dev.engine.flip_bit(b, 9, 3)
+        dev.engine.flip_bit(b, 291)
         c = Campaign(dev, DutModel(DutConfig(), SensitivityMap()))
         c.read_frame(a)
         assert c.read_frame(b) == dev.engine.read_frame(b)
@@ -157,7 +157,7 @@ def test_check_scans_only_changed_frames():
     dev = boot_device(geo)
     for i, far in enumerate(fars):
         smap.add(far, i % FRAME_BITS, Criticality.MODULE0)
-        dev.engine.flip_bit(far, 0, i % 32)
+        dev.engine.flip_bit(far, i % 32)
     seen = []
 
     class Scanned(dict):
@@ -172,7 +172,7 @@ def test_check_scans_only_changed_frames():
     assert seen == []
     previous = []
     for far in (fars[5], fars[9000], fars[77]):
-        c.inject_and_check(far, 0, 5)
+        c.inject_and_check(far, 5)
         # this frame's fault and the previous frame's restore
         assert sorted(seen) == sorted(previous + [far])
         del seen[:]
@@ -191,10 +191,10 @@ def test_events_are_rendered_only_at_the_log_sink(monkeypatch):
     monkeypatch.setattr(devc, "render_event", counting)
     dev, c = _fresh()
     far = dev.geometry.far_words()[3]
-    c.inject_and_check(far, 0, 0)
+    c.inject_and_check(far, 0)
     assert rendered == []  # no sink: the records are drained unrendered
     c.log = io.StringIO()
-    c.inject_and_check(far, 0, 1)
+    c.inject_and_check(far, 1)
     lines = c.log.getvalue().splitlines()
     assert len(lines) == len(rendered) == 20
     assert lines[0] == "ACQUIRE PCAP GRANTED"
@@ -222,7 +222,7 @@ def test_one_injection_without_a_sink_runs_the_whole_procedure(monkeypatch):
         far = dev.geometry.far_words()[4]
         del calls[:]
         words, seconds = dev.words_moved, dev.sim_seconds
-        record = c.inject_and_check(far, 3, 5)
+        record = c.inject_and_check(far, 101)
         assert record.error is None
         added.append((dev.words_moved - words, dev.sim_seconds - seconds,
                       calls.count("dma_process"), calls.count("execute")))
@@ -233,7 +233,7 @@ def test_one_injection_without_a_sink_runs_the_whole_procedure(monkeypatch):
 
 
 # Python-level calls of one injection, as sys.setprofile counts them.
-INJECTION_CALLS = 43
+INJECTION_CALLS = 42
 
 
 def test_per_injection_work_is_pinned():
@@ -244,7 +244,7 @@ def test_per_injection_work_is_pinned():
     for bit in (0, 37, 70):
         smap.add(0, bit, Criticality.MODULE0)
     dev, c = _fresh(smap)
-    c.inject_and_check(0, 0, 0)  # the first check converts the baseline
+    c.inject_and_check(0, 0)  # the first check converts the baseline
     calls = collections.Counter()
     records = []
 
@@ -255,7 +255,7 @@ def test_per_injection_work_is_pinned():
     sys.setprofile(profile)
     try:
         for k in range(64):
-            records.append(c.inject_and_check(0, k // 32, k % 32))
+            records.append(c.inject_and_check(0, k))
     finally:
         sys.setprofile(None)
     assert [r.error for r in records] == [None] * 64
@@ -266,7 +266,7 @@ def test_per_injection_work_is_pinned():
     assert per["Device.interface_acquire"] == 4
     assert per["ConfigEngine.execute"] == 3
     assert per["DutModel.run_check"] == 1
-    assert sum(n for name, n in per.items() if name.startswith("Dram.")) == 13
+    assert sum(n for name, n in per.items() if name.startswith("Dram.")) == 11
     assert sum(per.values()) <= INJECTION_CALLS
 
 
@@ -312,10 +312,46 @@ def test_campaign_on_a_configured_fabric():
     assert snapshot_digest(dev.engine) == configured
 
 
+def _detected_and_mapped(far):
+    """Inject every bit of `far` on the seeded configured fabric; returns
+    the bits found critical and the bits the map holds for `far`."""
+    dev = boot_device()
+    _configure(dev, seed=1501)
+    smap = sensitivity_generate(1501, dev.geometry, [far], 400)
+    c = Campaign(dev, DutModel(DutConfig(), smap))
+    records = [c.inject_and_check(far, bit) for bit in range(FRAME_BITS)]
+    assert [r.error for r in records] == [None] * FRAME_BITS
+    return ({r.bit for r in records if r.detected},
+            {bit for _, bit, _ in smap.iter_entries()})
+
+
+def test_each_injection_on_a_configured_fabric_hits_its_own_bit():
+    # Per-frame counts cannot tell the injected bit from another bit of
+    # the same word; record by record, exactly the mapped bits are critical.
+    detected, mapped = _detected_and_mapped(desk_geometry().far_words()[9])
+    assert len(mapped) == 400
+    assert detected == mapped
+
+
+def test_a_byte_order_slip_in_the_flip_is_seen_bit_by_bit(monkeypatch):
+    # The slip flips byte `bit >> 3` of the frame in place of
+    # `(bit >> 3) ^ 3`, so it permutes the bits of each word: the frame's
+    # count of critical bits stays the same, but not which bits they are.
+    def slipped(frame, bit):
+        flipped = bytearray(frame)
+        flipped[bit >> 3] ^= 1 << (bit & 7)
+        return bytes(flipped)
+
+    monkeypatch.setattr("idfsim.campaign.flip_frame_bit", slipped)
+    detected, mapped = _detected_and_mapped(desk_geometry().far_words()[9])
+    assert len(detected) == len(mapped)
+    assert detected != mapped
+
+
 class TestInjectAndCheck:
     def test_not_critical_bit(self):
         dev, c = _fresh()
-        record = c.inject_and_check(0, 0, 0)
+        record = c.inject_and_check(0, 0)
         assert record.detected is False
         assert record.error is None
         assert counters(dev) == (0, 1)
@@ -324,7 +360,7 @@ class TestInjectAndCheck:
         smap = SensitivityMap()
         smap.add(0, 0, Criticality.MODULE0)  # word 0, bit 0
         dev, c = _fresh(smap)
-        record = c.inject_and_check(0, 0, 0)
+        record = c.inject_and_check(0, 0)
         assert record.detected is True
         assert counters(dev) == (1, 0)
         assert dev.gpio.get(13, 0) == 1
@@ -332,7 +368,7 @@ class TestInjectAndCheck:
     def test_memory_restored(self):
         dev, c = _fresh()
         before = snapshot_digest(dev.engine)
-        c.inject_and_check(0, 42, 7)
+        c.inject_and_check(0, 1351)
         assert snapshot_digest(dev.engine) == before
 
     def test_restored_even_on_faulted_frame(self):
@@ -340,7 +376,7 @@ class TestInjectAndCheck:
         smap.add(0, 1337, Criticality.MODULE1)
         dev, c = _fresh(smap)
         before = snapshot_digest(dev.engine)
-        record = c.inject_and_check(0, 1337 // 32, 1337 % 32)
+        record = c.inject_and_check(0, 1337)
         assert record.detected
         assert snapshot_digest(dev.engine) == before
 
@@ -350,24 +386,24 @@ class TestInjectAndCheck:
         dev, c = _fresh(smap)
         before = snapshot_digest(dev.engine)
         assert dev.interface_acquire(Interface.JTAG)
-        record = c.inject_and_check(0, 0, 0)
+        record = c.inject_and_check(0, 0)
         assert record.error == ("PCAP could not acquire the configuration "
                                 "interface")
         assert record.detected is False
         assert counters(dev) == (0, 0)
         assert snapshot_digest(dev.engine) == before
         dev.interface_release_on_desync()
-        record = c.inject_and_check(0, 0, 0)
+        record = c.inject_and_check(0, 0)
         assert (record.detected, record.error) == (True, None)
         assert counters(dev) == (1, 0)
         assert snapshot_digest(dev.engine) == before
 
     def test_bit_position_validated(self):
-        _, c = _fresh()
-        with pytest.raises(ValueError):
-            c.inject_and_check(0, FRAME_WORDS, 0)
-        with pytest.raises(ValueError):
-            c.inject_and_check(0, 0, 32)
+        dev, c = _fresh()
+        for bit in (-1, FRAME_BITS):
+            with pytest.raises(ValueError, match="^bit position outside a frame$"):
+                c.inject_and_check(0, bit)
+        assert counters(dev) == (0, 0)
 
     def test_invalid_far_rejected_before_anything_changes(self):
         # The engine would log bad_far and write wherever current_far
@@ -375,7 +411,7 @@ class TestInjectAndCheck:
         dev, c = _fresh()
         before = snapshot_digest(dev.engine)
         with pytest.raises(ValueError, match="invalid for geometry desk"):
-            c.inject_and_check(0x00300000, 0, 0)  # row 24 on desk
+            c.inject_and_check(0x00300000, 0)  # row 24 on desk
         assert snapshot_digest(dev.engine) == before
         assert counters(dev) == (0, 0)
 
@@ -385,7 +421,7 @@ class TestInjectAndCheck:
         # packets.
         log = io.StringIO()
         dev, c = _fresh(log=log)
-        assert c.inject_and_check(0, 3, 4).error is None
+        assert c.inject_and_check(0, 100).error is None
         assert not dev.cfg_error
         lines = log.getvalue().splitlines()
         assert not [line for line in lines if "ignored_word" in line]
@@ -408,7 +444,7 @@ class TestTransferErrors:
             return real(self)
 
         monkeypatch.setattr(Campaign, "write_template_frame", flaky)
-        record = c.inject_and_check(0, 0, 0)
+        record = c.inject_and_check(0, 0)
         assert record.error is not None
         assert snapshot_digest(dev.engine) == before
         # errored injections do not count
@@ -451,7 +487,7 @@ class TestTransferErrors:
         # injection and make each of them critical.
         assert summary.critical == rows[0].critical == 1
         errored = [r for r in records if r.error is not None]
-        assert [(r.word_index, r.bit_index_in_word) for r in errored] == [(0, 0)]
+        assert [r.bit for r in errored] == [0]
         assert errored[0].error.endswith(f"injected fault at DMA {k}")
         assert errored[0].error.startswith("restore failed") == (k == 4)
 
@@ -516,7 +552,7 @@ class TestRejectedStreams:
         dev, c, far = self._campaign()
         before = snapshot_digest(dev.engine)
         dev.dram.write_word(READBACK_REQ_ADDR + 4 * REQ_RCFG_INDEX, 0)
-        record = c.inject_and_check(far, 0, 0)
+        record = c.inject_and_check(far, 0)
         assert record.error == ("configuration engine rejected the stream: "
                                 "fdro_without_rcfg")
         assert not record.detected
@@ -598,7 +634,7 @@ def test_corrupted_template_data_word_is_not_kept(monkeypatch, configured):
         dev.dram.write_word(TEMPLATE_ADDR + 4 * (TPL_DATA_INDEX + 5), 0xDEADBEEF)
 
     monkeypatch.setattr(Campaign, "stage_frame", corrupt)
-    c.inject_and_check(far, 0, 0)
+    c.inject_and_check(far, 0)
     assert snapshot_digest(dev.engine) == before
 
 

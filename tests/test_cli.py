@@ -95,7 +95,7 @@ class TestInteractiveSession:
         dev = boot_device()
         dut = DutModel(DutConfig(), smap)
         dut.capture_baseline(dev.engine)
-        dev.engine.flip_bit(0, 0, 0)
+        dev.engine.flip_bit(0, 0)
         out = io.StringIO()
         interactive_session(io.StringIO("3\n0\n"), out, dev, dut,
                             desk_geometry().far_words())
@@ -134,7 +134,7 @@ class TestInteractiveSession:
         smap = SensitivityMap()
         smap.add(1, 0, Criticality.COMPARATOR)
         dev = boot_device()
-        dev.engine.flip_bit(1, 0, 0)
+        dev.engine.flip_bit(1, 0)
         dut = DutModel(DutConfig(), smap)
         out = io.StringIO()
         interactive_session(io.StringIO("3\n2\n0x00000001\n3\n0\n"), out,

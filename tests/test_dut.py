@@ -1,13 +1,16 @@
 import collections
 import gc
+import inspect
 import random
 import sys
+import textwrap
 
 import pytest
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, example, given, settings
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
+from idfsim import dut, fabric
 from idfsim.aes import aes256_encrypt
 from idfsim.dut import (
     ControlLines,
@@ -381,7 +384,7 @@ class TestDutRunCheck:
         engine = _engine()
         smap = SensitivityMap()
         smap.add(0, 100, Criticality.MODULE0)
-        engine.flip_bit(0, 100 // 32, 100 % 32)
+        engine.flip_bit(0, 100)
         result = DutModel(sensitivity_map=smap).run_check(engine, _lines(), 0)
         assert result.match_line is MatchLine.HIGH
         assert result.outputs[0] != result.outputs[1]
@@ -390,7 +393,7 @@ class TestDutRunCheck:
         engine = _engine()
         smap = SensitivityMap()
         smap.add(0x80, 9, Criticality.MODULE1)
-        engine.flip_bit(0x80, 0, 9)
+        engine.flip_bit(0x80, 9)
         result = DutModel(sensitivity_map=smap).run_check(engine, _lines(), 3)
         assert result.match_line is MatchLine.HIGH
 
@@ -398,7 +401,7 @@ class TestDutRunCheck:
         engine = _engine()
         smap = SensitivityMap()
         smap.add(0, 5, Criticality.COMPARATOR)
-        engine.flip_bit(0, 0, 5)
+        engine.flip_bit(0, 5)
         result = DutModel(sensitivity_map=smap).run_check(engine, _lines(), 0)
         assert result.match_line is MatchLine.HIGH
         # the comparator itself is broken: outputs may still be equal
@@ -408,7 +411,7 @@ class TestDutRunCheck:
         engine = _engine()
         smap = SensitivityMap()
         smap.add(0, 77, Criticality.MODULE0)
-        engine.flip_bit(0, 2, 0)  # bit 64: not in the map
+        engine.flip_bit(0, 64)  # bit 64: not in the map
         result = DutModel(sensitivity_map=smap).run_check(engine, _lines(), 0)
         assert result.match_line is MatchLine.LOW
 
@@ -416,8 +419,8 @@ class TestDutRunCheck:
         engine = _engine()
         smap = SensitivityMap()
         smap.add(0, 0, Criticality.MODULE1)
-        engine.flip_bit(0, 0, 0)
-        engine.flip_bit(0, 0, 0)
+        engine.flip_bit(0, 0)
+        engine.flip_bit(0, 0)
         for input4 in range(16):
             result = DutModel(sensitivity_map=smap).run_check(engine, _lines(),
                                                               input4)
@@ -430,7 +433,7 @@ class TestDutRunCheck:
         result = DutModel(sensitivity_map=smap).run_check(engine, _lines(), 0)
         assert (result.match_line is MatchLine.LOW) == (
             result.outputs[0] == result.outputs[1])
-        engine.flip_bit(0, 0, 1)
+        engine.flip_bit(0, 1)
         result = DutModel(sensitivity_map=smap).run_check(engine, _lines(), 0)
         assert (result.match_line is MatchLine.LOW) == (
             result.outputs[0] == result.outputs[1])
@@ -450,8 +453,8 @@ class TestDutRunCheck:
         smap = SensitivityMap()
         smap.add(0, 10, Criticality.MODULE0)
         smap.add(0, 200, Criticality.MODULE0)
-        engine.flip_bit(0, 0, 10)
-        engine.flip_bit(0, 200 // 32, 200 % 32)
+        engine.flip_bit(0, 10)
+        engine.flip_bit(0, 200)
         result = DutModel(sensitivity_map=smap).run_check(engine, _lines(), 0)
         base = int.from_bytes(aes256_encrypt(DEFAULT_KEY, widen_input(0)), "big")
         assert int.from_bytes(result.outputs[0], "big") == base ^ fault_mask(0, 10)
@@ -463,15 +466,15 @@ class TestDutRunCheck:
         model = DutModel(DutConfig(), smap)
         model.capture_baseline(engine)
         assert model.run_check(engine, _lines(), 0).match_line is MatchLine.LOW
-        engine.flip_bit(0, 0, 4)
+        engine.flip_bit(0, 4)
         assert model.run_check(engine, _lines(), 0).match_line is MatchLine.HIGH
-        engine.flip_bit(0, 0, 4)
+        engine.flip_bit(0, 4)
         assert model.run_check(engine, _lines(), 0).match_line is MatchLine.LOW
 
     def test_baseline_rebase(self):
         # flips are relative to the captured golden state, not to zero
         engine = _engine()
-        engine.flip_bit(0, 0, 4)
+        engine.flip_bit(0, 4)
         smap = SensitivityMap()
         smap.add(0, 4, Criticality.MODULE0)
         model = DutModel(DutConfig(), smap)
@@ -488,13 +491,63 @@ class TestDutRunCheck:
         smap.add(0, 9, Criticality.COMPARATOR)
         model = DutModel(DutConfig(), smap)
         model.capture_baseline(engine)
-        engine.flip_bit(0, 0, 4)
+        engine.flip_bit(0, 4)
         assert model.run_check(engine, _lines(), 0).flip0 == (0, 4)
-        engine.flip_bit(0, 0, 9)
+        engine.flip_bit(0, 9)
         model.capture_baseline(engine)
         assert model.run_check(engine, _lines(), 0).match_line is MatchLine.LOW
-        engine.flip_bit(0, 0, 4)
+        engine.flip_bit(0, 4)
         assert _checked(model, engine) == (MatchLine.HIGH, (0, 4), None)
+
+
+def _layout_mismatches():
+    """Bits the frame layout gets wrong: the flip must set bit `k` of word
+    `w` of the big-endian frame, position `32 * (100 - w) + k` of it as an
+    integer, and a one-bit map must report the flip at the same bit."""
+    engine = _engine()
+    far = engine.geometry.far_words()[5]
+    wrong = []
+    for bit in range(FRAME_BITS):
+        frame = fabric.flip_frame_bit(fabric.ZERO_FRAME, bit)
+        at = 32 * (100 - bit // 32) + bit % 32
+        smap = SensitivityMap()
+        smap.add(far, bit, Criticality.MODULE0)
+        engine.flip_bit(far, bit)
+        flip0 = DutModel(sensitivity_map=smap).run_check(engine, _lines(), 0).flip0
+        engine.flip_bit(far, bit)
+        if int.from_bytes(frame, "big") != 1 << at or flip0 != (far, bit):
+            wrong.append(bit)
+    return wrong
+
+
+def test_frame_layout_of_every_bit():
+    assert _layout_mismatches() == []
+
+
+def _slip_in_flip(frame, bit):
+    flipped = bytearray(frame)
+    flipped[bit >> 3] ^= 1 << (bit & 7)  # byte `(bit >> 3) ^ 3` is right
+    return bytes(flipped)
+
+
+def _rescan_with_slipped_decode():
+    """DutModel._rescan with its inline position-to-bit decode swapping the
+    bytes of each word, as the byte-order slip in the flip does."""
+    source = textwrap.dedent(inspect.getsource(DutModel._rescan))
+    decode = "bit = (_TOP_WORD_POS - (pos & ~31)) | (pos & 31)"
+    assert source.count(decode) == 1
+    namespace = {}
+    exec(source.replace(decode, decode + " ^ 24"), vars(dut), namespace)
+    return namespace["_rescan"]
+
+
+@pytest.mark.parametrize("where", ["fabric", "dut"])
+def test_frame_layout_check_sees_a_byte_order_slip(monkeypatch, where):
+    if where == "fabric":
+        monkeypatch.setattr(fabric, "flip_frame_bit", _slip_in_flip)
+    else:
+        monkeypatch.setattr(DutModel, "_rescan", _rescan_with_slipped_decode())
+    assert _layout_mismatches() == list(range(FRAME_BITS))
 
 
 def test_match_line_from_flipped_classes():
@@ -522,7 +575,7 @@ def test_match_line_from_flipped_classes():
         model = DutModel(sensitivity_map=smap)
         model.capture_baseline(engine)
         for far, bit in m0 | m1 | comparator:
-            engine.flip_bit(far, bit // 32, bit % 32)
+            engine.flip_bit(far, bit)
         mask = (lambda far, bit: 0x5A5A) if colliding else fault_mask
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr("idfsim.dut.fault_mask", mask)
@@ -628,7 +681,7 @@ def test_flipped_bits_match_full_rescan(ops):
     for op, *args in ops:
         if op == "flip":
             slot, far, bit = args
-            engines[slot].flip_bit(far, bit >> 5, bit & 31)
+            engines[slot].flip_bit(far, bit)
         elif op == "write":
             slot, start, count, toggles = args
             engine = engines[slot]

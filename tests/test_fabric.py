@@ -426,17 +426,16 @@ class TestSnapshotDigest:
     def test_flip_changes_and_restore_restores(self):
         engine = ConfigEngine(desk_geometry(), ZEDBOARD_IDCODE)
         base = snapshot_digest(engine)
-        engine.flip_bit(0, 50, 17)
+        engine.flip_bit(0, 1617)
         assert snapshot_digest(engine) != base
-        engine.flip_bit(0, 50, 17)
+        engine.flip_bit(0, 1617)
         assert snapshot_digest(engine) == base
 
-    @pytest.mark.parametrize("word, bit", [(-1, 0), (FRAME_WORDS, 0), (0, 32),
-                                           (0, -1)])
-    def test_flip_outside_a_frame(self, word, bit):
+    @pytest.mark.parametrize("bit", [-1, FRAME_BITS])
+    def test_flip_outside_a_frame(self, bit):
         engine = ConfigEngine(desk_geometry(), ZEDBOARD_IDCODE)
         with pytest.raises(ValueError, match="^bit position outside a frame$"):
-            engine.flip_bit(0, word, bit)
+            engine.flip_bit(0, bit)
         assert engine.memory == {} and engine.frame_versions == {}
 
     def test_distinct_across_desk_single_flips(self):
@@ -445,9 +444,9 @@ class TestSnapshotDigest:
         engine = ConfigEngine(desk_geometry(), ZEDBOARD_IDCODE)
         seen = {snapshot_digest(engine)}
         for bit in range(32):
-            engine.flip_bit(0, 0, bit)
+            engine.flip_bit(0, bit)
             seen.add(snapshot_digest(engine))
-            engine.flip_bit(0, 0, bit)
+            engine.flip_bit(0, bit)
         assert len(seen) == 33
 
 
@@ -937,8 +936,8 @@ def test_frames_are_immutable_bytes():
     assert _memory_words(engine) == dict(zip(fars, frames))
     assert {type(f) for f in engine.memory.values()} == {bytes}
     written, unwritten = engine.read_frame(fars[1]), engine.read_frame(fars[5])
-    engine.flip_bit(fars[1], 0, 0)
-    engine.flip_bit(fars[5], 0, 0)
+    engine.flip_bit(fars[1], 0)
+    engine.flip_bit(fars[5], 0)
     assert written == words_to_bytes(frames[1])
     assert unwritten == bytes(4 * FRAME_WORDS)
     assert bytes_to_words(engine.read_frame(fars[1]))[0] == frames[1][0] ^ 1

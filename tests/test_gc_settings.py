@@ -12,11 +12,16 @@ FORBIDDEN = frozenset(("disable", "freeze", "set_threshold"))
 
 
 def _gc_settings_used(tree):
-    """Names of the forbidden `gc` functions a module calls or imports."""
+    """Names of the forbidden `gc` functions a module calls or imports,
+    through `gc` or any name an `import gc as <name>` binds."""
+    names = {"gc"} | {alias.asname for node in ast.walk(tree)
+                      if isinstance(node, ast.Import)
+                      for alias in node.names
+                      if alias.name == "gc" and alias.asname}
     used = set()
     for node in ast.walk(tree):
         if (isinstance(node, ast.Attribute) and node.attr in FORBIDDEN
-                and isinstance(node.value, ast.Name) and node.value.id == "gc"):
+                and isinstance(node.value, ast.Name) and node.value.id in names):
             used.add(node.attr)
         elif isinstance(node, ast.ImportFrom) and node.module == "gc":
             used.update(a.name for a in node.names if a.name in FORBIDDEN | {"*"})
@@ -35,6 +40,7 @@ def test_module_leaves_gc_settings_alone(path):
     ("import gc\ngc.set_threshold(10**6)\n", {"set_threshold"}),
     ("from gc import disable\n", {"disable"}),
     ("import gc\ngc.collect()\ngc.enable()\n", set()),
+    ("import gc as g\ng.freeze()\n", {"freeze"}),
 ])
 def test_guard_sees_each_setting(source, used):
     assert _gc_settings_used(ast.parse(source)) == used

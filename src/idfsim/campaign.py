@@ -43,6 +43,9 @@ from .dut import (
 from .fabric import FRAME_BITS, FRAME_BYTES, FRAME_WORDS, flip_frame_bit
 from .packets import (
     DESYNC_WRITE,
+    READBACK_FAR_INDEX,
+    WRITE_DATA_INDEX,
+    WRITE_FAR_INDEX,
     build_readback_sequence,
     build_write_frame_sequence,
 )
@@ -52,12 +55,6 @@ READBACK_REQ_ADDR = 0x00280000
 READBACK_DST_ADDR = 0x00300000
 ERROR_COUNTER_ADDR = 0xFFFF0000
 OK_COUNTER_ADDR = 0xFFFF0008
-
-# Template word indices: FAR payload and first frame-data word.
-TPL_FAR_INDEX = 6
-TPL_DATA_INDEX = 11
-# Read-back request word index: FAR payload.
-REQ_FAR_INDEX = 21
 
 REFERENCE_INJECTIONS = 64640   # 20 frames x 3232 bits
 REFERENCE_MINUTES = 440.0
@@ -172,7 +169,7 @@ class Campaign:
     def read_frame(self, far_word):
         """Read one frame over PCAP; lands at READBACK_DST_ADDR in DRAM."""
         dram = self.device.dram
-        dram.write_word(READBACK_REQ_ADDR + 4 * REQ_FAR_INDEX, far_word)
+        dram.write_word(READBACK_REQ_ADDR + 4 * READBACK_FAR_INDEX, far_word)
         self._transfer(READBACK_REQ_ADDR, PL_ADDR, self._request_len)
         # The request's closing DESYNC released PCAP; take it back to drain.
         self._transfer(PL_ADDR, READBACK_DST_ADDR, 2 * FRAME_WORDS)
@@ -193,10 +190,10 @@ class Campaign:
     def stage_frame(self, far_word, frame=None):
         """Point the template at `far_word`; load `frame` as its data if given."""
         dram = self.device.dram
-        dram.write_word(TEMPLATE_ADDR + 4 * TPL_FAR_INDEX, far_word)
+        dram.write_word(TEMPLATE_ADDR + 4 * WRITE_FAR_INDEX, far_word)
         self._staged_far = far_word
         if frame is not None:
-            dram.write_bytes(TEMPLATE_ADDR + 4 * TPL_DATA_INDEX, frame)
+            dram.write_bytes(TEMPLATE_ADDR + 4 * WRITE_DATA_INDEX, frame)
 
     def check_design(self):
         """Pulse both start lines and sample the match line; True on an error."""
@@ -269,7 +266,7 @@ class Campaign:
             try:
                 if frame is not None:
                     gpio[PIN_CLK_EN] = 0
-                    dram.write_bytes(TEMPLATE_ADDR + 4 * TPL_DATA_INDEX, frame)
+                    dram.write_bytes(TEMPLATE_ADDR + 4 * WRITE_DATA_INDEX, frame)
                     failure = self._restore(far_word)
                     if error is None:
                         error = failure

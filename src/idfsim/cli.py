@@ -251,7 +251,7 @@ def _cmd_gen_map(args):
     far_words = geometry.far_words()[:args.frames]
     if len(far_words) < args.frames:
         raise ValueError(f"geometry {geometry.name} has only {len(far_words)} frames")
-    smap = sensitivity_generate(args.seed, geometry, far_words, args.critical,
+    smap = sensitivity_generate(args.seed, far_words, args.critical,
                                 split=tuple(args.split))
     smap.save(args.out)
     print(f"wrote {smap.critical_count} critical bits to {args.out}")

@@ -201,8 +201,7 @@ class SensitivityMap:
         return smap
 
 
-def sensitivity_generate(seed, geometry, frames, critical_count,
-                         split=(0.45, 0.45, 0.10)):
+def sensitivity_generate(seed, frames, critical_count, split=(0.45, 0.45, 0.10)):
     """Deterministic fixture map: exactly `critical_count` critical bits.
 
     Bits are drawn without replacement from the given frames' 3232-bit

@@ -25,6 +25,10 @@ FAR words, keys DeviceGeometry.column_minors on `far >> 7` and compares the
 minor `far & 0x7F` with them.  ConfigEngine.execute inlines the same
 arithmetic at three sites, for speed: the FAR-write check and the
 within-column step `far + 1` of the commit and read loops.
+
+Frame memory has one writer, the FDRI commit loop in ConfigEngine.execute:
+it alone stores frames and their versions, so a bit changes only by a
+frame write, as on the device.
 """
 
 import hashlib
@@ -247,6 +251,8 @@ class ConfigEngine:
 
     `frame_versions` maps each FAR word written to the mutation count of
     its last change, in that order: versions increase from first to last.
+    The commit loop is the only writer of `memory`, `frame_versions` and
+    `_mutations`.
     """
 
     def __init__(self, geometry, device_id):
@@ -263,22 +269,6 @@ class ConfigEngine:
         self.memory = {}
         self.frame_versions = {}
         self._mutations = 0
-
-    # -- frame memory ------------------------------------------------------
-
-    def read_frame(self, far_word):
-        return self.memory.get(far_word, ZERO_FRAME)
-
-    def flip_bit(self, far_word, bit):
-        """XOR one configuration bit (test/fault bookkeeping)."""
-        if not 0 <= bit < FRAME_BITS:
-            raise ValueError("bit position outside a frame")
-        self.memory[far_word] = flip_frame_bit(self.read_frame(far_word), bit)
-        self._mutations += 1
-        self.frame_versions.pop(far_word, None)
-        self.frame_versions[far_word] = self._mutations
-
-    # -- stream execution --------------------------------------------------
 
     def execute(self, data):
         if not isinstance(data, bytes):

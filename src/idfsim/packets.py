@@ -283,6 +283,12 @@ _READBACK_HEAD = (
     _FAR_WRITE,
 )
 _FDRO_READ = encode_type1(OpCode.READ, ConfigRegister.FDRO, 0)
+# Word slots of the built streams: a frame write's FAR payload (after the
+# IDCODE value and the FAR header) and first frame-data word (after the
+# Type-2 header), and a read-back request's FAR payload.
+WRITE_FAR_INDEX = len(_WRITE_HEAD) + 2
+WRITE_DATA_INDEX = WRITE_FAR_INDEX + len(_WCFG_FDRI) + 2
+READBACK_FAR_INDEX = len(_READBACK_HEAD)
 _READBACK_PAD = (NOOP_WORD,) * 32
 _FLUSH_FRAME = array("I", [FLUSH_WORD]) * FRAME_WORDS
 

@@ -3,9 +3,26 @@ from pathlib import Path
 
 import pytest
 
+from idfsim import fabric
 from idfsim.devc import Device, TransferError
+from idfsim.packets import build_write_frame_sequence, bytes_to_words, words_to_bytes
 
 PERFBENCH_GEN = Path(__file__).parent.parent / "perfbench" / "gen.py"
+
+
+def write_flipped_bit(engine, far_word, bit):
+    """Flip one configuration bit as the PS does: write its frame back
+    through `engine.execute` with the bit flipped, then check that the frame
+    landed and is the newest in `frame_versions`.  `fabric.flip_frame_bit`
+    is looked up per call, so a test can patch it."""
+    assert 0 <= bit < fabric.FRAME_BITS, f"bit {bit} outside a frame"
+    frame = engine.memory.get(far_word, fabric.ZERO_FRAME)
+    frame = fabric.flip_frame_bit(frame, bit)
+    seq = build_write_frame_sequence(engine.device_id, far_word,
+                                     [bytes_to_words(frame)])
+    engine.execute(words_to_bytes(seq.words))
+    assert engine.memory[far_word] == frame
+    assert next(reversed(engine.frame_versions)) == far_word
 
 
 @pytest.fixture(scope="session")

@@ -14,6 +14,8 @@ from pathlib import Path
 import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
+from conftest import write_flipped_bit
+
 from idfsim.campaign import (
     Campaign,
     compare_summaries,
@@ -180,9 +182,9 @@ def test_criterion_03_fabric_identity():
         target = geo.far_words()[0]
         base = snapshot_digest(engine)
         for bit in range(FRAME_WORDS * 32):
-            engine.flip_bit(target, bit)
+            write_flipped_bit(engine, target, bit)
             assert snapshot_digest(engine) != base
-            engine.flip_bit(target, bit)
+            write_flipped_bit(engine, target, bit)
             assert snapshot_digest(engine) == base
 
 
@@ -249,7 +251,7 @@ def test_criterion_05_arbitration_trace():
 def _run_reference_campaign(critical_count, variant, seed):
     geo = z7020like_geometry()
     fars = geo.far_words()[:20]
-    smap = sensitivity_generate(seed, geo, fars, critical_count)
+    smap = sensitivity_generate(seed, fars, critical_count)
     assert smap.critical_count == critical_count
     dev = boot_device(geo)
     dut = DutModel(DutConfig(variant=variant), smap)
@@ -308,15 +310,15 @@ def test_criterion_08_dmr_properties():
                                                                input4)
             assert result.match_line is MatchLine.LOW
 
-        smap = sensitivity_generate(8, geo, geo.far_words(), 200)
+        smap = sensitivity_generate(8, geo.far_words(), 200)
         module_bits = [(far, bit) for far, bit, crit in smap.iter_entries()
                        if crit in (Criticality.MODULE0, Criticality.MODULE1)]
         assert module_bits
         for far_word, bit in module_bits:
-            engine.flip_bit(far_word, bit)
+            write_flipped_bit(engine, far_word, bit)
             result = DutModel(sensitivity_map=smap).run_check(engine, lines, 5)
             assert result.match_line is MatchLine.HIGH
-            engine.flip_bit(far_word, bit)
+            write_flipped_bit(engine, far_word, bit)
         result = DutModel(sensitivity_map=smap).run_check(engine, lines, 5)
         assert result.match_line is MatchLine.LOW
 

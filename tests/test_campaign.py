@@ -5,16 +5,14 @@ import sys
 
 import pytest
 
+from conftest import write_flipped_bit
 from idfsim.campaign import (
     Campaign,
     ERROR_COUNTER_ADDR,
     OK_COUNTER_ADDR,
     PIN_CLK_EN,
     READBACK_REQ_ADDR,
-    REQ_FAR_INDEX,
     TEMPLATE_ADDR,
-    TPL_DATA_INDEX,
-    TPL_FAR_INDEX,
     campaign_init,
     compare_summaries,
     counters,
@@ -45,6 +43,7 @@ from idfsim.dut import (
 from idfsim.fabric import (
     FRAME_BITS,
     FRAME_WORDS,
+    ZERO_FRAME,
     ConfigEngine,
     desk_geometry,
     snapshot_digest,
@@ -52,12 +51,29 @@ from idfsim.fabric import (
 )
 from idfsim.packets import (
     DESYNC_WRITE,
+    READBACK_FAR_INDEX,
+    WRITE_DATA_INDEX,
+    WRITE_FAR_INDEX,
     CmdCode,
     ZEDBOARD_IDCODE,
     build_readback_sequence,
     build_write_frame_sequence,
     words_to_bytes,
 )
+
+# Word slots of the resident streams, pinned here apart from `packets`: the
+# template's IDCODE value, WCFG command, FAR payload and first data word,
+# and the request's RCFG command and FAR payload.
+TPL_IDCODE_INDEX = 4
+TPL_FAR_INDEX = 6
+TPL_WCFG_INDEX = 8
+TPL_DATA_INDEX = 11
+REQ_RCFG_INDEX = 18
+REQ_FAR_INDEX = 21
+
+
+def test_packets_names_the_far_and_data_slots():
+    assert (WRITE_FAR_INDEX, WRITE_DATA_INDEX, READBACK_FAR_INDEX) == (6, 11, 21)
 
 
 def _fresh(smap=None, **kwargs):
@@ -137,10 +153,10 @@ class TestCampaignInit:
         assert dev.dram.read_words(READBACK_REQ_ADDR, 58) == request(0)
         # Each read patches the resident request's FAR and nothing else.
         a, b = desk_geometry().far_words()[5:7]
-        dev.engine.flip_bit(b, 291)
+        write_flipped_bit(dev.engine, b, 291)
         c = Campaign(dev, DutModel(DutConfig(), SensitivityMap()))
         c.read_frame(a)
-        assert c.read_frame(b) == dev.engine.read_frame(b)
+        assert c.read_frame(b) == dev.engine.memory.get(b, ZERO_FRAME)
         assert dev.dram.read_words(READBACK_REQ_ADDR, 58) == request(b)
 
     def test_requires_initialized_device(self):
@@ -157,7 +173,7 @@ def test_check_scans_only_changed_frames():
     dev = boot_device(geo)
     for i, far in enumerate(fars):
         smap.add(far, i % FRAME_BITS, Criticality.MODULE0)
-        dev.engine.flip_bit(far, i % 32)
+        write_flipped_bit(dev.engine, far, i % 32)
     seen = []
 
     class Scanned(dict):
@@ -294,10 +310,10 @@ def test_campaign_on_a_configured_fabric():
     # mapped bits are critical, and every restore puts the image back.
     dev = boot_device()
     image = _configure(dev, seed=1501)
-    assert {far: dev.engine.read_frame(far) for far in image} == image
+    assert {far: dev.engine.memory.get(far, ZERO_FRAME) for far in image} == image
     fars = dev.geometry.far_words()
     targets = [fars[3], fars[9], fars[17]]  # one ends a column, one the device
-    smap = sensitivity_generate(1501, dev.geometry, targets, 45)
+    smap = sensitivity_generate(1501, targets, 45)
     c = Campaign(dev, DutModel(DutConfig(), smap))
     configured = snapshot_digest(dev.engine)
     summary, rows = c.run_auto(targets)
@@ -317,7 +333,7 @@ def _detected_and_mapped(far):
     the bits found critical and the bits the map holds for `far`."""
     dev = boot_device()
     _configure(dev, seed=1501)
-    smap = sensitivity_generate(1501, dev.geometry, [far], 400)
+    smap = sensitivity_generate(1501, [far], 400)
     c = Campaign(dev, DutModel(DutConfig(), smap))
     records = [c.inject_and_check(far, bit) for bit in range(FRAME_BITS)]
     assert [r.error for r in records] == [None] * FRAME_BITS
@@ -522,12 +538,6 @@ class TestTransferErrors:
         assert counters(dev) == (summary.critical, summary.non_critical)
 
 
-# Word slots of the resident streams, checked against the built streams in
-# TestRejectedStreams: the template's IDCODE value and WCFG command, and the
-# request's RCFG command.
-TPL_IDCODE_INDEX = 4
-TPL_WCFG_INDEX = 8
-REQ_RCFG_INDEX = 18
 BAD_FAR = 0x00300000  # row 24: outside desk
 
 
@@ -611,7 +621,7 @@ class TestRejectedStreams:
             c.run_auto([far])
         assert info.value.reason == "restore"
         assert counters(dev) == (0, 0)
-        assert dev.engine.read_frame(far) == image[far]
+        assert dev.engine.memory.get(far, ZERO_FRAME) == image[far]
 
 
 @pytest.mark.parametrize("configured", [False, True], ids=["desk", "seeded"])

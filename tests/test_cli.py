@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import write_flipped_bit
 from idfsim.cli import (
     BANNER_LINES,
     EXIT_FINDINGS,
@@ -23,7 +24,7 @@ from idfsim import campaign as campaign_mod
 from idfsim.campaign import READBACK_REQ_ADDR, TEMPLATE_ADDR
 from idfsim.devc import boot_device
 from idfsim.dut import Criticality, DutConfig, DutModel, SensitivityMap
-from idfsim.fabric import FRAME_BYTES, desk_geometry, snapshot_digest
+from idfsim.fabric import FRAME_BYTES, ZERO_FRAME, desk_geometry, snapshot_digest
 from idfsim.packets import read_sequence_file
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -95,7 +96,7 @@ class TestInteractiveSession:
         dev = boot_device()
         dut = DutModel(DutConfig(), smap)
         dut.capture_baseline(dev.engine)
-        dev.engine.flip_bit(0, 0)
+        write_flipped_bit(dev.engine, 0, 0)
         out = io.StringIO()
         interactive_session(io.StringIO("3\n0\n"), out, dev, dut,
                             desk_geometry().far_words())
@@ -134,12 +135,12 @@ class TestInteractiveSession:
         smap = SensitivityMap()
         smap.add(1, 0, Criticality.COMPARATOR)
         dev = boot_device()
-        dev.engine.flip_bit(1, 0)
+        write_flipped_bit(dev.engine, 1, 0)
         dut = DutModel(DutConfig(), smap)
         out = io.StringIO()
         interactive_session(io.StringIO("3\n2\n0x00000001\n3\n0\n"), out,
                             dev, dut, desk_geometry().far_words())
-        assert dev.engine.read_frame(1) == bytes(FRAME_BYTES)
+        assert dev.engine.memory.get(1, ZERO_FRAME) == bytes(FRAME_BYTES)
         assert [line for line in out.getvalue().splitlines()
                 if line.startswith("Match")] == ["Match OK", "Match ERROR"]
 

@@ -10,6 +10,8 @@ import hypothesis.strategies as st
 from hypothesis import HealthCheck, example, given, settings
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
+from conftest import write_flipped_bit
+
 from idfsim import dut, fabric
 from idfsim.aes import aes256_encrypt
 from idfsim.dut import (
@@ -30,6 +32,7 @@ from idfsim.fabric import (
     ConfigEngine,
     FRAME_BITS,
     FRAME_WORDS,
+    ZERO_FRAME,
     desk_geometry,
     z7020like_geometry,
 )
@@ -125,19 +128,19 @@ class TestSensitivityMap:
     def test_exact_counts(self):
         geo = desk_geometry()
         frames = geo.far_words()
-        smap = sensitivity_generate(5, geo, frames, 1234)
+        smap = sensitivity_generate(5, frames, 1234)
         assert smap.critical_count == 1234
 
     def test_zero_count_is_empty(self):
         geo = desk_geometry()
-        smap = sensitivity_generate(5, geo, geo.far_words(), 0)
+        smap = sensitivity_generate(5, geo.far_words(), 0)
         assert smap.critical_count == 0
         assert list(smap.iter_entries()) == []
 
     def test_count_overflow(self):
         geo = desk_geometry()
         with pytest.raises(ValueError):
-            sensitivity_generate(5, geo, geo.far_words()[:1], FRAME_BITS + 1)
+            sensitivity_generate(5, geo.far_words()[:1], FRAME_BITS + 1)
 
     @pytest.mark.parametrize("split, count", [
         ((0, 0, 0), 10), ((-1, 1, 1), 10), ((float("nan"), 1, 1), 10),
@@ -145,30 +148,30 @@ class TestSensitivityMap:
     def test_bad_split_or_count_rejected(self, split, count):
         geo = desk_geometry()
         with pytest.raises(ValueError):
-            sensitivity_generate(5, geo, geo.far_words(), count, split=split)
+            sensitivity_generate(5, geo.far_words(), count, split=split)
 
     def test_zero_fractions_allowed(self):
         geo = desk_geometry()
-        smap = sensitivity_generate(5, geo, geo.far_words(), 10, split=(1, 0, 0))
+        smap = sensitivity_generate(5, geo.far_words(), 10, split=(1, 0, 0))
         assert {crit for _, _, crit in smap.iter_entries()} == {
             Criticality.MODULE0}
 
     def test_deterministic(self):
         geo = desk_geometry()
-        a = sensitivity_generate(42, geo, geo.far_words(), 500)
-        b = sensitivity_generate(42, geo, geo.far_words(), 500)
+        a = sensitivity_generate(42, geo.far_words(), 500)
+        b = sensitivity_generate(42, geo.far_words(), 500)
         assert list(a.iter_entries()) == list(b.iter_entries())
 
     def test_split_classes_present(self):
         geo = desk_geometry()
-        smap = sensitivity_generate(1, geo, geo.far_words(), 300)
+        smap = sensitivity_generate(1, geo.far_words(), 300)
         classes = {crit for _, _, crit in smap.iter_entries()}
         assert classes == {Criticality.MODULE0, Criticality.MODULE1,
                            Criticality.COMPARATOR}
 
     def test_save_load_round_trip(self, tmp_path):
         geo = desk_geometry()
-        smap = sensitivity_generate(3, geo, geo.far_words(), 77)
+        smap = sensitivity_generate(3, geo.far_words(), 77)
         path = tmp_path / "map.txt"
         smap.save(path)
         loaded = SensitivityMap.load(path)
@@ -176,7 +179,7 @@ class TestSensitivityMap:
 
     def test_round_trip_keeps_every_entry(self, tmp_path):
         geo = z7020like_geometry()
-        smap = sensitivity_generate(9, geo, geo.far_words()[:3], 2500)
+        smap = sensitivity_generate(9, geo.far_words()[:3], 2500)
         path = tmp_path / "map.txt"
         smap.save(path)
         loaded = SensitivityMap.load(path)
@@ -384,7 +387,7 @@ class TestDutRunCheck:
         engine = _engine()
         smap = SensitivityMap()
         smap.add(0, 100, Criticality.MODULE0)
-        engine.flip_bit(0, 100)
+        write_flipped_bit(engine, 0, 100)
         result = DutModel(sensitivity_map=smap).run_check(engine, _lines(), 0)
         assert result.match_line is MatchLine.HIGH
         assert result.outputs[0] != result.outputs[1]
@@ -393,7 +396,7 @@ class TestDutRunCheck:
         engine = _engine()
         smap = SensitivityMap()
         smap.add(0x80, 9, Criticality.MODULE1)
-        engine.flip_bit(0x80, 9)
+        write_flipped_bit(engine, 0x80, 9)
         result = DutModel(sensitivity_map=smap).run_check(engine, _lines(), 3)
         assert result.match_line is MatchLine.HIGH
 
@@ -401,7 +404,7 @@ class TestDutRunCheck:
         engine = _engine()
         smap = SensitivityMap()
         smap.add(0, 5, Criticality.COMPARATOR)
-        engine.flip_bit(0, 5)
+        write_flipped_bit(engine, 0, 5)
         result = DutModel(sensitivity_map=smap).run_check(engine, _lines(), 0)
         assert result.match_line is MatchLine.HIGH
         # the comparator itself is broken: outputs may still be equal
@@ -411,7 +414,7 @@ class TestDutRunCheck:
         engine = _engine()
         smap = SensitivityMap()
         smap.add(0, 77, Criticality.MODULE0)
-        engine.flip_bit(0, 64)  # bit 64: not in the map
+        write_flipped_bit(engine, 0, 64)  # bit 64: not in the map
         result = DutModel(sensitivity_map=smap).run_check(engine, _lines(), 0)
         assert result.match_line is MatchLine.LOW
 
@@ -419,8 +422,8 @@ class TestDutRunCheck:
         engine = _engine()
         smap = SensitivityMap()
         smap.add(0, 0, Criticality.MODULE1)
-        engine.flip_bit(0, 0)
-        engine.flip_bit(0, 0)
+        write_flipped_bit(engine, 0, 0)
+        write_flipped_bit(engine, 0, 0)
         for input4 in range(16):
             result = DutModel(sensitivity_map=smap).run_check(engine, _lines(),
                                                               input4)
@@ -433,7 +436,7 @@ class TestDutRunCheck:
         result = DutModel(sensitivity_map=smap).run_check(engine, _lines(), 0)
         assert (result.match_line is MatchLine.LOW) == (
             result.outputs[0] == result.outputs[1])
-        engine.flip_bit(0, 1)
+        write_flipped_bit(engine, 0, 1)
         result = DutModel(sensitivity_map=smap).run_check(engine, _lines(), 0)
         assert (result.match_line is MatchLine.LOW) == (
             result.outputs[0] == result.outputs[1])
@@ -453,8 +456,8 @@ class TestDutRunCheck:
         smap = SensitivityMap()
         smap.add(0, 10, Criticality.MODULE0)
         smap.add(0, 200, Criticality.MODULE0)
-        engine.flip_bit(0, 10)
-        engine.flip_bit(0, 200)
+        write_flipped_bit(engine, 0, 10)
+        write_flipped_bit(engine, 0, 200)
         result = DutModel(sensitivity_map=smap).run_check(engine, _lines(), 0)
         base = int.from_bytes(aes256_encrypt(DEFAULT_KEY, widen_input(0)), "big")
         assert int.from_bytes(result.outputs[0], "big") == base ^ fault_mask(0, 10)
@@ -466,15 +469,15 @@ class TestDutRunCheck:
         model = DutModel(DutConfig(), smap)
         model.capture_baseline(engine)
         assert model.run_check(engine, _lines(), 0).match_line is MatchLine.LOW
-        engine.flip_bit(0, 4)
+        write_flipped_bit(engine, 0, 4)
         assert model.run_check(engine, _lines(), 0).match_line is MatchLine.HIGH
-        engine.flip_bit(0, 4)
+        write_flipped_bit(engine, 0, 4)
         assert model.run_check(engine, _lines(), 0).match_line is MatchLine.LOW
 
     def test_baseline_rebase(self):
         # flips are relative to the captured golden state, not to zero
         engine = _engine()
-        engine.flip_bit(0, 4)
+        write_flipped_bit(engine, 0, 4)
         smap = SensitivityMap()
         smap.add(0, 4, Criticality.MODULE0)
         model = DutModel(DutConfig(), smap)
@@ -491,12 +494,12 @@ class TestDutRunCheck:
         smap.add(0, 9, Criticality.COMPARATOR)
         model = DutModel(DutConfig(), smap)
         model.capture_baseline(engine)
-        engine.flip_bit(0, 4)
+        write_flipped_bit(engine, 0, 4)
         assert model.run_check(engine, _lines(), 0).flip0 == (0, 4)
-        engine.flip_bit(0, 9)
+        write_flipped_bit(engine, 0, 9)
         model.capture_baseline(engine)
         assert model.run_check(engine, _lines(), 0).match_line is MatchLine.LOW
-        engine.flip_bit(0, 4)
+        write_flipped_bit(engine, 0, 4)
         assert _checked(model, engine) == (MatchLine.HIGH, (0, 4), None)
 
 
@@ -512,9 +515,9 @@ def _layout_mismatches():
         at = 32 * (100 - bit // 32) + bit % 32
         smap = SensitivityMap()
         smap.add(far, bit, Criticality.MODULE0)
-        engine.flip_bit(far, bit)
+        write_flipped_bit(engine, far, bit)
         flip0 = DutModel(sensitivity_map=smap).run_check(engine, _lines(), 0).flip0
-        engine.flip_bit(far, bit)
+        write_flipped_bit(engine, far, bit)
         if int.from_bytes(frame, "big") != 1 << at or flip0 != (far, bit):
             wrong.append(bit)
     return wrong
@@ -575,7 +578,7 @@ def test_match_line_from_flipped_classes():
         model = DutModel(sensitivity_map=smap)
         model.capture_baseline(engine)
         for far, bit in m0 | m1 | comparator:
-            engine.flip_bit(far, bit)
+            write_flipped_bit(engine, far, bit)
         mask = (lambda far, bit: 0x5A5A) if colliding else fault_mask
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr("idfsim.dut.fault_mask", mask)
@@ -681,11 +684,11 @@ def test_flipped_bits_match_full_rescan(ops):
     for op, *args in ops:
         if op == "flip":
             slot, far, bit = args
-            engines[slot].flip_bit(far, bit)
+            write_flipped_bit(engines[slot], far, bit)
         elif op == "write":
             slot, start, count, toggles = args
             engine = engines[slot]
-            frames = [bytes_to_words(engine.read_frame(far))
+            frames = [bytes_to_words(engine.memory.get(far, ZERO_FRAME))
                       for far in _FARS[start:start + count]]
             for frame in frames:
                 for bit in toggles:

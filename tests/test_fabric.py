@@ -1,3 +1,4 @@
+import ast
 import random
 import struct
 import time
@@ -8,12 +9,14 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import idfsim
+from conftest import write_flipped_bit
 from idfsim.fabric import (
     ConfigEngine,
     DeviceGeometry,
     FRAME_BITS,
     FRAME_BYTES,
     FRAME_WORDS,
+    ZERO_FRAME,
     desk_geometry,
     dump_frames,
     load_frame_dump,
@@ -224,6 +227,102 @@ def test_only_fabric_reads_the_far_layout_table():
     assert readers == []
 
 
+_FRAME_STATE = {"memory", "frame_versions", "_mutations"}
+_DICT_WRITERS = {"pop", "popitem", "clear", "update", "setdefault"}
+
+
+def _scopes(node, prefix=""):
+    """(qualified name, node) of every function under `node`."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            name = prefix + child.name
+            if not isinstance(child, ast.ClassDef):
+                yield name, child
+            yield from _scopes(child, name + ".")
+        else:
+            yield from _scopes(child, prefix)
+
+
+def _own_nodes(scope):
+    """The nodes of `scope`, without those of the functions inside it."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _stores_frame_state(scope):
+    """True when `scope` assigns, augments, deletes or subscript-stores
+    `.memory`, `.frame_versions` or `._mutations`, or calls a dict writer
+    such as `.pop` on one, directly or through a local name bound to it."""
+    nodes = list(_own_nodes(scope))
+
+    def attr(node):
+        return isinstance(node, ast.Attribute) and node.attr in _FRAME_STATE
+
+    aliases = {target.id for node in nodes
+               if isinstance(node, ast.Assign) and attr(node.value)
+               for target in node.targets if isinstance(target, ast.Name)}
+
+    def state(node):
+        return attr(node) or isinstance(node, ast.Name) and node.id in aliases
+
+    for node in nodes:
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = list(node.targets)
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if node.func.attr in _DICT_WRITERS and state(node.func.value):
+                return True
+            continue
+        else:
+            continue
+        while targets:
+            target = targets.pop()
+            if isinstance(target, (ast.Tuple, ast.List)):
+                targets += target.elts
+            elif attr(target) or isinstance(target, ast.Subscript) and state(target.value):
+                return True
+    return False
+
+
+def _frame_state_writers():
+    src = Path(idfsim.__file__).parent
+    writers = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        writers += [f"{path.stem}.{name}"
+                    for name, scope in [("<module>", tree), *_scopes(tree)]
+                    if _stores_frame_state(scope)]
+    return writers
+
+
+def test_frame_memory_has_one_writer():
+    # A configuration bit changes only as the device changes it: by a
+    # frame written through the engine's commit loop.
+    assert _frame_state_writers() == ["fabric.ConfigEngine.__init__",
+                                      "fabric.ConfigEngine.execute"]
+
+
+@pytest.mark.parametrize("body", [
+    "engine.memory[far] = frame",
+    "engine.frame_versions.pop(far, None)",
+    "engine.memory = {}",
+    "engine._mutations += 1",
+    "del engine.memory[far]",
+    "versions = engine.frame_versions\n    versions[far] = 1",
+    "memory = engine.memory\n    memory.update(frames)",
+    "frame, engine._mutations = frame, 0",
+])
+def test_frame_state_writer_check_sees(body):
+    tree = ast.parse(f"def write(engine, far, frame, frames):\n    {body}\n")
+    [(_, scope)] = _scopes(tree)
+    assert _stores_frame_state(scope)
+
+
 def _write_frames(engine, far_word, frames, device_id=ZEDBOARD_IDCODE):
     seq = build_write_frame_sequence(device_id, far_word, frames)
     return _execute(engine, seq.words)
@@ -426,17 +525,10 @@ class TestSnapshotDigest:
     def test_flip_changes_and_restore_restores(self):
         engine = ConfigEngine(desk_geometry(), ZEDBOARD_IDCODE)
         base = snapshot_digest(engine)
-        engine.flip_bit(0, 1617)
+        write_flipped_bit(engine, 0, 1617)
         assert snapshot_digest(engine) != base
-        engine.flip_bit(0, 1617)
+        write_flipped_bit(engine, 0, 1617)
         assert snapshot_digest(engine) == base
-
-    @pytest.mark.parametrize("bit", [-1, FRAME_BITS])
-    def test_flip_outside_a_frame(self, bit):
-        engine = ConfigEngine(desk_geometry(), ZEDBOARD_IDCODE)
-        with pytest.raises(ValueError, match="^bit position outside a frame$"):
-            engine.flip_bit(0, bit)
-        assert engine.memory == {} and engine.frame_versions == {}
 
     def test_distinct_across_desk_single_flips(self):
         # collision-free at desk scale: every single-bit flip of word 0
@@ -444,9 +536,9 @@ class TestSnapshotDigest:
         engine = ConfigEngine(desk_geometry(), ZEDBOARD_IDCODE)
         seen = {snapshot_digest(engine)}
         for bit in range(32):
-            engine.flip_bit(0, bit)
+            write_flipped_bit(engine, 0, bit)
             seen.add(snapshot_digest(engine))
-            engine.flip_bit(0, bit)
+            write_flipped_bit(engine, 0, bit)
         assert len(seen) == 33
 
 
@@ -935,13 +1027,14 @@ def test_frames_are_immutable_bytes():
         data[:] = b"\xff" * len(data)
     assert _memory_words(engine) == dict(zip(fars, frames))
     assert {type(f) for f in engine.memory.values()} == {bytes}
-    written, unwritten = engine.read_frame(fars[1]), engine.read_frame(fars[5])
-    engine.flip_bit(fars[1], 0)
-    engine.flip_bit(fars[5], 0)
+    written = engine.memory.get(fars[1], ZERO_FRAME)
+    unwritten = engine.memory.get(fars[5], ZERO_FRAME)
+    write_flipped_bit(engine, fars[1], 0)
+    write_flipped_bit(engine, fars[5], 0)
     assert written == words_to_bytes(frames[1])
     assert unwritten == bytes(4 * FRAME_WORDS)
-    assert bytes_to_words(engine.read_frame(fars[1]))[0] == frames[1][0] ^ 1
-    assert bytes_to_words(engine.read_frame(fars[5]))[0] == 1
+    assert bytes_to_words(engine.memory[fars[1]])[0] == frames[1][0] ^ 1
+    assert bytes_to_words(engine.memory[fars[5]])[0] == 1
     with pytest.raises(TypeError):
         engine.execute([SYNC_WORD])  # a word list is not a byte stream
 

@@ -1,7 +1,7 @@
 """Simulated DevC register bank, PCAP bridge, DMA engine and arbitration.
 
 A Device bundles everything one campaign owns exclusively: the DevC
-registers, the DMA descriptor queue, a sparse DRAM, GPIO pins, the
+registers, the DMA descriptor queue, a flat 4 GB DRAM, GPIO pins, the
 configuration-interface arbiter and the fabric-side configuration engine.
 
 Transfer rules modeled after the real PCAP path:
@@ -14,6 +14,16 @@ Transfer rules modeled after the real PCAP path:
 * Reading more than fits the 1024-byte receiver FIFO requires the PCAP
   clock slowed to 25 MHz (divisor >= 4); at full rate it overflows.
 
+DRAM is the PS's whole 32-bit address space as one anonymous private
+4 GB `mmap` of big-endian bytes, the on-disk sequence format, so every
+access is one slice or one struct call and unwritten bytes read 0.  The
+OS backs a page of it on the page's first write, so a `Dram` relies on
+memory overcommit to be created; there is no fallback.  A span that does
+not lie inside 0..0xFFFFFFFF raises ValueError and changes nothing, and
+`write_words` packs every word before it writes, so a word that does not
+fit raises struct.error and changes nothing.  A DMA descriptor whose
+span leaves the space is refused when it is queued.
+
 All failed transfers are all-or-nothing: no PL or DRAM state changes.
 A stream the engine rejects in part only sets `Device.cfg_error` to the
 list of engine events that rejected it.
@@ -25,6 +35,7 @@ that wants text calls it.  The PCAP byte rate is worked out once per clock
 divisor; each transfer adds `(words * 4) / rate` to `sim_seconds`.
 """
 
+import mmap
 import struct
 from collections import deque
 from dataclasses import dataclass
@@ -45,8 +56,7 @@ MAX_READ_WORDS = 1010  # 10 frames; 4040 bytes keeps a transfer under 4 KB
 PCAP_CLK_HZ = 100_000_000
 PCAP_MAX_BYTES_PER_SEC = 145_000_000
 
-_PAGE = 4096
-_ZERO_PAGE = memoryview(bytes(_PAGE))  # what an unwritten page reads
+_SPACE = 1 << 32  # bytes in the PS address space
 _WORD = struct.Struct(">I")
 
 
@@ -104,6 +114,14 @@ class DmaDescriptor(NamedTuple):
     direction: str  # "ps2pl" or "pl2ps"
 
 
+def _outside(addr, length):
+    """The error for a DRAM span that does not lie in the address space."""
+    if length < 0:
+        return ValueError(f"negative read length {length}")
+    return ValueError(f"{length} bytes at {addr:#x} leave the 32-bit "
+                      "address space")
+
+
 class _DescriptorQueue(deque):
     """Plain field tuples, cheaper to queue; indexing gives a DmaDescriptor."""
     def __getitem__(self, index):
@@ -111,80 +129,31 @@ class _DescriptorQueue(deque):
 
 
 class Dram:
-    """Sparse byte-addressed memory over a 32-bit space; unwritten reads 0.
-
-    Storage is 4 KB pages of big-endian bytes, matching the on-disk
-    sequence format, created on first write; a read never creates one.
-    A byte or single-word access inside one page works on that page
-    directly; a span that crosses pages goes page by page, and a read of
-    one joins views of the pages into the one buffer it returns.
-    """
-
+    """The PS's 32-bit address space, one flat map of big-endian bytes."""
     def __init__(self):
-        self._pages = {}
-
-    def _new_page(self, base):
-        page = self._pages[base] = bytearray(_PAGE)
-        return page
+        self._mem = mmap.mmap(-1, _SPACE, flags=mmap.MAP_PRIVATE)
 
     def write_bytes(self, addr, data):
-        data = bytes(data)
-        off = addr & (_PAGE - 1)
-        if len(data) <= _PAGE - off:
-            if data:
-                base = addr - off
-                page = self._pages.get(base) or self._new_page(base)
-                page[off:off + len(data)] = data
-            return
-        data = memoryview(data)
-        while data:
-            off = addr & (_PAGE - 1)
-            base = addr - off
-            page = self._pages.get(base) or self._new_page(base)
-            n = min(_PAGE - off, len(data))
-            page[off:off + n] = data[:n]
-            data = data[n:]
-            addr += n
+        if not 0 <= addr <= _SPACE - len(data):
+            raise _outside(addr, len(data))
+        self._mem[addr:addr + len(data)] = data
 
     def read_bytes(self, addr, length):
-        off = addr & (_PAGE - 1)
-        if 0 <= length <= _PAGE - off:
-            page = self._pages.get(addr - off)
-            return bytes(length) if page is None else bytes(page[off:off + length])
-        if length < 0:
-            raise ValueError(f"negative read length {length}")
-        spans = []
-        while length:
-            off = addr & (_PAGE - 1)
-            page = self._pages.get(addr - off)
-            n = min(_PAGE - off, length)
-            if page is None:
-                spans.append(_ZERO_PAGE[:n])
-            else:
-                spans.append(memoryview(page)[off:off + n])
-            length -= n
-            addr += n
-        return b"".join(spans)
+        if not 0 <= addr <= addr + length <= _SPACE:
+            raise _outside(addr, length)
+        return self._mem[addr:addr + length]
 
     def write_word(self, addr, word):
-        word &= 0xFFFFFFFF
-        off = addr & (_PAGE - 1)
-        if off > _PAGE - 4:
-            self.write_bytes(addr, _WORD.pack(word))
-            return
-        base = addr - off
-        _WORD.pack_into(self._pages.get(base) or self._new_page(base), off, word)
+        if not 0 <= addr <= _SPACE - 4:
+            raise _outside(addr, 4)
+        _WORD.pack_into(self._mem, addr, word & 0xFFFFFFFF)
 
     def read_word(self, addr):
-        off = addr & (_PAGE - 1)
-        if off > _PAGE - 4:
-            return _WORD.unpack(self.read_bytes(addr, 4))[0]
-        page = self._pages.get(addr - off)
-        return 0 if page is None else _WORD.unpack_from(page, off)[0]
+        if not 0 <= addr <= _SPACE - 4:
+            raise _outside(addr, 4)
+        return _WORD.unpack_from(self._mem, addr)[0]
 
     def write_words(self, addr, words):
-        # Packed before any page is touched: a word that does not fit
-        # raises struct.error and changes nothing.
         self.write_bytes(addr, words_to_bytes(words))
 
     def read_words(self, addr, count):
@@ -297,6 +266,10 @@ class Device:
                                   f"address 0x{PL_ADDR:08X}")
         if src_len < 0 or dst_len < 0:
             raise DescriptorError(f"negative transfer length {src_len}/{dst_len}")
+        ps_addr = src if to_pl else dst  # the transfer moves 4 * dst_len bytes
+        if ps_addr + 4 * dst_len > _SPACE:
+            raise DescriptorError(f"{dst_len} words at 0x{ps_addr:08x} leave "
+                                  "the 32-bit address space")
         direction = "ps2pl" if to_pl else "pl2ps"
         self.dma_queue.append((src, dst, src_len, dst_len, direction))
         self.events.append(("DMA QUEUED {} SRC=0x{:08x} DST=0x{:08x} LEN={}",

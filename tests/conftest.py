@@ -10,6 +10,16 @@ from idfsim.packets import build_write_frame_sequence, bytes_to_words, words_to_
 PERFBENCH_GEN = Path(__file__).parent.parent / "perfbench" / "gen.py"
 
 
+def write_frames(engine, far_word, frames, device_id=None):
+    """Write `frames`, word lists, from `far_word` on as one frame-write
+    sequence through `engine.execute`, the engine's only frame writer;
+    returns the engine's events.  `device_id` defaults to the engine's."""
+    if device_id is None:
+        device_id = engine.device_id
+    seq = build_write_frame_sequence(device_id, far_word, frames)
+    return engine.execute(words_to_bytes(seq.words))[1]
+
+
 def write_flipped_bit(engine, far_word, bit):
     """Flip one configuration bit as the PS does: write its frame back
     through `engine.execute` with the bit flipped, then check that the frame
@@ -18,9 +28,7 @@ def write_flipped_bit(engine, far_word, bit):
     assert 0 <= bit < fabric.FRAME_BITS, f"bit {bit} outside a frame"
     frame = engine.memory.get(far_word, fabric.ZERO_FRAME)
     frame = fabric.flip_frame_bit(frame, bit)
-    seq = build_write_frame_sequence(engine.device_id, far_word,
-                                     [bytes_to_words(frame)])
-    engine.execute(words_to_bytes(seq.words))
+    write_frames(engine, far_word, [bytes_to_words(frame)])
     assert engine.memory[far_word] == frame
     assert next(reversed(engine.frame_versions)) == far_word
 

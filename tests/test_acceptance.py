@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
-from conftest import write_flipped_bit
+from conftest import write_flipped_bit, write_frames
 
 from idfsim.campaign import (
     Campaign,
@@ -55,7 +55,6 @@ from idfsim.packets import (
     ZEDBOARD_IDCODE,
     build_desync_footer,
     build_readback_sequence,
-    build_write_frame_sequence,
     bytes_to_words,
     decode_stream,
     encode_packets,
@@ -171,8 +170,7 @@ def test_criterion_03_fabric_identity():
         rng = random.Random(3)
         for far_word in geo.far_words():
             frame = [rng.getrandbits(32) for _ in range(FRAME_WORDS)]
-            engine.execute(words_to_bytes(
-                build_write_frame_sequence(ZEDBOARD_IDCODE, far_word, [frame]).words))
+            write_frames(engine, far_word, [frame])
             out, _ = engine.execute(words_to_bytes(
                 build_readback_sequence(far_word, 1).words))
             out = bytes_to_words(out)

@@ -10,7 +10,7 @@ import hypothesis.strategies as st
 from hypothesis import HealthCheck, example, given, settings
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
-from conftest import write_flipped_bit
+from conftest import write_flipped_bit, write_frames
 
 from idfsim import dut, fabric
 from idfsim.aes import aes256_encrypt
@@ -36,12 +36,7 @@ from idfsim.fabric import (
     desk_geometry,
     z7020like_geometry,
 )
-from idfsim.packets import (
-    ZEDBOARD_IDCODE,
-    build_write_frame_sequence,
-    bytes_to_words,
-    words_to_bytes,
-)
+from idfsim.packets import ZEDBOARD_IDCODE, bytes_to_words
 
 
 def _oracle_encrypt(key, block):
@@ -645,12 +640,6 @@ def _checked(model, engine):
     return result.match_line, result.flip0, result.flip1
 
 
-def _write(engine, far, frames):
-    _, events = engine.execute(words_to_bytes(build_write_frame_sequence(
-        ZEDBOARD_IDCODE, far, frames).words))
-    assert events == ["sync", "desync"]
-
-
 _MODEL = st.integers(0, 2)
 _SLOT = st.integers(0, 1)
 _BIT = st.integers(0, FRAME_BITS - 1)
@@ -693,12 +682,12 @@ def test_flipped_bits_match_full_rescan(ops):
             for frame in frames:
                 for bit in toggles:
                     frame[bit >> 5] ^= 1 << (bit & 31)
-            _write(engine, _FARS[start], frames)
+            assert write_frames(engine, _FARS[start], frames) == ["sync", "desync"]
         elif op == "scramble":
             slot, far, seed = args
             rng = random.Random(seed)
-            _write(engines[slot], far,
-                   [[rng.getrandbits(32) for _ in range(FRAME_WORDS)]])
+            frame = [rng.getrandbits(32) for _ in range(FRAME_WORDS)]
+            assert write_frames(engines[slot], far, [frame]) == ["sync", "desync"]
         elif op == "fresh_engine":
             engines[args[0]] = _engine()
         else:

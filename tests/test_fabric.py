@@ -9,7 +9,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import idfsim
-from conftest import write_flipped_bit
+from conftest import write_flipped_bit, write_frames
 from idfsim.fabric import (
     ConfigEngine,
     DeviceGeometry,
@@ -323,18 +323,13 @@ def test_frame_state_writer_check_sees(body):
     assert _stores_frame_state(scope)
 
 
-def _write_frames(engine, far_word, frames, device_id=ZEDBOARD_IDCODE):
-    seq = build_write_frame_sequence(device_id, far_word, frames)
-    return _execute(engine, seq.words)
-
-
 class TestConfigEngine:
     def test_write_then_read_back_exhaustive(self):
         geo = desk_geometry()
         engine = ConfigEngine(geo, ZEDBOARD_IDCODE)
         for i, far_word in enumerate(geo.far_words()):
             frame = _frame(i + 1)
-            _write_frames(engine, far_word, [frame])
+            write_frames(engine, far_word, [frame])
             out, events = _execute(engine, build_readback_sequence(far_word, 1).words)
             assert out[:FRAME_WORDS] == [0] * FRAME_WORDS
             assert out[FRAME_WORDS:] == frame
@@ -348,7 +343,7 @@ class TestConfigEngine:
     def test_wrong_idcode_leaves_memory_unchanged(self):
         engine = ConfigEngine(desk_geometry(), ZEDBOARD_IDCODE)
         before = snapshot_digest(engine)
-        _, events = _write_frames(engine, 0, [_frame(1)], device_id=0x11111111)
+        events = write_frames(engine, 0, [_frame(1)], device_id=0x11111111)
         assert any(e.startswith("idcode_mismatch") for e in events)
         assert any(e == "fdri_rejected_idcode" for e in events)
         assert snapshot_digest(engine) == before
@@ -419,7 +414,7 @@ class TestConfigEngine:
             *_frame(1), *_frame(2), *DESYNC_WRITE])
         assert events == ["far_overrun", "desync"]
         assert engine.memory == {}
-        _write_frames(engine, 1, [_frame(1)])
+        write_frames(engine, 1, [_frame(1)])
         assert _memory_words(engine) == {1: _frame(1)}
 
     def test_register_table_holds_every_register(self):
@@ -450,7 +445,7 @@ class TestConfigEngine:
         geo = desk_geometry()
         engine = ConfigEngine(geo, ZEDBOARD_IDCODE)
         frames = [_frame(i) for i in range(3)]
-        _write_frames(engine, geo.far_words()[0], frames)
+        write_frames(engine, geo.far_words()[0], frames)
         expected = dict(zip(geo.far_words()[:3], frames))
         assert _memory_words(engine) == expected
 
@@ -485,7 +480,7 @@ class TestConfigEngine:
 
     def test_desync_leaves_memory_unchanged(self):
         engine = ConfigEngine(desk_geometry(), ZEDBOARD_IDCODE)
-        _write_frames(engine, 0, [_frame(3)])
+        write_frames(engine, 0, [_frame(3)])
         before = snapshot_digest(engine)
         _execute(engine, [0xAA995566,
                         encode_type1(OpCode.WRITE, ConfigRegister.CMD, 1),
@@ -503,7 +498,7 @@ class TestConfigEngine:
         geo = desk_geometry()
         engine = ConfigEngine(geo, ZEDBOARD_IDCODE)
         last = geo.far_words()[-1]
-        _write_frames(engine, last, [_frame(8)])
+        write_frames(engine, last, [_frame(8)])
         out, events = _execute(engine, build_readback_sequence(last, 2).words)
         assert "read_overrun" in events
         assert len(out) == 303
@@ -545,7 +540,7 @@ class TestSnapshotDigest:
 def test_frame_dump_round_trip(tmp_path):
     geo = desk_geometry()
     engine = ConfigEngine(geo, ZEDBOARD_IDCODE)
-    _write_frames(engine, geo.far_words()[2], [_frame(42)])
+    write_frames(engine, geo.far_words()[2], [_frame(42)])
     path = tmp_path / "frames.bin"
     dump_frames(engine, path)
     frames = load_frame_dump(path, geo)
@@ -1061,6 +1056,6 @@ def test_whole_device_round_trip():
         assert out[:FRAME_WORDS] == [0] * FRAME_WORDS
         assert out[FRAME_WORDS:] == [w for f in frames[k:k + n] for w in f]
     # One frame more than the device has left: the flush commits past the end.
-    _, events = _write_frames(engine, fars[-1], [_frame(1), _frame(2)])
+    events = write_frames(engine, fars[-1], [_frame(1), _frame(2)])
     assert events.count("far_overrun") == 1
     assert bytes_to_words(engine.memory[fars[-1]]) == _frame(1)

@@ -340,11 +340,11 @@ def test_codec_rejects_a_bad_word_as_struct_does(bad):
         words_to_bytes(words)
     dram = Dram()
     dram.write_words(0x1000, [1, 2, 3])
-    before = {base: bytes(page) for base, page in dram._pages.items()}
-    for addr in (0x1000, 0x1FFC, 0x5000):  # in a page, across, unwritten
+    before = dram.read_bytes(0x1000, 0x4010)
+    for addr in (0x1000, 0x1FFC, 0x5000):  # written, across a page, unwritten
         with pytest.raises(struct.error):
             dram.write_words(addr, words)
-    assert {base: bytes(page) for base, page in dram._pages.items()} == before
+    assert dram.read_bytes(0x1000, 0x4010) == before
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)

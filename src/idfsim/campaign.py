@@ -5,7 +5,7 @@ clocks, read the target frame back over PCAP into DRAM, stage it with one
 bit flipped, write it back, restart the clocks, pulse the start lines,
 sample the match line, then restore the frame from the read-back it holds.
 DRAM keeps two counters, detected errors at 0xFFFF0000 and error-free
-injections at 0xFFFF0008, which the summary must always agree with.
+injections at 0xFFFF0008; `run_auto` reads each frame's counts from them.
 
 The frame write reuses a resident template: one full frame-write command
 sequence, uploaded to DRAM at 0x00200000 during campaign initialization.
@@ -108,12 +108,6 @@ def _summary(variant, total, critical, errors):
                            estimate_time(total), errors)
 
 
-def frame_template_words(device_id):
-    """Resident DRAM template: the 215-word one-frame write sequence."""
-    zero_frame = [0] * FRAME_WORDS
-    return build_write_frame_sequence(device_id, 0, [zero_frame]).words
-
-
 def campaign_init(device):
     """Load the frame template and the read-back request, zero both
     counters, enable the DUT clock; returns both sequences' word counts."""
@@ -122,7 +116,8 @@ def campaign_init(device):
     if device.cfg_error:
         raise DevcError("device has a rejected stream pending: "
                         + ", ".join(device.cfg_error))
-    template = frame_template_words(device.engine.device_id)
+    template = build_write_frame_sequence(device.engine.device_id, 0,
+                                          [[0] * FRAME_WORDS]).words
     request = build_readback_sequence(0, 1).words
     request.extend(DESYNC_WRITE)  # see the module docstring
     device.dram.write_words(TEMPLATE_ADDR, template)
@@ -291,17 +286,16 @@ class Campaign:
         rows = []
         errors = 0
         for far_word in far_words:
-            critical = non_critical = 0
+            detected, error_free = counters(self.device)
             for bit in range(FRAME_BITS):
-                record = self.inject_and_check(far_word, bit)
-                if record.error is not None:
+                error = self.inject_and_check(far_word, bit).error
+                if error is not None:
                     if self.fail_fast:
-                        raise TransferError("campaign", record.error)
+                        raise TransferError("campaign", error)
                     errors += 1
-                elif record.detected:
-                    critical += 1
-                else:
-                    non_critical += 1
+            critical, non_critical = counters(self.device)
+            critical -= detected
+            non_critical -= error_free
             rows.append(FrameRow(far_word, critical + non_critical, critical,
                                  non_critical))
         summary = _summary(variant, sum(r.injections for r in rows),
@@ -384,15 +378,6 @@ class UtilizationRow:
     available: int | None
 
 
-@dataclass
-class UtilizationReport:
-    rows: list
-
-    @property
-    def by_site(self):
-        return {r.site_type: r for r in self.rows}
-
-
 def _cell(value):
     value = value.strip()
     if value in ("", "-"):
@@ -401,8 +386,13 @@ def _cell(value):
 
 
 def parse_utilization(text):
-    """CSV rows `site_type,used,fixed,available`; '-' cells mean absent."""
-    rows = []
+    """CSV rows `site_type,used,fixed,available`; '-' cells mean absent.
+
+    Returns {site_type: UtilizationRow} in file order; a site may appear
+    only once.
+    """
+    rows = {}
+    first_line = {}
     reader = csv.reader(io.StringIO(text))
     for lineno, parts in enumerate(reader, 1):
         if not parts or (len(parts) == 1 and not parts[0].strip()):
@@ -411,12 +401,17 @@ def parse_utilization(text):
             continue
         if len(parts) != 4:
             raise ValueError(f"line {lineno}: expected 4 fields, got {len(parts)}")
+        site = parts[0].strip()
+        if site in rows:
+            raise ValueError(f"line {lineno}: site {site!r} repeats line "
+                             f"{first_line[site]}")
         try:
-            rows.append(UtilizationRow(parts[0].strip(), _cell(parts[1]),
-                                       _cell(parts[2]), _cell(parts[3])))
+            rows[site] = UtilizationRow(site, _cell(parts[1]), _cell(parts[2]),
+                                        _cell(parts[3]))
         except ValueError:
             raise ValueError(f"line {lineno}: bad numeric cell in {parts!r}") from None
-    return UtilizationReport(rows)
+        first_line[site] = lineno
+    return rows
 
 
 @dataclass
@@ -434,13 +429,9 @@ def overhead_diff(without_idf, with_idf):
     """
     rows = []
     warnings = []
-    with_sites = with_idf.by_site
-    without_sites = without_idf.by_site
-    order = [r.site_type for r in without_idf.rows]
-    order += [r.site_type for r in with_idf.rows if r.site_type not in without_sites]
-    for site in order:
-        a = without_sites.get(site)
-        b = with_sites.get(site)
+    for site in {**without_idf, **with_idf}:
+        a = without_idf.get(site)
+        b = with_idf.get(site)
         if a is None or b is None:
             warnings.append(f"site {site!r} missing from one report; skipped")
             continue

@@ -66,7 +66,10 @@ def hex_dump(words, out):
 
 
 def _parse_word(text):
-    return int(text, 16) & 0xFFFFFFFF
+    value = int(text, 16)
+    if not 0 <= value <= 0xFFFFFFFF:
+        raise ValueError(f"{text!r} does not fit 32 bits")
+    return value
 
 
 def _parse_frame_range(selection, geometry):

@@ -121,6 +121,8 @@ class SensitivityMap:
     def add(self, far_word, bit, criticality):
         """Set one bit's class, replacing any earlier one; NOT_CRITICAL
         unmaps the bit, and its frame once that holds no bits."""
+        if not 0 <= far_word <= 0xFFFFFFFF:
+            raise ValueError(f"FAR {far_word:#x} outside 0..0xffffffff")
         if not 0 <= bit < FRAME_BITS:
             raise ValueError(f"bit index {bit} outside 0..{FRAME_BITS - 1}")
         if not isinstance(criticality, Criticality):
@@ -192,6 +194,9 @@ class SensitivityMap:
                     except (ValueError, KeyError):
                         raise ValueError(f"{path}:{lineno}: cannot parse "
                                          f"{raw.strip()!r}") from None
+                    if not 0 <= far_word <= 0xFFFFFFFF:
+                        raise ValueError(f"{path}:{lineno}: FAR {far_word:#x} "
+                                         "outside 0..0xffffffff")
                     if not 0 <= bit < FRAME_BITS:
                         raise ValueError(f"{path}:{lineno}: bit index {bit} "
                                          f"outside 0..{FRAME_BITS - 1}")

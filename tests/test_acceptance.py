@@ -417,7 +417,7 @@ def test_criterion_10_overhead_report():
         # (source prints 5% = 14/280, dividing by the 18Kb-unit pool)
 
         def used_delta(site):
-            return (with_.by_site[site].used or 0) - (without.by_site[site].used or 0)
+            return (with_[site].used or 0) - (without[site].used or 0)
 
         assert by_site["LUT as Logic"].overhead == 1260
         assert used_delta("LUT as Logic") == 1  # the printed "1"

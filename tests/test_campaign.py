@@ -9,8 +9,10 @@ from conftest import write_flipped_bit
 from idfsim.campaign import (
     Campaign,
     ERROR_COUNTER_ADDR,
+    FrameRow,
     OK_COUNTER_ADDR,
     PIN_CLK_EN,
+    READBACK_DST_ADDR,
     READBACK_REQ_ADDR,
     TEMPLATE_ADDR,
     campaign_init,
@@ -18,7 +20,6 @@ from idfsim.campaign import (
     counters,
     estimate_time,
     frame_rows_csv,
-    frame_template_words,
     overhead_csv,
     overhead_diff,
     parse_utilization,
@@ -42,6 +43,7 @@ from idfsim.dut import (
 )
 from idfsim.fabric import (
     FRAME_BITS,
+    FRAME_BYTES,
     FRAME_WORDS,
     ZERO_FRAME,
     ConfigEngine,
@@ -130,7 +132,8 @@ class TestCampaignInit:
         assert dev.dram.read_word(TEMPLATE_ADDR) == 0xFFFFFFFF
 
     def test_template_layout(self):
-        words = frame_template_words(ZEDBOARD_IDCODE).tolist()
+        words = build_write_frame_sequence(ZEDBOARD_IDCODE, 0,
+                                           [[0] * FRAME_WORDS]).words.tolist()
         assert len(words) == 215
         assert words[TPL_DATA_INDEX:TPL_DATA_INDEX + FRAME_WORDS] == [0] * FRAME_WORDS
         dev, c = _fresh()
@@ -303,29 +306,86 @@ def _configure(dev, seed):
     return {far: words_to_bytes(frame) for far, frame in zip(fars, frames)}
 
 
-def test_campaign_on_a_configured_fabric():
-    # On a blank fabric a read-back of the wrong frame, or of the dummy
-    # frame, still stages zeros and goes unseen.  On a configured one each
-    # injection flips one bit of the frame's own content, so exactly the
-    # mapped bits are critical, and every restore puts the image back.
+def _configured_campaign_disagreements():
+    """Run a campaign over three frames of a configured fabric; returns the
+    names of the records that disagree with the map or the image: "rows"
+    (`frames.csv` against the map's per-frame counts), "summary",
+    "counters" (the DRAM counters) and "digest" (the restored fabric)."""
     dev = boot_device()
     image = _configure(dev, seed=1501)
     assert {far: dev.engine.memory.get(far, ZERO_FRAME) for far in image} == image
     fars = dev.geometry.far_words()
     targets = [fars[3], fars[9], fars[17]]  # one ends a column, one the device
     smap = sensitivity_generate(1501, targets, 45)
+    mapped = collections.Counter(far for far, _, _ in smap.iter_entries())
+    assert all(mapped[far] for far in targets)
     c = Campaign(dev, DutModel(DutConfig(), smap))
     configured = snapshot_digest(dev.engine)
     summary, rows = c.run_auto(targets)
-    assert [row.far for row in rows] == targets
-    for row in rows:
-        assert 0 < row.critical == sum(far == row.far
-                                       for far, _, _ in smap.iter_entries())
-        assert row.injections == FRAME_BITS
-    assert summary.transfer_errors == 0
-    assert summary.critical == smap.critical_count
-    assert counters(dev) == (summary.critical, summary.non_critical)
-    assert snapshot_digest(dev.engine) == configured
+    total = len(targets) * FRAME_BITS
+    expected = (smap.critical_count, total - smap.critical_count)
+    checks = {
+        "rows": frame_rows_csv(rows) == frame_rows_csv(
+            FrameRow(far, FRAME_BITS, mapped[far], FRAME_BITS - mapped[far])
+            for far in targets),
+        "summary": (summary.total_injections, summary.transfer_errors,
+                    summary.critical, summary.non_critical) == (total, 0,
+                                                                *expected),
+        "counters": counters(dev) == expected,
+        "digest": snapshot_digest(dev.engine) == configured,
+    }
+    return [name for name, agrees in checks.items() if not agrees]
+
+
+def test_campaign_on_a_configured_fabric():
+    # On a blank fabric a read-back of the wrong frame, or of the dummy
+    # frame, still stages zeros and goes unseen.  On a configured one each
+    # injection flips one bit of the frame's own content, so exactly the
+    # mapped bits are critical, and every restore puts the image back.
+    assert _configured_campaign_disagreements() == []
+
+
+def _read_next_far(monkeypatch):
+    fars = desk_geometry().far_words()
+    read = Campaign.read_frame
+
+    def next_far(self, far_word):
+        return read(self, fars[(fars.index(far_word) + 1) % len(fars)])
+
+    monkeypatch.setattr(Campaign, "read_frame", next_far)
+
+
+def _read_dummy_frame(monkeypatch):
+    read = Campaign.read_frame
+
+    def dummy(self, far_word):
+        read(self, far_word)
+        return self.device.dram.read_bytes(READBACK_DST_ADDR, FRAME_BYTES)
+
+    monkeypatch.setattr(Campaign, "read_frame", dummy)
+
+
+def _count_errors_as_error_free(monkeypatch):
+    write_word = devc.Dram.write_word
+
+    def redirected(self, addr, word):
+        write_word(self, OK_COUNTER_ADDR if addr == ERROR_COUNTER_ADDR
+                   else addr, word)
+
+    monkeypatch.setattr(devc.Dram, "write_word", redirected)
+
+
+@pytest.mark.parametrize("mutate, disagreements", [
+    (_read_next_far, ["rows", "summary", "counters", "digest"]),
+    (_read_dummy_frame, ["rows", "summary", "counters", "digest"]),
+    # The reports come from the DRAM counters, so a miscounting PS shows
+    # in `frames.csv` and the summary, not only in the counters.
+    (_count_errors_as_error_free, ["rows", "summary", "counters"]),
+], ids=["next_far", "dummy_frame", "error_counter"])
+def test_configured_campaign_sees_each_mutation(monkeypatch, mutate,
+                                                disagreements):
+    mutate(monkeypatch)
+    assert _configured_campaign_disagreements() == disagreements
 
 
 def _detected_and_mapped(far):
@@ -553,7 +613,8 @@ class TestRejectedStreams:
         return dev, c, far
 
     def test_slots(self):
-        template = frame_template_words(ZEDBOARD_IDCODE)
+        template = build_write_frame_sequence(ZEDBOARD_IDCODE, 0,
+                                              [[0] * FRAME_WORDS]).words
         assert template[TPL_IDCODE_INDEX] == ZEDBOARD_IDCODE
         assert template[TPL_WCFG_INDEX] == CmdCode.WCFG
         assert build_readback_sequence(0, 1).words[REQ_RCFG_INDEX] == CmdCode.RCFG
@@ -774,16 +835,16 @@ class TestParseUtilization:
     def test_reference_rows(self):
         report = parse_utilization("Slice Look Up Tables,2664,0,53200\n"
                                    "DSPs,0,0,220\n")
-        assert report.rows[0].used == 2664
-        assert report.rows[0].available == 53200
-        assert report.by_site["DSPs"].available == 220
+        assert report["Slice Look Up Tables"].used == 2664
+        assert report["Slice Look Up Tables"].available == 53200
+        assert report["DSPs"].available == 220
 
     def test_dash_cells_absent(self):
         report = parse_utilization("LUT as Distributed RAM,48,0,-\n")
-        assert report.rows[0].available is None
+        assert report["LUT as Distributed RAM"].available is None
 
     def test_empty(self):
-        assert parse_utilization("").rows == []
+        assert parse_utilization("") == {}
 
     def test_malformed_row_reports_line(self):
         with pytest.raises(ValueError, match="line 2"):
@@ -791,11 +852,17 @@ class TestParseUtilization:
 
     def test_comments_skipped(self):
         report = parse_utilization("# header\nA,1,2,3\n")
-        assert len(report.rows) == 1
+        assert len(report) == 1
 
     def test_blank_line_skipped(self):
         report = parse_utilization("A,1,2,3\n  \nB,4,5,6\n")
-        assert [r.site_type for r in report.rows] == ["A", "B"]
+        assert list(report) == ["A", "B"]
+
+    def test_repeated_site_reports_both_lines(self):
+        with pytest.raises(ValueError) as info:
+            parse_utilization("Slice LUTs,1,0,100\nDSPs,0,0,220\n"
+                              "# note\nSlice LUTs,1,0,90\n")
+        assert str(info.value) == "line 4: site 'Slice LUTs' repeats line 1"
 
     def test_three_field_row_reports_line(self):
         with pytest.raises(ValueError) as info:

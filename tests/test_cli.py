@@ -129,6 +129,13 @@ class TestInteractiveSession:
         assert output.endswith("Enter FAR (hex):\nInvalid FAR: '0x00020000'\n"
                                f"{PROMPT_LINE}\n")
 
+    @pytest.mark.parametrize("far", ["0x100000000", "-0x1"])
+    def test_far_outside_32_bits_reprompts(self, far):
+        status, output = _session(f"1\n{far}\n0\n")
+        assert status == EXIT_OK
+        assert output.endswith(f"Enter FAR (hex):\nInvalid FAR: '{far}'\n"
+                               f"{PROMPT_LINE}\n")
+
     def test_write_frame_then_check_design(self):
         # The baseline holds a set comparator bit at FAR 1; writing the zero
         # template there clears it, and the next check reports the change.
@@ -246,6 +253,18 @@ class TestEncodeCommands:
         assert main(["encode-write-frame", "--frames", "0",
                      "--out", str(out)]) == EXIT_IO
         assert capsys.readouterr().err == "error: --frames must be >= 1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--id", "--far", "--data-word"])
+    def test_word_outside_32_bits_is_a_usage_error(self, tmp_path, capsys,
+                                                   flag):
+        out = tmp_path / "w.bin"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["encode-write-frame", flag, "0x100000080", "--out", str(out)])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: argument {flag}: invalid _parse_word value: "
+            "'0x100000080'\n")
         assert not out.exists()
 
     def test_footer_flag(self, tmp_path):
@@ -539,6 +558,17 @@ class TestOverheadCommand:
         assert captured.err == (
             "warning: site 'X': negative overhead: inconsistent input data\n"
             "warning: site 'Y' missing from one report; skipped\n")
+
+    def test_repeated_site_is_refused(self, tmp_path, capsys):
+        without = tmp_path / "without.csv"
+        with_ = tmp_path / "with.csv"
+        without.write_text("Slice LUTs,1,0,100\nSlice LUTs,1,0,90\n")
+        with_.write_text("Slice LUTs,1,0,80\n")
+        assert main(["overhead", str(without), str(with_)]) == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: line 2: site 'Slice LUTs' repeats line 1\n")
 
     def test_text_format(self, capsys):
         main(["overhead",

@@ -21,7 +21,6 @@ from idfsim.devc import (
     boot_device,
     render_event,
 )
-from idfsim.campaign import frame_template_words
 from idfsim.fabric import ConfigEngine, FRAME_WORDS, desk_geometry, snapshot_digest
 from idfsim.packets import (
     CmdCode,
@@ -316,7 +315,7 @@ class TestDmaTransfers:
 # The template is a bare write sequence ending in DESYNC; the desync
 # footer's MASK/CTL0 writes reach the engine only after a sync word.
 _UNMODELED_WRITE_STREAMS = pytest.mark.parametrize("words", [
-    frame_template_words(ZEDBOARD_IDCODE),
+    build_write_frame_sequence(ZEDBOARD_IDCODE, 0, [[0] * FRAME_WORDS]).words,
     [SYNC_WORD, encode_type1(OpCode.WRITE, ConfigRegister.CRC, 1), 0]
     + build_desync_footer().words.tolist(),
 ], ids=["template", "synced_footer"])

@@ -242,10 +242,33 @@ class TestSensitivityMap:
         with pytest.raises(ValueError):
             smap.add(0, FRAME_BITS, Criticality.MODULE0)
 
+    @pytest.mark.parametrize("token, far", [("-0x5", -5),
+                                            ("0x1ffffffff", 0x1FFFFFFFF)])
+    def test_far_must_fit_32_bits(self, tmp_path, token, far):
+        # `save` writes eight hex digits; a FAR outside them would write a
+        # file that `load` refuses.
+        path = tmp_path / "map.txt"
+        path.write_text(f"0x80 1 module0\n{token} 3 module0\n")
+        with pytest.raises(ValueError, match=f"map.txt:2: FAR {far:#x} "
+                           "outside 0..0xffffffff"):
+            SensitivityMap.load(path)
+        with pytest.raises(ValueError, match=f"FAR {far:#x} outside"):
+            SensitivityMap().add(far, 3, Criticality.MODULE0)
+
+    def test_top_far_round_trips(self, tmp_path):
+        smap = SensitivityMap()
+        smap.add(0xFFFFFFFF, 3231, Criticality.COMPARATOR)
+        path = tmp_path / "map.txt"
+        smap.save(path)
+        assert path.read_text().splitlines()[1] == "0xffffffff 3231 comparator"
+        loaded = SensitivityMap.load(path)
+        assert list(loaded.iter_entries()) == [
+            (0xFFFFFFFF, 3231, Criticality.COMPARATOR)]
+
 
 def _reference_load(path):
     """The line-by-line loader the one-pass `SensitivityMap.load` replaced,
-    one `add` per line.  Its one change: `add`'s bit-range error names the
+    one `add` per line.  Its one change: `add`'s range errors name the
     line, as every other bad line's does."""
     classes = {"module0": Criticality.MODULE0, "module1": Criticality.MODULE1,
                "comparator": Criticality.COMPARATOR}
@@ -300,6 +323,7 @@ _BAD_LINES = st.sampled_from([
     "0xZZ 5 module0", "0x80 five module0", "0x80 5.0 module0",
     "0x80 5 Module0", "0x80 5 not_critical",            # cannot parse
     "0x80 3232 module0", "0x80 -1 module0", "B 5000 comparator",  # range
+    "-0x5 3 module0", "0x1ffffffff 4 module1", "-1 5000 module0",
     "0x80 5000 bogus", "0xZZ 5000 module0",             # both: parse first
 ])
 

@@ -385,11 +385,17 @@ def _cell(value):
     return int(value)
 
 
+class UtilizationError(ValueError):
+    def __init__(self, lineno, message):
+        self.lineno, self.message = lineno, message
+        super().__init__(f"line {lineno}: {message}")
+
+
 def parse_utilization(text):
     """CSV rows `site_type,used,fixed,available`; '-' cells mean absent.
 
     Returns {site_type: UtilizationRow} in file order; a site may appear
-    only once.
+    only once.  A bad row raises UtilizationError naming its line.
     """
     rows = {}
     first_line = {}
@@ -400,16 +406,16 @@ def parse_utilization(text):
         if parts[0].lstrip().startswith("#"):
             continue
         if len(parts) != 4:
-            raise ValueError(f"line {lineno}: expected 4 fields, got {len(parts)}")
+            raise UtilizationError(lineno, f"expected 4 fields, got {len(parts)}")
         site = parts[0].strip()
         if site in rows:
-            raise ValueError(f"line {lineno}: site {site!r} repeats line "
-                             f"{first_line[site]}")
+            raise UtilizationError(lineno, f"site {site!r} repeats line "
+                                           f"{first_line[site]}")
         try:
             rows[site] = UtilizationRow(site, _cell(parts[1]), _cell(parts[2]),
                                         _cell(parts[3]))
         except ValueError:
-            raise ValueError(f"line {lineno}: bad numeric cell in {parts!r}") from None
+            raise UtilizationError(lineno, f"bad numeric cell in {parts!r}") from None
         first_line[site] = lineno
     return rows
 

@@ -228,9 +228,18 @@ def _cmd_encode_readback(args):
     return EXIT_OK
 
 
+def _parse_file(path, parse):
+    """`parse` of the text at `path`; a parse error names `path:lineno`."""
+    with open(path, "r", encoding="utf-8") as f:
+        text = f.read()
+    try:
+        return parse(text)
+    except (verifier.FloorplanError, campaign_mod.UtilizationError) as exc:
+        raise ValueError(f"{path}:{exc.lineno}: {exc.message}") from None
+
+
 def _cmd_verify_idf(args):
-    with open(args.floorplan, "r", encoding="utf-8") as f:
-        plan = verifier.parse_floorplan(f.read())
+    plan = _parse_file(args.floorplan, verifier.parse_floorplan)
     env = {
         "tool_version": __version__,
         "date": datetime.date.today().isoformat(),
@@ -310,10 +319,8 @@ def _write_reports(out, reports):
 
 
 def _cmd_overhead(args):
-    with open(args.without_idf, "r", encoding="utf-8") as f:
-        without = campaign_mod.parse_utilization(f.read())
-    with open(args.with_idf, "r", encoding="utf-8") as f:
-        with_ = campaign_mod.parse_utilization(f.read())
+    without = _parse_file(args.without_idf, campaign_mod.parse_utilization)
+    with_ = _parse_file(args.with_idf, campaign_mod.parse_utilization)
     rows, warnings = campaign_mod.overhead_diff(without, with_)
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)

@@ -14,6 +14,10 @@ DEVICE with fewer than one column or row; a second TILE at a site; a
 non-NULL tile on a fence cell (reported at the TILE line, or at the
 FENCE line when the tile came first); a second pin on a package ball;
 and any token after a NET's PIPS list, which is one token with no spaces.
+A parse costs one `split()` per line.  It converts each distinct keyword,
+tile kind, TILE coordinate and PIN integer once per call, into memos local
+to the call that keep only tokens whose checks passed, so a repeated token
+is one dict lookup and a TILE or PIN line makes no Python call.
 
 Checks (one per rule class), with their cost for P pins, R regions, T
 declared tiles, and N nets with K PIPs in all:
@@ -36,7 +40,8 @@ violating pin or tile pairs, and the S tiles that carry PIPs of two or
 more inter-region nets.  IDF-5 paints region ownership over the
 G = cols x (rows + 1) tile keys, one slice per rectangle column, so it
 pays for the A cells of all region rectangles, not for rectangles times
-tiles; the parser already pays for the fence's area.
+tiles, and reads each tile's owner from a list; the parser already pays
+for the fence's area.
 
 Tiles default to NULL (vacant); only declared non-NULL tiles inside a
 region rectangle count as occupied logic, owned by the first region in
@@ -46,8 +51,8 @@ A tile is one integer key, `x * (rows + 1) + y`, from the parser to the
 checks: `Floorplan.tiles` maps keys to kinds and `Floorplan.fence` is a
 set of keys.  The spare row makes `key + 1` of a top-row tile name no
 tile, and keys sort in (x, y) order.  The packing is inlined in the
-parser's TILE and FENCE branches, `_occupied_tiles`, `check_idf5` and
-`check_idf6`; reports and errors decode keys with `divmod(key, rows + 1)`.
+parser's TILE and FENCE branches, `check_idf5` and `check_idf6`; reports
+and errors decode keys with `divmod(key, rows + 1)`.
 Region, pin, net and violation records are named tuples and keep their
 (x, y) coordinates.  All checks are pure: they never modify the floorplan.
 """
@@ -81,7 +86,7 @@ UNCROSSABLE = _Uncrossable()
 
 class FloorplanError(ValueError):
     def __init__(self, lineno, message):
-        self.lineno = lineno
+        self.lineno, self.message = lineno, message
         super().__init__(f"line {lineno}: {message}")
 
 
@@ -160,31 +165,41 @@ def parse_floorplan(text):
     pending = []  # (lineno, tokens) gathered before full validation
     names = set()
     balls = {}  # package ball -> name of the pin on it
+    keywords, kinds, xkeys, ys, ints, spellings = {}, {}, {}, {}, {}, set()
     for lineno, raw in enumerate(text.splitlines(), 1):
         if "#" in raw:
             raw = raw.split("#", 1)[0]
         tokens = raw.split()
         if not tokens:
             continue
-        kw = tokens[0].upper()
+        try:
+            kw = keywords[tokens[0]]
+        except KeyError:
+            kw = keywords[tokens[0]] = tokens[0].upper()
         if kw == "TILE" and plan is not None:
             if len(tokens) != 4:
                 raise FloorplanError(lineno, "TILE needs <x> <y> <kind>")
-            kind = tokens[3].upper()
-            if kind not in TILE_KINDS:
-                raise FloorplanError(lineno, f"unknown tile kind {tokens[3]!r}")
+            _, tx, ty, tkind = tokens
             try:
-                x, y = int(tokens[1]), int(tokens[2])
-            except ValueError:
-                raise FloorplanError(lineno, "TILE coordinates must be integers") from None
-            if not (0 <= x < cols and 0 <= y < rows):
-                raise FloorplanError(lineno, f"tile ({x},{y}) outside grid")
-            key = x * stride + y
+                kind, key = kinds[tkind], xkeys[tx] + ys[ty]
+            except KeyError:
+                kind = tkind.upper()
+                if kind not in TILE_KINDS:
+                    raise FloorplanError(lineno, f"unknown tile kind {tkind!r}") from None
+                try:
+                    x, y = int(tx), int(ty)
+                except ValueError:
+                    raise FloorplanError(lineno, "TILE coordinates must be integers") from None
+                if not (0 <= x < cols and 0 <= y < rows):
+                    raise FloorplanError(lineno, f"tile ({x},{y}) outside grid") from None
+                kinds[tkind], xkeys[tx], ys[ty] = kind, x * stride, y
+                key = x * stride + y
             if key in tiles:
-                raise FloorplanError(lineno, f"duplicate tile ({x},{y})")
+                raise FloorplanError(lineno, "duplicate tile (%d,%d)" % divmod(key, stride))
             # Fence tiles carry no placed logic.
             if kind != "NULL" and key in fence:
-                raise FloorplanError(lineno, f"non-NULL tile {(x, y)} inside the fence")
+                xy = divmod(key, stride)
+                raise FloorplanError(lineno, f"non-NULL tile {xy} inside the fence")
             tiles[key] = kind
         elif kw == "DEVICE":
             if plan is not None:
@@ -229,19 +244,23 @@ def parse_floorplan(text):
         elif kw == "PIN":
             if len(tokens) != 12:
                 raise FloorplanError(lineno, _PIN_SYNTAX)
-            _, name, kgroup, group, ksite, x, y, kbank, bank, kpkg, prow, pcol = tokens
-            if (kgroup.upper() != "GROUP" or ksite.upper() != "SITE"
-                    or kbank.upper() != "BANK" or kpkg.upper() != "PKG"):
-                raise FloorplanError(lineno, _PIN_SYNTAX)
+            _, name, kgroup, group, ksite, tx, ty, kbank, tb, kpkg, trow, tcol = tokens
+            if (kgroup, ksite, kbank, kpkg) not in spellings:
+                if (kgroup.upper() != "GROUP" or ksite.upper() != "SITE"
+                        or kbank.upper() != "BANK" or kpkg.upper() != "PKG"):
+                    raise FloorplanError(lineno, _PIN_SYNTAX)
+                spellings.add((kgroup, ksite, kbank, kpkg))
             if name in names:
                 raise FloorplanError(lineno, f"duplicate pin name {name!r}")
             names.add(name)
             try:
-                site = (int(x), int(y))
-                bank = int(bank)
-                package = (int(prow), int(pcol))
-            except ValueError:
-                raise FloorplanError(lineno, "PIN fields must be integers") from None
+                site, bank, package = (ints[tx], ints[ty]), ints[tb], (ints[trow], ints[tcol])
+            except KeyError:
+                try:
+                    site, bank, package = (int(tx), int(ty)), int(tb), (int(trow), int(tcol))
+                except ValueError:
+                    raise FloorplanError(lineno, "PIN fields must be integers") from None
+                ints.update(zip((tx, ty, tb, trow, tcol), (*site, bank, *package)))
             if not (0 <= site[0] < cols and 0 <= site[1] < rows):
                 raise FloorplanError(lineno, f"pin site {site} outside grid")
             if package in balls:
@@ -417,13 +436,10 @@ def check_idf4(plan):
 # -- IDF-5: occupied tile adjacency ----------------------------------------
 
 
-def _occupied_tiles(plan):
-    """Tile key -> group for every non-NULL tile inside a region rectangle.
-
-    The first region in file order that holds a tile owns it: the regions
-    paint their groups over every key in reverse file order, one slice per
-    rectangle column, so the first region's paint is the one left.
-    """
+def check_idf5(plan):
+    # The first region in file order that holds a tile owns it: the regions
+    # paint their groups over every key in reverse file order, one slice per
+    # rectangle column, so the first region's paint is the one left.
     stride = plan.rows + 1
     paint = [None] * (plan.cols * stride)
     for region in reversed(plan.regions):
@@ -432,22 +448,24 @@ def _occupied_tiles(plan):
         run = [region.group] * h
         for at in range(x0 * stride + y0, x1 * stride + y0 + 1, stride):
             paint[at:at + h] = run
-    return {key: group for key, kind in plan.tiles.items()
-            if kind != "NULL" and (group := paint[key]) is not None}
-
-
-def check_idf5(plan):
-    owned = _occupied_tiles(plan)
-    stride = plan.rows + 1
+    # Each occupied tile's group by key; a spare column past the grid keeps
+    # `key + stride` in range.
+    owner = [None] * (len(paint) + stride)
+    for key, kind in plan.tiles.items():
+        if kind != "NULL":
+            owner[key] = paint[key]
     # (key, 0 for the right neighbour or 1 for the one above, groups)
     found = []
-    for key, group in owned.items():
+    for key in plan.tiles:
+        group = owner[key]
+        if group is None:
+            continue
         # Only look right and up, so each unordered pair reports once.
-        other = owned.get(key + stride)
+        other = owner[key + stride]
         if other is not None and other != group:
             found.append((key, 0, group, other))
         # Above a top-row tile is the spare row, which holds no tile.
-        other = owned.get(key + 1)
+        other = owner[key + 1]
         if other is not None and other != group:
             found.append((key, 1, group, other))
     found.sort()

@@ -339,6 +339,14 @@ class TestVerifyIdf:
         bad.write_text("DEVICE x y\n")
         assert main(["verify-idf", str(bad)]) == EXIT_IO
 
+    def test_parse_error_names_the_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.fp"
+        bad.write_text("# header\nDEVICE 4 4\nTILE 1 1 CLB\nTILE 1 4 CLB\n")
+        assert main(["verify-idf", str(bad)]) == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {bad}:4: tile (1,4) outside grid\n"
+
 
 class TestGenMapAndCampaign:
     def test_gen_map(self, tmp_path, capsys):
@@ -568,7 +576,17 @@ class TestOverheadCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            "error: line 2: site 'Slice LUTs' repeats line 1\n")
+            f"error: {without}:2: site 'Slice LUTs' repeats line 1\n")
+
+    def test_bad_line_names_its_report(self, tmp_path, capsys):
+        without = tmp_path / "without.csv"
+        with_ = tmp_path / "with.csv"
+        without.write_text("Slice LUTs,1,0,100\n")
+        with_.write_text("# site,used,fixed,available\nSlice LUTs,1,0\n")
+        assert main(["overhead", str(without), str(with_)]) == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {with_}:2: expected 4 fields, got 3\n"
 
     def test_text_format(self, capsys):
         main(["overhead",

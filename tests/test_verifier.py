@@ -201,6 +201,16 @@ _PIN_SYNTAX_TEXT = "PIN <name> GROUP <g> SITE <x> <y> BANK <b> PKG <r> <c>"
     ("NET n SRC a LOADS a VIA x", "unexpected token 'VIA'"),
     ("NET n SRC a LOADS a PIPS 1:1", "bad PIP entry '1:1'"),
     ("NET n SRC a LOADS a PIPS 1:1:maybe", "bad PIP entry '1:1:maybe'"),
+    ("REGION a GROUP h RECT 2 2 3 3", "duplicate region name 'a'"),
+    ("REGION b GROUP g RECT 0 0 9 9", "region 'b' outside grid"),
+    ("NET n SRC a LOADS ghost", "net 'n' references unknown region 'ghost'"),
+    ("TILE 0 0 WAT", "unknown tile kind 'WAT'"),
+    ("NET n SRC a LOADS a PIPS 1:1:used;500:-3:used", "PIP (500,-3) outside grid"),
+    # Two faults on one line: the first check made reports.
+    ("TILE 1 y WAT", "unknown tile kind 'WAT'"),
+    ("TILE 9 0 wat", "unknown tile kind 'wat'"),
+    ("PIN a GROUP g SITE 0 x BANK 1 PKG 1 1", "duplicate pin name 'a'"),
+    ("PIN a GRP g SITE 0 x BANK 1 PKG 1 1", _PIN_SYNTAX_TEXT),
 ])
 def test_parse_error_text_and_line(line, message):
     with pytest.raises(FloorplanError) as excinfo:
@@ -211,6 +221,8 @@ def test_parse_error_text_and_line(line, message):
 
 @pytest.mark.parametrize("text, message", [
     ("DEVICE 4\n", "line 1: DEVICE needs <cols> <rows>"),
+    ("DEVICE 4 x\n", "line 1: DEVICE size must be integers"),
+    ("TILE 0 0 CLB\nDEVICE 4 4\n", "line 1: DEVICE must come first"),
     ("# nothing\n", "line 1: missing DEVICE line"),
 ])
 def test_parse_error_on_the_device_line(text, message):
@@ -218,6 +230,37 @@ def test_parse_error_on_the_device_line(text, message):
         plan_from(text)
     assert excinfo.value.lineno == 1
     assert str(excinfo.value) == message
+
+
+# Refusals that need earlier lines, pinned to their text and line; some
+# come after lines that spelled the same tokens and passed, so a converted
+# token is looked up rather than checked again.
+@pytest.mark.parametrize("lines, message", [
+    # A non-NULL tile that repeats a site and lies on the fence.
+    (["FENCE RECT 2 2 3 3", "TILE 2 2 NULL", "TILE 2 2 CLB"], "duplicate tile (2,2)"),
+    (["FENCE RECT 2 2 3 3", "TILE 3 2 NULL", "TILE 3 3 CLB"],
+     "non-NULL tile (3, 3) inside the fence"),
+    (["TILE 1 1 CLB", "TILE 1 4 CLB"], "tile (1,4) outside grid"),
+    (["TILE 1 1 CLB", "TILE 4 1 CLB"], "tile (4,1) outside grid"),
+    (["TILE 1 1 CLB", "TILE 1 2 clb", "TILE 1 x CLB"], "TILE coordinates must be integers"),
+    (["TILE 1 1 CLB", "TILE 1 2 BRAM", "TILE 2 1 CLB", "TILE 1 2 CLB"], "duplicate tile (1,2)"),
+    (["PIN p1 GROUP a SITE 0 0 BANK 34 PKG 3 4", "PIN p2 GROUP b SITE 1 1 BANK 35 PKG 3 4"],
+     "pin 'p2' is on package ball (3, 4) of pin 'p1'"),
+    # A pin whose site is out of the grid and whose ball is taken.
+    (["PIN p1 GROUP a SITE 0 0 BANK 34 PKG 3 4", "PIN p2 GROUP b SITE 0 4 BANK 34 PKG 3 4"],
+     "pin site (0, 4) outside grid"),
+    (["PIN p1 GROUP a SITE 0 0 BANK 34 PKG 3 4", "PIN p2 GROUP b SITE 0 0 BANK 34 PKG 3 y"],
+     "PIN fields must be integers"),
+    (["PIN p1 GROUP a SITE 0 0 BANK 34 PKG 3 4", "PIN p2 Group b SITE 0 0 BANK 34 PKG 3 5",
+      "PIN p3 GROUP b SITE 0 0 BNK 34 PKG 3 6"], _PIN_SYNTAX_TEXT),
+])
+def test_parse_error_after_earlier_lines(lines, message):
+    text = _PLAN_HEAD + "".join(f"{line}\n" for line in lines) + "TILE 0 3 CLB\n"
+    lineno = 2 + len(lines)
+    with pytest.raises(FloorplanError) as excinfo:
+        plan_from(text)
+    assert excinfo.value.lineno == lineno
+    assert str(excinfo.value) == f"line {lineno}: {message}"
 
 
 class TestIdf1:
@@ -678,21 +721,64 @@ def small_floorplans(draw):
                                 for (x, y), used in pips)
             lines.append(f"NET n{i}{clock} SRC {source} LOADS {','.join(loads)}"
                          + (f" PIPS {pip_list}" if pips else ""))
-    return parse_floorplan("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(small_floorplans())
-def test_idf3_and_idf5_match_the_scans(plan):
+def test_idf3_and_idf5_match_the_scans(text):
+    plan = parse_floorplan(text)
     assert check_idf3(plan) == reference_idf3(plan)
     assert check_idf5(plan) == reference_idf5(plan)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(small_floorplans())
-def test_idf4_and_idf6_match_the_scans(plan):
+def test_idf4_and_idf6_match_the_scans(text):
+    plan = parse_floorplan(text)
     assert check_idf4(plan) == reference_idf4(plan)
     assert check_idf6(plan) == reference_idf6(plan)
+
+
+# The words small_floorplans writes that the parser reads in any case.
+_CASELESS = frozenset(("DEVICE", "TILE", "REGION", "GROUP", "RECT", "FENCE", "PIN",
+                       "SITE", "BANK", "PKG", "NET", "CLOCK", "SRC", "LOADS", "PIPS",
+                       "CLB", "INT", "BRAM", "DSP", "IOB", "NULL"))
+
+
+def respell(text, rnd):
+    """`text` of small_floorplans with each keyword, tile kind and PIP state
+    in random case, leading zeros or a `+` on integers, spaces and tabs
+    between tokens, and some lines ending in a `#` comment."""
+    def case(word):
+        return "".join(rnd.choice((c.lower(), c.upper())) for c in word)
+
+    def number(token):
+        return rnd.choice(("", "0", "00", "+", "+0")) + token
+
+    out = []
+    for line in text.splitlines():
+        tokens = []
+        for token in line.split():
+            if token.upper() in _CASELESS:
+                token = case(token)
+            elif token.isdigit():
+                token = number(token)
+            elif ":" in token:  # a PIP list
+                entries = (entry.split(":") for entry in token.split(";"))
+                token = ";".join(f"{number(x)}:{number(y)}:{case(state)}"
+                                 for x, y, state in entries)
+            tokens.append(token + rnd.choice((" ", "\t", " \t", "\t\t ")))
+        comment = rnd.choice(("", "", "# note", "\t#", "#TILE 0 0 WAT"))
+        out.append(rnd.choice(("", "\t")) + "".join(tokens) + comment)
+    return "\n".join(out) + "\n"
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(small_floorplans(), st.randoms(use_true_random=False))
+def test_respelling_changes_nothing(text, rnd):
+    respelled = respell(text, rnd)
+    assert parse_floorplan(respelled) == parse_floorplan(text)
 
 
 def test_generated_floorplans_match_the_scans(perfbench_gen):
@@ -717,17 +803,9 @@ def test_large_floorplan_report_pinned(perfbench_gen):
         "ef64fa00c21f30a942278842fc4b9d95929962387b044b2382ad3276456e136a")
 
 
-# Python-level calls of one parse_floorplan plus run_all_checks of the
-# seed-7 floorplan, counted on Python 3.11.
-DRC_CALLS = 2190
-
-
-def test_drc_work_is_pinned(perfbench_gen):
-    # Every NET line is parsed once, and the whole operation makes no
-    # more Python calls than DRC_CALLS: an added per-record or per-pair
-    # call fails.
-    text, _counts = perfbench_gen.floorplan(7)
-    net_lines = sum(line.startswith("NET ") for line in text.splitlines())
+def _python_calls(fn, *args):
+    """`fn(*args)` and a Counter of the Python-level calls it made, by
+    qualified name."""
     calls = collections.Counter()
 
     def profile(frame, event, arg):
@@ -739,15 +817,41 @@ def test_drc_work_is_pinned(perfbench_gen):
     gc.disable()
     sys.setprofile(profile)
     try:
-        plan = parse_floorplan(text)
-        _header, violations = run_all_checks(plan)
+        result = fn(*args)
     finally:
         sys.setprofile(None)
         gc.enable()
+    return result, calls
+
+
+# Python-level calls of one parse_floorplan plus run_all_checks of the
+# seed-7 floorplan, counted on Python 3.11.
+DRC_CALLS = 2188
+
+
+def test_drc_work_is_pinned(perfbench_gen):
+    # Every NET line is parsed once, and the whole operation makes no
+    # more Python calls than DRC_CALLS: an added per-record or per-pair
+    # call fails.
+    text, _counts = perfbench_gen.floorplan(7)
+    net_lines = sum(line.startswith("NET ") for line in text.splitlines())
+    plan, calls = _python_calls(parse_floorplan, text)
+    (_header, violations), check_calls = _python_calls(run_all_checks, plan)
+    calls += check_calls
     assert len(plan.nets) == net_lines == 550
     assert len(violations) == 96
     assert calls["_parse_net"] == net_lines
     assert sum(calls.values()) <= DRC_CALLS
+
+
+def test_tile_and_pin_lines_make_no_python_call(perfbench_gen):
+    # The seed-7 floorplan's 4,109 TILE and 700 PIN lines add no call to
+    # the parse: a per-line or per-token helper fails.
+    text, _counts = perfbench_gen.floorplan(7)
+    lines = text.splitlines(keepends=True)
+    bare = "".join(line for line in lines if not line.startswith(("TILE ", "PIN ")))
+    assert len(lines) - len(bare.splitlines()) == 4109 + 700
+    assert _python_calls(parse_floorplan, text)[1] == _python_calls(parse_floorplan, bare)[1]
 
 
 @pytest.mark.parametrize("record,fields", [

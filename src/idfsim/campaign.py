@@ -140,7 +140,7 @@ class Campaign:
         self.log = log
         self._template_len, self._request_len = campaign_init(device)
         self._staged_far = 0  # the FAR the template is built with
-        if not dut.baseline_captured:
+        if dut.baseline_engine is not device.engine:
             dut.capture_baseline(device.engine)
 
     # -- plumbing -----------------------------------------------------------
@@ -395,12 +395,14 @@ def parse_utilization(text):
     """CSV rows `site_type,used,fixed,available`; '-' cells mean absent.
 
     Returns {site_type: UtilizationRow} in file order; a site may appear
-    only once.  A bad row raises UtilizationError naming its line.
+    only once.  A UtilizationError names the line its bad record starts on.
     """
     rows = {}
     first_line = {}
     reader = csv.reader(io.StringIO(text))
-    for lineno, parts in enumerate(reader, 1):
+    end = 0  # the line the last record ended on: a quoted cell spans lines
+    for parts in reader:
+        lineno, end = end + 1, reader.line_num
         if not parts or (len(parts) == 1 and not parts[0].strip()):
             continue
         if parts[0].lstrip().startswith("#"):

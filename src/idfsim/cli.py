@@ -211,7 +211,7 @@ def _cmd_decode(args):
 def _cmd_encode_write_frame(args):
     if args.frames < 1:
         raise ValueError("--frames must be >= 1")
-    frame = [args.data_word & 0xFFFFFFFF] * FRAME_WORDS
+    frame = [args.data_word] * FRAME_WORDS
     words = build_write_frame_sequence(args.id, args.far,
                                        [frame] * args.frames).words
     if args.footer:

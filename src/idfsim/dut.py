@@ -277,13 +277,13 @@ class DutModel:
     def __init__(self, config=None, sensitivity_map=None):
         self.smap = sensitivity_map if sensitivity_map is not None else SensitivityMap()
         self.baseline = {}
-        self.baseline_captured = False
+        self.baseline_engine = None  # the engine `baseline` was taken from
         self._baseline_ints = {}  # FAR word -> its baseline frame as an int
         self._track(None, 0)
 
     def capture_baseline(self, engine):
         self.baseline = dict(engine.memory)
-        self.baseline_captured = True
+        self.baseline_engine = engine
         self._baseline_ints = {}
         # memory equals the baseline now: nothing is flipped
         self._track(engine, next(reversed(engine.frame_versions.values()), 0))

@@ -20,11 +20,10 @@ top 19 bits.
 
 FAR field layout (block_type[25:23], top_bottom[22], row[21:17],
 column[16:7], minor[6:0]).  Frame addresses are plain integer FAR words
-throughout, and DeviceGeometry owns the layout: it alone packs fields into
-FAR words, keys DeviceGeometry.column_minors on `far >> 7` and compares the
-minor `far & 0x7F` with them.  ConfigEngine.execute inlines the same
-arithmetic at three sites, for speed: the FAR-write check and the
-within-column step `far + 1` of the commit and read loops.
+throughout, and DeviceGeometry owns the layout: its constructor alone
+packs fields, into one table `successor` from each FAR word to the next.
+Every other question about the FAR space, from ConfigEngine.execute too,
+is a lookup in that table.
 
 Frame memory has one writer, the FDRI commit loop in ConfigEngine.execute:
 it alone stores frames and their versions, so a bit changes only by a
@@ -87,9 +86,9 @@ class DeviceGeometry:
 
     `columns` is an ordered list of (kind, minor_count) pairs shared by
     every row, half and block type; the FAR enumeration order is minor,
-    column, row, half, block type.  `column_minors` maps each column's
-    `far >> 7` to its minor count in that order, and `_after` maps it to
-    the next column's first FAR word, or None.
+    column, row, half, block type.  `successor` maps each FAR word to the
+    next one in that order, or to None after the last: its keys are the
+    valid FAR words, in order.
     """
 
     def __init__(self, name, rows_per_half, columns, block_types=(0,)):
@@ -104,7 +103,7 @@ class DeviceGeometry:
         block_types = sorted(set(int(b) for b in block_types))
         if not block_types:
             raise ValueError("geometry needs at least one block type")
-        # the keys pack the fields unchecked: the extreme values must fit
+        # the FAR words pack the fields unchecked: the extreme values must fit
         for field, v, limit in (("block_type", block_types[0], 7),
                                 ("block_type", block_types[-1], 7),
                                 ("row", rows_per_half - 1, 31),
@@ -112,40 +111,34 @@ class DeviceGeometry:
             if not 0 <= v <= limit:
                 raise ValueError(f"FAR field {field}={v} outside 0..{limit}")
         self.name = name
-        self.column_minors = {
-            (block_type << 16) | (half << 15) | (row << 10) | column: m
-            for block_type in block_types for half in (0, 1)
-            for row in range(rows_per_half)
-            for column, m in enumerate(minors)}
-        keys = list(self.column_minors)
-        self._after = dict(zip(keys, [k << 7 for k in keys[1:]] + [None]))
+        fars = [(block_type << 23) | (half << 22) | (row << 17) | (column << 7) | minor
+                for block_type in block_types for half in (0, 1)
+                for row in range(rows_per_half)
+                for column, m in enumerate(minors) for minor in range(m)]
+        self.successor = dict(zip(fars, [*fars[1:], None]))
 
     @property
     def total_frames(self):
-        return sum(self.column_minors.values())
+        return len(self.successor)
 
     def is_valid_far(self, far_word):
         """True when the integer FAR word addresses a frame of this geometry."""
-        return far_word & 0x7F < self.column_minors.get(far_word >> 7, 0)
+        return far_word in self.successor
 
     def first_far(self):
-        return next(iter(self.column_minors)) << 7
+        return next(iter(self.successor))
 
     def next_far(self, far_word):
         """Advance to the next FAR word, or None past the last frame."""
-        minors = self.column_minors.get(far_word >> 7, 0)
-        if far_word & 0x7F >= minors:
-            raise ValueError(f"FAR 0x{far_word:08x} is not valid for geometry {self.name}")
-        if (far_word & 0x7F) + 1 < minors:
-            return far_word + 1
-        return self._after[far_word >> 7]
+        try:
+            return self.successor[far_word]
+        except KeyError:
+            raise ValueError(f"FAR 0x{far_word:08x} is not valid for geometry "
+                             f"{self.name}") from None
 
     def far_words(self):
         """Every FAR word in enumeration order, as next_far steps from first_far."""
-        words = []
-        for key, minors in self.column_minors.items():
-            words.extend(range(key << 7, (key << 7) + minors))
-        return words
+        return list(self.successor)
 
 
 def desk_geometry():
@@ -246,8 +239,9 @@ class ConfigEngine:
     frame still being received, at most FRAME_BYTES bytes.
     Frames in `memory` are immutable FRAME_BYTES-byte `bytes`, so callers
     and the DUT baseline share them without copying.  Since `current_far`
-    is valid by construction, the commit and read loops step it by one
-    inside a column and call `DeviceGeometry.next_far` only at a carry.
+    is valid by construction, the commit and read loops step it with one
+    lookup in `DeviceGeometry.successor`, and the FAR-write check is a
+    membership test in the same table.
 
     `frame_versions` maps each FAR word written to the mutation count of
     its last change, in that order: versions increase from first to last.
@@ -279,7 +273,7 @@ class ConfigEngine:
             words.byteswap()
         readback = []  # every read's frames, joined once at the end
         events = []
-        column_minors = self.geometry.column_minors
+        successor = self.geometry.successor
         synced = self.synced  # these three are stored back at the end
         far = self.current_far
         reg = self.last_type1_reg  # the register a Type-2 header continues
@@ -366,10 +360,7 @@ class ConfigEngine:
                                 version += 1
                                 versions.pop(far, None)
                                 versions[far] = version
-                                if (far & 0x7F) + 1 < column_minors[far >> 7]:
-                                    far += 1
-                                else:
-                                    far = self.geometry.next_far(far)
+                                far = successor[far]
                                 if at == last:
                                     break
                                 frame = data[at:at + FRAME_BYTES]
@@ -384,8 +375,7 @@ class ConfigEngine:
                 elif reg is _FAR:
                     if i < end:
                         word = words[i]
-                        # DeviceGeometry.is_valid_far, without the call
-                        if word & 0x7F < column_minors.get(word >> 7, 0):
+                        if word in successor:
                             far = word
                         else:  # no frame to write or read until a valid FAR
                             far = None
@@ -421,10 +411,7 @@ class ConfigEngine:
                             break
                         readback.append(memory.get(far, ZERO_FRAME))
                         have += FRAME_BYTES
-                        if (far & 0x7F) + 1 < column_minors[far >> 7]:
-                            far += 1
-                        else:
-                            far = self.geometry.next_far(far)
+                        far = successor[far]
                     if have > size:  # the count ends inside the last frame
                         readback[-1] = readback[-1][:size - have]
             else:

@@ -21,8 +21,6 @@ from array import array
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 
-WORD_MASK = 0xFFFFFFFF
-
 DUMMY_WORD = 0xFFFFFFFF
 BUS_WIDTH_SYNC_WORD = 0x000000BB
 BUS_WIDTH_DETECT_WORD = 0x11220044
@@ -302,24 +300,22 @@ def build_write_frame_sequence(device_id, far, frames):
     command.  The flush frame pushes the last real frame out of the
     configuration engine's frame buffer; it is never committed itself.
     A frame may be any sequence of words; an `array("I")` frame is copied
-    whole.
+    whole.  `device_id`, `far` and every frame word must be an integer in
+    0..2**32-1, or RangeError is raised.
     """
     if not frames:
         raise RangeError("at least one frame is required")
     for f in frames:
         if len(f) != FRAME_WORDS:
             raise RangeError(f"frames must be exactly {FRAME_WORDS} words")
-    words = array("I", (
-        *_WRITE_HEAD, device_id & WORD_MASK,
-        _FAR_WRITE, far & WORD_MASK,
-        *_WCFG_FDRI,
-        encode_type2(OpCode.WRITE, (len(frames) + 1) * FRAME_WORDS),
-    ))
+    count = encode_type2(OpCode.WRITE, (len(frames) + 1) * FRAME_WORDS)
     try:
+        words = array("I", (*_WRITE_HEAD, device_id, _FAR_WRITE, far,
+                            *_WCFG_FDRI, count))
         for f in frames:
             words.extend(f)
     except (OverflowError, TypeError):
-        raise RangeError("frame words must be integers in 0..2**32-1") from None
+        raise RangeError("words must be integers in 0..2**32-1") from None
     words.extend(_FLUSH_FRAME)
     words.extend(DESYNC_WRITE)
     return CommandSequence(words)
@@ -331,18 +327,19 @@ def build_readback_sequence(far, n_frames, word_count=None):
     The requested word count defaults to (n_frames + 1) * 101: the extra
     frame is the dummy the engine's frame buffer emits ahead of real data.
     `word_count` overrides the count verbatim for reproducing reference
-    request streams whose counts are not frame-aligned.
+    request streams whose counts are not frame-aligned.  `far` must be an
+    integer in 0..2**32-1, or RangeError is raised.
     """
     if word_count is None:
         if n_frames < 1:
             raise RangeError("read-back needs at least one frame")
         word_count = (n_frames + 1) * FRAME_WORDS
-    return CommandSequence(array("I", (
-        *_READBACK_HEAD, far & WORD_MASK,
-        _FDRO_READ,
-        encode_type2(OpCode.READ, word_count),
-        *_READBACK_PAD,
-    )))
+    count = encode_type2(OpCode.READ, word_count)
+    try:
+        words = array("I", (*_READBACK_HEAD, far, _FDRO_READ, count, *_READBACK_PAD))
+    except (OverflowError, TypeError):
+        raise RangeError("words must be integers in 0..2**32-1") from None
+    return CommandSequence(words)
 
 
 # De-synchronization footer: GRESTORE, MASK/CTL0 unlock pair, START, DESYNC,

@@ -752,6 +752,24 @@ class TestCampaignAuto:
         c.run_auto([0])
         assert snapshot_digest(dev.engine) == before
 
+    def test_a_model_reused_on_a_second_device_takes_its_baseline(self):
+        # Device A has mapped bit 3 of FAR 0 set and B is blank: a model
+        # first captured on A must compare B's injections with B's frames.
+        smap = SensitivityMap()
+        for bit in (3, 7):
+            smap.add(0, bit, Criticality.MODULE0)
+        dut = DutModel(DutConfig(), smap)
+        assert dut.baseline_engine is None
+        a = boot_device()
+        write_flipped_bit(a.engine, 0, 3)
+        Campaign(a, dut)
+        assert dut.baseline_engine is a.engine
+        b = boot_device()
+        summary, rows = Campaign(b, dut).run_auto([0])
+        assert dut.baseline_engine is b.engine
+        assert summary.critical == rows[0].critical == 2
+        assert counters(b) == (2, 3230)
+
 
 def test_compare_summaries():
     from idfsim.campaign import CampaignSummary
@@ -868,6 +886,16 @@ class TestParseUtilization:
         with pytest.raises(ValueError) as info:
             parse_utilization("A,1,2,3\nB,1,2\n")
         assert str(info.value) == "line 2: expected 4 fields, got 3"
+
+    def test_a_quoted_site_over_two_lines_keeps_file_lines(self):
+        # an error names the file line its record starts on
+        with pytest.raises(ValueError) as info:
+            parse_utilization('"Slice\nLUTs",1,0,100\nDSPs,x,0,220\n')
+        assert str(info.value).startswith("line 3: bad numeric cell in ")
+        with pytest.raises(ValueError) as info:
+            parse_utilization('"Slice\nLUTs",1,0,100\nDSPs,0,0,220\n'
+                              '"Slice\nLUTs",1,0,90\n')
+        assert str(info.value) == "line 4: site 'Slice\\nLUTs' repeats line 1"
 
 
 class TestOverheadDiff:

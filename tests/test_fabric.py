@@ -1,4 +1,5 @@
 import ast
+import re
 import random
 import struct
 import time
@@ -220,11 +221,26 @@ class TestGeometry:
 
 def test_only_fabric_reads_the_far_layout_table():
     # DeviceGeometry owns the FAR field layout: no other module reaches
-    # into its column table.
+    # into its successor table, and no code but its constructor takes a
+    # FAR word apart into fields.
     src = Path(idfsim.__file__).parent
     readers = [path.name for path in sorted(src.glob("*.py"))
-               if path.name != "fabric.py" and "column_minors" in path.read_text()]
+               if path.name != "fabric.py" and "successor" in path.read_text()]
     assert readers == []
+    fabric_src = (src / "fabric.py").read_text()
+    geometry = next(node for node in ast.parse(fabric_src).body
+                    if isinstance(node, ast.ClassDef) and node.name == "DeviceGeometry")
+    init = next(node for node in geometry.body
+                if isinstance(node, ast.FunctionDef) and node.name == "__init__")
+    field_op = re.compile(r">>\s*7\b|&\s*0x7F\b", re.IGNORECASE)
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            in_init = (path.name == "fabric.py"
+                       and init.lineno <= lineno <= init.end_lineno)
+            if field_op.search(line) and not in_init:
+                found.append(f"{path.name}:{lineno}: {line.strip()}")
+    assert found == []
 
 
 _FRAME_STATE = {"memory", "frame_versions", "_mutations"}
@@ -886,11 +902,11 @@ def test_far_stepping_matches_word_at_a_time_reference(geo_name, twoblock_geomet
     assert list(engine.frame_versions) == list(ref.changed)
     assert events.count("far_overrun") == 2
     assert events.count("read_overrun") == 1
-    # next_far runs only at a carry: at each column's last FAR passed, by
-    # the whole-device write, the rewrite and the read-backs
+    # the rewrite crosses two column carries, and the engine steps every
+    # FAR, a carry too, without a Python call
     rewrite_ends = column_ends.intersection(fars[start:start + 5])
     assert len(rewrite_ends) == 2
-    assert sorted(calls) == sorted([*column_ends, *rewrite_ends, *column_ends])
+    assert calls == []
 
 
 def test_noop_runs_match_word_at_a_time_reference():

@@ -238,10 +238,17 @@ class TestWriteFrameSequence:
 
     @pytest.mark.parametrize("bad", [-1, 1 << 32, 1.0])
     def test_rejects_a_frame_word_that_is_not_32_bit(self, bad):
+        # a frame word, and each header value, is refused and never wrapped
         frame = [0] * FRAME_WORDS
         frame[50] = bad
         with pytest.raises(RangeError):
             build_write_frame_sequence(0, 0, [[1] * FRAME_WORDS, frame])
+        with pytest.raises(RangeError):
+            build_write_frame_sequence(bad, 0, [[1] * FRAME_WORDS])
+        with pytest.raises(RangeError):
+            build_write_frame_sequence(0, bad, [[1] * FRAME_WORDS])
+        with pytest.raises(RangeError):
+            build_readback_sequence(bad, 1)
 
     def test_copies_array_frames(self):
         frame = array("I", range(FRAME_WORDS))

@@ -21,6 +21,7 @@ from .dut import DutModel, SensitivityMap, sensitivity_generate
 from .fabric import FRAME_WORDS, load_geometry
 from .packets import (
     DUMMY_WORD,
+    DecodeError,
     ZEDBOARD_IDCODE,
     build_desync_footer,
     build_readback_sequence,
@@ -196,8 +197,11 @@ def interactive_session(stdin, stdout, device, dut, far_words):
 
 
 def _cmd_decode(args):
-    words = read_sequence_file(args.file)
-    packets = decode_stream(words)
+    try:
+        words = read_sequence_file(args.file)
+        packets = decode_stream(words)
+    except DecodeError as exc:
+        raise ValueError(f"{args.file}: {exc}") from None
     offset = 0
     for p in packets:
         header = words[offset]

@@ -16,13 +16,13 @@ Transfer rules modeled after the real PCAP path:
 
 DRAM is the PS's whole 32-bit address space as one anonymous private
 4 GB `mmap` of big-endian bytes, the on-disk sequence format, so every
-access is one slice or one struct call and unwritten bytes read 0.  The
-OS backs a page of it on the page's first write, so a `Dram` relies on
-memory overcommit to be created; there is no fallback.  A span that does
-not lie inside 0..0xFFFFFFFF raises ValueError and changes nothing, and
-`write_words` packs every word before it writes, so a word that does not
-fit raises struct.error and changes nothing.  A DMA descriptor whose
-span leaves the space is refused when it is queued.
+access is a slice or a struct call and unwritten bytes read 0.  The OS
+backs a page of it on the page's first write, so a `Dram` relies on
+memory overcommit to be created; there is no fallback.  Nothing is masked
+to 32 bits: a span outside 0..0xFFFFFFFF raises ValueError, and a word
+that `write_word` or `write_words` cannot fit raises struct.error before
+any byte changes.  A DMA descriptor whose PS address or span leaves the
+space is refused when it is queued.
 
 All failed transfers are all-or-nothing: no PL or DRAM state changes.
 A stream the engine rejects in part only sets `Device.cfg_error` to the
@@ -40,6 +40,7 @@ import struct
 from collections import deque
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import partial
 from typing import NamedTuple
 
 from .fabric import ConfigEngine, desk_geometry
@@ -114,18 +115,16 @@ class DmaDescriptor(NamedTuple):
     direction: str  # "ps2pl" or "pl2ps"
 
 
+# Built from a tuple of the fields, without NamedTuple's Python-level __new__.
+_descriptor = partial(tuple.__new__, DmaDescriptor)
+
+
 def _outside(addr, length):
     """The error for a DRAM span that does not lie in the address space."""
     if length < 0:
         return ValueError(f"negative read length {length}")
     return ValueError(f"{length} bytes at {addr:#x} leave the 32-bit "
                       "address space")
-
-
-class _DescriptorQueue(deque):
-    """Plain field tuples, cheaper to queue; indexing gives a DmaDescriptor."""
-    def __getitem__(self, index):
-        return DmaDescriptor._make(deque.__getitem__(self, index))
 
 
 class Dram:
@@ -146,7 +145,8 @@ class Dram:
     def write_word(self, addr, word):
         if not 0 <= addr <= _SPACE - 4:
             raise _outside(addr, 4)
-        _WORD.pack_into(self._mem, addr, word & 0xFFFFFFFF)
+        # Packed first: pack_into zeroes its target before it refuses a word.
+        self._mem[addr:addr + 4] = _WORD.pack(word)
 
     def read_word(self, addr):
         if not 0 <= addr <= _SPACE - 4:
@@ -178,7 +178,7 @@ class Device:
         self.cfg_error = []  # a rejected stream's events; the poller clears it
         self.set_pcap_clock_divisor(1)
         self.owner = None
-        self.dma_queue = _DescriptorQueue()
+        self.dma_queue = deque()  # DmaDescriptor records, oldest first
         self.gpio = {}  # PS GPIO pin -> level, 0 or 1; unwritten pins read 0
         self.events = []
         self.pending_readback = None
@@ -233,9 +233,9 @@ class Device:
         self.events.append(("PL INIT CFG_DONE",))
 
     def set_pcap_clock_divisor(self, div):
-        if div < 1:
-            raise ValueError("clock divisor must be >= 1")
-        self.clock_divisor = int(div)
+        if not isinstance(div, int) or div < 1:
+            raise ValueError("clock divisor must be an integer >= 1")
+        self.clock_divisor = div
         # PCAP moves one word per clock, up to the bridge's maximum.
         self._byte_rate = min(4 * self.pcap_clock_hz, PCAP_MAX_BYTES_PER_SEC)
 
@@ -249,8 +249,9 @@ class Device:
         """Queue one transfer, as writing the four descriptor registers does.
 
         While the device is locked the four writes are dropped, each logged
-        as `REGWRITE DROPPED LOCKED`, and nothing is queued.  On a
-        `SequencingError` or `DescriptorError` nothing is queued or logged.
+        as `REGWRITE DROPPED LOCKED`, and nothing is queued.  An address
+        outside 0..0xFFFFFFFF raises `DescriptorError`, never wrapped.  On
+        a `SequencingError` or `DescriptorError` nothing is queued or logged.
         """
         if self.locked:
             for name in ("dma_src", "dma_dst", "dma_src_len", "dma_dst_len"):
@@ -258,8 +259,6 @@ class Device:
             return
         if not self.cfg_done:
             raise SequencingError("not initialized: PL configuration not done")
-        src &= 0xFFFFFFFF
-        dst &= 0xFFFFFFFF
         to_pl = dst == PL_ADDR
         if to_pl == (src == PL_ADDR):
             raise DescriptorError("exactly one of src/dst must be the PL "
@@ -267,11 +266,11 @@ class Device:
         if src_len < 0 or dst_len < 0:
             raise DescriptorError(f"negative transfer length {src_len}/{dst_len}")
         ps_addr = src if to_pl else dst  # the transfer moves 4 * dst_len bytes
-        if ps_addr + 4 * dst_len > _SPACE:
-            raise DescriptorError(f"{dst_len} words at 0x{ps_addr:08x} leave "
+        if not 0 <= ps_addr <= _SPACE - 4 * dst_len:
+            raise DescriptorError(f"{dst_len} words at {ps_addr:#x} leave "
                                   "the 32-bit address space")
         direction = "ps2pl" if to_pl else "pl2ps"
-        self.dma_queue.append((src, dst, src_len, dst_len, direction))
+        self.dma_queue.append(_descriptor((src, dst, src_len, dst_len, direction)))
         self.events.append(("DMA QUEUED {} SRC=0x{:08x} DST=0x{:08x} LEN={}",
                             _UPPER[direction], src, dst, dst_len))
 

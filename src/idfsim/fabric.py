@@ -228,7 +228,8 @@ class ConfigEngine:
     `_TYPE1_HEADERS` (`w >> 13` -> op, register; the count is `w & 0x7FF`);
     Type-2 headers, unknown registers and stray words take the general
     path.  Every register write and read is applied in `execute` itself;
-    a CMD, FAR or IDCODE write takes only its first payload word.
+    a CMD, FAR or IDCODE write takes only its first payload word.  The
+    IDCODE must match `device_id`, refused with ValueError outside 32 bits.
 
     `current_far` is the integer FAR word the next frame commits to or
     reads from, or None once the last frame is passed or a FAR write
@@ -251,7 +252,9 @@ class ConfigEngine:
 
     def __init__(self, geometry, device_id):
         self.geometry = geometry
-        self.device_id = device_id & 0xFFFFFFFF
+        if not (isinstance(device_id, int) and 0 <= device_id <= 0xFFFFFFFF):
+            raise ValueError(f"IDCODE {device_id!r} does not fit 32 bits")
+        self.device_id = device_id
         self.synced = False
         self.idcode_ok = False
         # The code of WCFG or RCFG, whichever came last since sync; else None.

@@ -35,7 +35,6 @@ from idfsim.aes import aes256_encrypt
 from idfsim.dut import (
     ControlLines,
     Criticality,
-    DutConfig,
     DutModel,
     SensitivityMap,
     MatchLine,
@@ -252,7 +251,7 @@ def _run_reference_campaign(critical_count, variant, seed):
     smap = sensitivity_generate(seed, fars, critical_count)
     assert smap.critical_count == critical_count
     dev = boot_device(geo)
-    dut = DutModel(DutConfig(variant=variant), smap)
+    dut = DutModel(sensitivity_map=smap)
     runner = Campaign(dev, dut)
     before = snapshot_digest(dev.engine)
     summary, rows = runner.run_auto(fars, variant=variant)
@@ -430,7 +429,7 @@ def test_criterion_10_overhead_report():
 def test_criterion_11_interactive_transcript():
     with criterion(11, "interactive banner and menu transcript", 1.0):
         dev = boot_device()
-        dut = DutModel(DutConfig(), SensitivityMap())
+        dut = DutModel(sensitivity_map=SensitivityMap())
         out = io.StringIO()
         status = interactive_session(io.StringIO("5\n0\n"), out, dev, dut,
                                      desk_geometry().far_words())

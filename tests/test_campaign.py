@@ -36,7 +36,6 @@ from idfsim.devc import (
 )
 from idfsim.dut import (
     Criticality,
-    DutConfig,
     DutModel,
     SensitivityMap,
     sensitivity_generate,
@@ -80,7 +79,7 @@ def test_packets_names_the_far_and_data_slots():
 
 def _fresh(smap=None, **kwargs):
     dev = boot_device()
-    dut = DutModel(DutConfig(), smap if smap is not None else SensitivityMap())
+    dut = DutModel(sensitivity_map=smap)
     return dev, Campaign(dev, dut, **kwargs)
 
 
@@ -120,7 +119,7 @@ class TestCampaignInit:
         dev.dma_enqueue(TEMPLATE_ADDR, devc.PL_ADDR, len(words), len(words))
         dev.dma_process()
         with pytest.raises(DevcError) as info:
-            Campaign(dev, DutModel(DutConfig(), SensitivityMap()))
+            Campaign(dev, DutModel(sensitivity_map=SensitivityMap()))
         assert str(info.value) == (
             "device has a rejected stream pending: idcode_mismatch "
             "got=0x23727092, fdri_rejected_idcode, fdri_rejected_idcode")
@@ -157,7 +156,7 @@ class TestCampaignInit:
         # Each read patches the resident request's FAR and nothing else.
         a, b = desk_geometry().far_words()[5:7]
         write_flipped_bit(dev.engine, b, 291)
-        c = Campaign(dev, DutModel(DutConfig(), SensitivityMap()))
+        c = Campaign(dev, DutModel(sensitivity_map=SensitivityMap()))
         c.read_frame(a)
         assert c.read_frame(b) == dev.engine.memory.get(b, ZERO_FRAME)
         assert dev.dram.read_words(READBACK_REQ_ADDR, 58) == request(b)
@@ -187,7 +186,7 @@ def test_check_scans_only_changed_frames():
             return dict.get(self, far_word, default)
 
     smap._by_far = Scanned(smap._by_far)
-    c = Campaign(dev, DutModel(DutConfig(), smap))
+    c = Campaign(dev, DutModel(sensitivity_map=smap))
     assert seen == []
     previous = []
     for far in (fars[5], fars[9000], fars[77]):
@@ -319,7 +318,7 @@ def _configured_campaign_disagreements():
     smap = sensitivity_generate(1501, targets, 45)
     mapped = collections.Counter(far for far, _, _ in smap.iter_entries())
     assert all(mapped[far] for far in targets)
-    c = Campaign(dev, DutModel(DutConfig(), smap))
+    c = Campaign(dev, DutModel(sensitivity_map=smap))
     configured = snapshot_digest(dev.engine)
     summary, rows = c.run_auto(targets)
     total = len(targets) * FRAME_BITS
@@ -394,7 +393,7 @@ def _detected_and_mapped(far):
     dev = boot_device()
     _configure(dev, seed=1501)
     smap = sensitivity_generate(1501, [far], 400)
-    c = Campaign(dev, DutModel(DutConfig(), smap))
+    c = Campaign(dev, DutModel(sensitivity_map=smap))
     records = [c.inject_and_check(far, bit) for bit in range(FRAME_BITS)]
     assert [r.error for r in records] == [None] * FRAME_BITS
     return ({r.bit for r in records if r.detected},
@@ -669,7 +668,7 @@ class TestRejectedStreams:
         far = dev.geometry.far_words()[4]
         smap = SensitivityMap()
         smap.add(far, 0, Criticality.MODULE0)
-        c = Campaign(dev, DutModel(DutConfig(), smap))
+        c = Campaign(dev, DutModel(sensitivity_map=smap))
         stage = Campaign.stage_frame
 
         def corrupt(self, far_word, frame=None):
@@ -696,7 +695,7 @@ def test_corrupted_template_data_word_is_not_kept(monkeypatch, configured):
     far = dev.geometry.far_words()[4]
     smap = SensitivityMap()
     smap.add(far, 0, Criticality.MODULE0)
-    c = Campaign(dev, DutModel(DutConfig(), smap))
+    c = Campaign(dev, DutModel(sensitivity_map=smap))
     before = snapshot_digest(dev.engine)
     stage = Campaign.stage_frame
 
@@ -758,7 +757,7 @@ class TestCampaignAuto:
         smap = SensitivityMap()
         for bit in (3, 7):
             smap.add(0, bit, Criticality.MODULE0)
-        dut = DutModel(DutConfig(), smap)
+        dut = DutModel(sensitivity_map=smap)
         assert dut.baseline_engine is None
         a = boot_device()
         write_flipped_bit(a.engine, 0, 3)

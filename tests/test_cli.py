@@ -23,7 +23,7 @@ from idfsim.cli import (
 from idfsim import campaign as campaign_mod
 from idfsim.campaign import READBACK_REQ_ADDR, TEMPLATE_ADDR
 from idfsim.devc import boot_device
-from idfsim.dut import Criticality, DutConfig, DutModel, SensitivityMap
+from idfsim.dut import Criticality, DutModel, SensitivityMap
 from idfsim.fabric import FRAME_BYTES, ZERO_FRAME, desk_geometry, snapshot_digest
 from idfsim.packets import read_sequence_file
 
@@ -32,7 +32,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 def _session(stdin_text, smap=None):
     dev = boot_device()
-    dut = DutModel(DutConfig(), smap if smap is not None else SensitivityMap())
+    dut = DutModel(sensitivity_map=smap)
     out = io.StringIO()
     status = interactive_session(io.StringIO(stdin_text), out, dev, dut,
                                  desk_geometry().far_words())
@@ -94,7 +94,7 @@ class TestInteractiveSession:
         smap = SensitivityMap()
         smap.add(0, 0, Criticality.COMPARATOR)
         dev = boot_device()
-        dut = DutModel(DutConfig(), smap)
+        dut = DutModel(sensitivity_map=smap)
         dut.capture_baseline(dev.engine)
         write_flipped_bit(dev.engine, 0, 0)
         out = io.StringIO()
@@ -143,7 +143,7 @@ class TestInteractiveSession:
         smap.add(1, 0, Criticality.COMPARATOR)
         dev = boot_device()
         write_flipped_bit(dev.engine, 1, 0)
-        dut = DutModel(DutConfig(), smap)
+        dut = DutModel(sensitivity_map=smap)
         out = io.StringIO()
         interactive_session(io.StringIO("3\n2\n0x00000001\n3\n0\n"), out,
                             dev, dut, desk_geometry().far_words())
@@ -176,7 +176,7 @@ class TestInteractiveSession:
         before = snapshot_digest(dev.engine)
         out = io.StringIO()
         status = interactive_session(io.StringIO("4\ny\n0\n"), out, dev,
-                                     DutModel(DutConfig(), smap), [0])
+                                     DutModel(sensitivity_map=smap), [0])
         assert status == EXIT_OK
         assert out.getvalue().endswith(
             "Inject over 1 frames (3232 flips). Proceed? (y/n)\n"
@@ -312,6 +312,16 @@ class TestDecodeCommand:
 
     def test_decode_missing_file_is_io_error(self, capsys):
         assert main(["decode", "/nonexistent/file.bin"]) == EXIT_IO
+
+    @pytest.mark.parametrize("data,message", [
+        (bytes(5), "word 1: byte length is not a multiple of 4"),
+        (bytes.fromhex("aa995566 70000000"), "word 1: unknown word 0x70000000"),
+    ], ids=["ragged_length", "unknown_word"])
+    def test_decode_error_names_the_file(self, tmp_path, capsys, data, message):
+        seq = tmp_path / "bad.bin"
+        seq.write_bytes(data)
+        assert main(["decode", str(seq)]) == EXIT_IO
+        assert capsys.readouterr().err == f"error: {seq}: {message}\n"
 
 
 class TestVerifyIdf:

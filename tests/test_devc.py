@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from idfsim.devc import (
     DescriptorError,
     Device,
+    DmaDescriptor,
     Dram,
     Interface,
     LockedError,
@@ -150,11 +151,13 @@ class TestDmaDescriptor:
         dev = _ready_device()
         with pytest.raises(DescriptorError):
             dev.dma_enqueue(0x00200000, 0x00300000, 10, 10)
+        with pytest.raises(DescriptorError, match="leave the 32-bit"):
+            dev.dma_enqueue(0x1_0020_0000, PL_ADDR, 10, 10)  # 33 bits: no wrap
         assert not dev.dma_queue
         assert _text(dev) == []
-        dev.dma_enqueue(0x1_0020_0000, PL_ADDR, 10, 10)  # masked to 32 bits
-        assert len(dev.dma_queue) == 1
-        assert dev.dma_queue[0].src == 0x00200000
+        dev.dma_enqueue(0x00200000, PL_ADDR, 10, 10)
+        assert list(dev.dma_queue) == [
+            DmaDescriptor(0x00200000, PL_ADDR, 10, 10, "ps2pl")]
         assert _text(dev) == [
             "DMA QUEUED PS2PL SRC=0x00200000 DST=0xffffffff LEN=10"]
 
@@ -184,6 +187,19 @@ class TestDmaDescriptor:
         dev.dma_enqueue(0xFFFFFFEC, PL_ADDR, 5, 5)  # ends at the top
         dev.dma_enqueue(PL_ADDR, 0xFFFFFFEC, 5, 5)
         assert len(dev.dma_queue) == 2
+
+    def test_an_address_outside_32_bits_is_not_wrapped(self):
+        # -1 is not the PL address 0xFFFFFFFF, and -4 is not 0xFFFFFFFC.
+        dev = _ready_device()
+        with pytest.raises(DescriptorError, match="exactly one of src/dst"):
+            dev.dma_enqueue(0x100000, -1, 404, 404)
+        with pytest.raises(DescriptorError, match="^1 words at -0x4 leave "
+                           "the 32-bit address space$"):
+            dev.dma_enqueue(-4, PL_ADDR, 1, 1)
+        with pytest.raises(DescriptorError, match="at -0x4 leave the 32-bit"):
+            dev.dma_enqueue(PL_ADDR, -4, 1, 1)
+        assert not dev.dma_queue
+        assert _text(dev) == []
 
     def test_descriptor_registers_are_not_writable(self):
         dev = _ready_device()
@@ -525,6 +541,18 @@ class TestClockDivisor:
         with pytest.raises(ValueError):
             Device().set_pcap_clock_divisor(0)
 
+    @pytest.mark.parametrize("div", [2.5, 4.0, 0, -4, "4"])
+    def test_a_refused_divisor_changes_nothing(self, div):
+        # 2.5 is not truncated to 2 (50 MHz): the call is refused whole.
+        dev = Device()
+        dev.set_pcap_clock_divisor(SAFE_DIVISOR)
+        before = (dev.clock_divisor, dev.pcap_clock_hz, dev._byte_rate)
+        with pytest.raises(ValueError, match="^clock divisor must be an "
+                           "integer >= 1$"):
+            dev.set_pcap_clock_divisor(div)
+        assert (dev.clock_divisor, dev.pcap_clock_hz, dev._byte_rate) == before
+        assert before == (SAFE_DIVISOR, 25_000_000, 100_000_000)
+
     def test_simulated_time_follows_each_transfer_divisor(self):
         # Each transfer is timed at the divisor set when it runs, summed in
         # order in the same float arithmetic; a failed one adds nothing.
@@ -757,7 +785,10 @@ _dram_addr = st.one_of(
     st.integers(_LO, _LO + _SPAN - 4 * _MAX_WORDS),
 )
 _dram_op = st.one_of(
-    st.tuples(st.just("write_word"), _dram_addr, st.integers(0, (1 << 34) - 1)),
+    st.tuples(st.just("write_word"), _dram_addr, st.integers(0, 0xFFFFFFFF)),
+    st.tuples(st.just("refused_word"), _dram_addr,
+              st.one_of(st.integers(-(1 << 34), -1),
+                        st.integers(1 << 32, (1 << 34) - 1))),
     st.tuples(st.just("write_words"), _dram_addr,
               st.lists(st.integers(0, 0xFFFFFFFF), max_size=_MAX_WORDS)),
     st.tuples(st.just("write_bytes"), _dram_addr,
@@ -778,7 +809,7 @@ def test_dram_matches_flat_model(ops):
         if op.startswith("write"):
             if op == "write_word":
                 dram.write_word(addr, arg)
-                data = (arg & 0xFFFFFFFF).to_bytes(4, "big")
+                data = arg.to_bytes(4, "big")
             elif op == "write_words":
                 dram.write_words(addr, arg)
                 data = b"".join(w.to_bytes(4, "big") for w in arg)
@@ -787,7 +818,10 @@ def test_dram_matches_flat_model(ops):
                 data = arg
             model[off:off + len(data)] = data
             continue
-        if op == "read_word":
+        if op == "refused_word":  # a word outside 32 bits is not masked
+            with pytest.raises(struct.error):
+                dram.write_word(addr, arg)
+        elif op == "read_word":
             assert dram.read_word(addr) == int.from_bytes(model[off:off + 4], "big")
         elif op == "read_words":
             got = dram.read_words(addr, arg)
@@ -795,7 +829,8 @@ def test_dram_matches_flat_model(ops):
                            for i in range(arg)]
         else:
             assert dram.read_bytes(addr, arg) == bytes(model[off:off + arg])
-        assert dram.read_bytes(_LO, _SPAN) == bytes(model)  # a read changes no byte
+        # neither a read nor a refused write changes a byte
+        assert dram.read_bytes(_LO, _SPAN) == bytes(model)
     assert dram.read_bytes(_LO, _SPAN) == bytes(model)
     assert dram.read_bytes(_LO - 4096, 4096) == bytes(4096)  # unwritten reads 0
     assert dram.read_bytes(_LO + _SPAN, 4096) == bytes(4096)

@@ -19,7 +19,6 @@ from idfsim.dut import (
     Criticality,
     DEFAULT_KEY,
     DesignHaltedError,
-    DutConfig,
     DutModel,
     MatchLine,
     SensitivityMap,
@@ -485,7 +484,7 @@ class TestDutRunCheck:
         engine = _engine()
         smap = SensitivityMap()
         smap.add(0, 4, Criticality.MODULE0)
-        model = DutModel(DutConfig(), smap)
+        model = DutModel(sensitivity_map=smap)
         model.capture_baseline(engine)
         assert model.run_check(engine, _lines(), 0).match_line is MatchLine.LOW
         write_flipped_bit(engine, 0, 4)
@@ -499,7 +498,7 @@ class TestDutRunCheck:
         write_flipped_bit(engine, 0, 4)
         smap = SensitivityMap()
         smap.add(0, 4, Criticality.MODULE0)
-        model = DutModel(DutConfig(), smap)
+        model = DutModel(sensitivity_map=smap)
         model.capture_baseline(engine)
         assert model.run_check(engine, _lines(), 0).match_line is MatchLine.LOW
 
@@ -511,7 +510,7 @@ class TestDutRunCheck:
         smap = SensitivityMap()
         smap.add(0, 4, Criticality.MODULE0)
         smap.add(0, 9, Criticality.COMPARATOR)
-        model = DutModel(DutConfig(), smap)
+        model = DutModel(sensitivity_map=smap)
         model.capture_baseline(engine)
         write_flipped_bit(engine, 0, 4)
         assert model.run_check(engine, _lines(), 0).flip0 == (0, 4)

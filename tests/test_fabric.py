@@ -356,6 +356,17 @@ class TestConfigEngine:
         out, _ = _execute(engine, build_readback_sequence(0, 1).words)
         assert len(out) == 202
 
+    @pytest.mark.parametrize("device_id",
+                             [(1 << 32) + ZEDBOARD_IDCODE, -1, 1.5, "0x13722093"])
+    def test_an_idcode_outside_32_bits_is_refused(self, device_id):
+        # (1 << 32) + 0x13722093 is not 0x13722093, and -1 is not 0xFFFFFFFF.
+        with pytest.raises(ValueError, match="does not fit 32 bits"):
+            ConfigEngine(desk_geometry(), device_id)
+
+    @pytest.mark.parametrize("device_id", [0, ZEDBOARD_IDCODE, 0xFFFFFFFF])
+    def test_an_idcode_is_stored_as_given(self, device_id):
+        assert ConfigEngine(desk_geometry(), device_id).device_id == device_id
+
     def test_wrong_idcode_leaves_memory_unchanged(self):
         engine = ConfigEngine(desk_geometry(), ZEDBOARD_IDCODE)
         before = snapshot_digest(engine)

@@ -249,9 +249,11 @@ class Device:
         """Queue one transfer, as writing the four descriptor registers does.
 
         While the device is locked the four writes are dropped, each logged
-        as `REGWRITE DROPPED LOCKED`, and nothing is queued.  An address
-        outside 0..0xFFFFFFFF raises `DescriptorError`, never wrapped.  On
-        a `SequencingError` or `DescriptorError` nothing is queued or logged.
+        as `REGWRITE DROPPED LOCKED`, and nothing is queued.  Before
+        `cfg_done` it raises `SequencingError`, the one check of it, since
+        nothing clears `cfg_done` once set.  An address outside
+        0..0xFFFFFFFF raises `DescriptorError`, never wrapped.  On a
+        `SequencingError` or `DescriptorError` nothing is queued or logged.
         """
         if self.locked:
             for name in ("dma_src", "dma_dst", "dma_src_len", "dma_dst_len"):
@@ -290,8 +292,6 @@ class Device:
             raise DescriptorError("no DMA descriptor queued") from None
         events = self.events
         try:
-            if not self.cfg_done:
-                raise TransferError("not-initialized", "PL configuration not done")
             if self.owner is not _PCAP:
                 raise TransferError("not-owner", "PCAP does not own the "
                                     "configuration interface")

@@ -26,7 +26,7 @@ from functools import partial
 from typing import NamedTuple
 
 from .aes import aes256_encrypt
-from .fabric import FRAME_BITS, ZERO_FRAME
+from .fabric import BIT_OF_POS, FRAME_BITS, ZERO_FRAME
 
 DEFAULT_KEY = bytes(range(32))
 
@@ -37,17 +37,14 @@ PIN_MATCH = 13
 
 
 class Criticality(Enum):
-    NOT_CRITICAL = "not_critical"
+    """A mapped bit's class, as a map line names it."""
+
     MODULE0 = "module0"
     MODULE1 = "module1"
     COMPARATOR = "comparator"
 
 
-_CLASS_TOKENS = {
-    "module0": Criticality.MODULE0,
-    "module1": Criticality.MODULE1,
-    "comparator": Criticality.COMPARATOR,
-}
+_CLASS_TOKENS = {crit.value: crit for crit in Criticality}
 
 # Bit indices in the spelling `SensitivityMap.save` writes.
 _BIT_TOKENS = {str(bit): bit for bit in range(FRAME_BITS)}
@@ -60,7 +57,6 @@ class MatchLine(Enum):
 
 # Bound once for the per-injection check and map loading: on Python 3.11
 # reading an enum member costs several times a module global.
-_NOT_CRITICAL = Criticality.NOT_CRITICAL
 _MODULE0 = Criticality.MODULE0
 _MODULE1 = Criticality.MODULE1
 _LOW = MatchLine.LOW
@@ -119,21 +115,15 @@ class SensitivityMap:
         self._by_far = {}
 
     def add(self, far_word, bit, criticality):
-        """Set one bit's class, replacing any earlier one; NOT_CRITICAL
-        unmaps the bit, and its frame once that holds no bits."""
+        """Set one bit's class, a `Criticality` or its map-line token,
+        replacing any earlier one."""
         if not 0 <= far_word <= 0xFFFFFFFF:
             raise ValueError(f"FAR {far_word:#x} outside 0..0xffffffff")
         if not 0 <= bit < FRAME_BITS:
             raise ValueError(f"bit index {bit} outside 0..{FRAME_BITS - 1}")
         if not isinstance(criticality, Criticality):
             criticality = Criticality(criticality)
-        bits = self._by_far.setdefault(far_word, {})
-        if criticality is not _NOT_CRITICAL:
-            bits[bit] = criticality
-        else:
-            bits.pop(bit, None)
-            if not bits:
-                del self._by_far[far_word]
+        self._by_far.setdefault(far_word, {})[bit] = criticality
 
     @property
     def critical_count(self):
@@ -240,9 +230,6 @@ def sensitivity_generate(seed, frames, critical_count, split=(0.45, 0.45, 0.10))
     return smap
 
 
-_TOP_WORD_POS = FRAME_BITS - 32  # position of word 0, bit 0 in a frame int
-
-
 def fault_mask(far_word, bit):
     """Deterministic nonzero 128-bit corruption mask for one flipped bit:
     the BLAKE2b digest of (far << 12) | bit, OR 1 so it is never zero."""
@@ -327,9 +314,7 @@ class DutModel:
                     while diff:
                         pos = diff.bit_length() - 1
                         diff ^= 1 << pos
-                        # fabric.flip_frame_bit's inverse: map bit b lies at
-                        # position 32 * (100 - (b >> 5)) + (b & 31).
-                        bit = (_TOP_WORD_POS - (pos & ~31)) | (pos & 31)
+                        bit = BIT_OF_POS[pos]
                         crit = bits.get(bit)
                         if crit is not None:
                             flips.append((bit, crit))

@@ -4,7 +4,8 @@ Frame memory is addressed by FAR (frame address register) values.  A frame
 is exactly 101 32-bit words (3232 bits), held as 404 big-endian bytes from
 DRAM through the engine to the DUT.  A configuration bit is one index
 0..3231, bit `b & 31` of word `b >> 5`: flip_frame_bit alone maps it to a
-byte and mask, and DutModel._rescan inlines the inverse in its hot loop.
+byte and mask, and `BIT_OF_POS`, derived from it at import, maps each
+position of a frame read as a big-endian integer back to its bit.
 The configuration engine consumes packet streams: writes go through a
 one-frame buffer and commit a frame only once the first word of the next
 frame arrives, so the trailing all-zero flush frame in a write sequence is
@@ -81,6 +82,15 @@ def flip_frame_bit(frame, bit):
     return bytes(flipped)
 
 
+# Position -> bit index, for a frame read as a big-endian integer: the
+# inverse of flip_frame_bit, taken from it so that the two cannot disagree.
+BIT_OF_POS = array("H", bytes(2 * FRAME_BITS))
+for _bit in range(FRAME_BITS):
+    _pos = int.from_bytes(flip_frame_bit(ZERO_FRAME, _bit), "big").bit_length() - 1
+    BIT_OF_POS[_pos] = _bit
+del _bit, _pos
+
+
 class DeviceGeometry:
     """Frame address space of one device profile.
 
@@ -92,23 +102,22 @@ class DeviceGeometry:
     """
 
     def __init__(self, name, rows_per_half, columns, block_types=(0,)):
-        if rows_per_half < 1:
-            raise ValueError("rows_per_half must be >= 1")
+        if not (isinstance(rows_per_half, int) and rows_per_half >= 1):
+            raise ValueError("rows_per_half must be an integer >= 1")
         if not columns:
             raise ValueError("geometry needs at least one column")
         for kind, m in columns:
-            if not 1 <= m <= 128:
+            if not (isinstance(m, int) and 1 <= m <= 128):
                 raise ValueError(f"column {kind}: minor count {m} outside 1..128")
-        minors = [int(m) for _, m in columns]
-        block_types = sorted(set(int(b) for b in block_types))
+        minors = [m for _, m in columns]
+        block_types = sorted(set(block_types))
         if not block_types:
             raise ValueError("geometry needs at least one block type")
-        # the FAR words pack the fields unchecked: the extreme values must fit
-        for field, v, limit in (("block_type", block_types[0], 7),
-                                ("block_type", block_types[-1], 7),
+        # the FAR words pack the fields unchecked: every value must fit
+        for field, v, limit in (*(("block_type", b, 7) for b in block_types),
                                 ("row", rows_per_half - 1, 31),
                                 ("column", len(minors) - 1, 1023)):
-            if not 0 <= v <= limit:
+            if not (isinstance(v, int) and 0 <= v <= limit):
                 raise ValueError(f"FAR field {field}={v} outside 0..{limit}")
         self.name = name
         fars = [(block_type << 23) | (half << 22) | (row << 17) | (column << 7) | minor

@@ -396,15 +396,6 @@ def check_idf3(plan):
 # -- IDF-4: region adjacency ----------------------------------------------
 
 
-def _rect_gap(a, b):
-    """Chebyshev distance between the closest tiles of two rectangles."""
-    ax0, ay0, ax1, ay1 = a
-    bx0, by0, bx1, by1 = b
-    dx = max(bx0 - ax1, ax0 - bx1, 0)
-    dy = max(by0 - ay1, ay0 - by1, 0)
-    return max(dx, dy)
-
-
 def check_idf4(plan):
     regions = plan.regions
     # Sweep in x0 order: a region can only be within one tile of those
@@ -426,7 +417,11 @@ def check_idf4(plan):
     violations = []
     for i, j in pairs:
         a, b = regions[i], regions[j]
-        kind = "overlaps" if _rect_gap(a.rect, b.rect) == 0 else "touches"
+        ax0, ay0, ax1, ay1 = a.rect
+        bx0, by0, bx1, by1 = b.rect
+        # the sweep found them within one tile: they overlap if both spans meet
+        overlaps = ax0 <= bx1 and bx0 <= ax1 and ay0 <= by1 and by0 <= ay1
+        kind = "overlaps" if overlaps else "touches"
         violations.append(_violation((
             "IDF-4", SEVERITY_ERROR, (a.name, b.name),
             f"region {a.name} ({a.group}) {kind} region {b.name} ({b.group})")))

@@ -1,4 +1,7 @@
+import collections
+import gc
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -31,6 +34,27 @@ def write_flipped_bit(engine, far_word, bit):
     write_frames(engine, far_word, [bytes_to_words(frame)])
     assert engine.memory[far_word] == frame
     assert next(reversed(engine.frame_versions)) == far_word
+
+
+def python_calls(fn, *args):
+    """`fn(*args)` and a Counter of the Python-level calls it made, by
+    qualified name, as `sys.setprofile` sees them."""
+    calls = collections.Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls[frame.f_code.co_qualname] += 1
+
+    # With the collector off, no gc callback that another library installs
+    # runs, and so none is counted.
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        result = fn(*args)
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    return result, calls
 
 
 @pytest.fixture(scope="session")

@@ -1,11 +1,10 @@
 import collections
 import io
 import random
-import sys
 
 import pytest
 
-from conftest import write_flipped_bit
+from conftest import python_calls, write_flipped_bit
 from idfsim.campaign import (
     Campaign,
     ERROR_COUNTER_ADDR,
@@ -250,7 +249,7 @@ def test_one_injection_without_a_sink_runs_the_whole_procedure(monkeypatch):
     assert added[1] == added[0]
 
 
-# Python-level calls of one injection, as sys.setprofile counts them.
+# Python-level calls of one injection, as python_calls counts them.
 INJECTION_CALLS = 42
 
 
@@ -263,19 +262,9 @@ def test_per_injection_work_is_pinned():
         smap.add(0, bit, Criticality.MODULE0)
     dev, c = _fresh(smap)
     c.inject_and_check(0, 0)  # the first check converts the baseline
-    calls = collections.Counter()
-    records = []
-
-    def profile(frame, event, arg):
-        if event == "call":
-            calls[frame.f_code.co_qualname] += 1
-
-    sys.setprofile(profile)
-    try:
-        for k in range(64):
-            records.append(c.inject_and_check(0, k))
-    finally:
-        sys.setprofile(None)
+    # list and map are C-level: only the injections' own calls count
+    records, calls = python_calls(list, map(c.inject_and_check, [0] * 64,
+                                            range(64)))
     assert [r.error for r in records] == [None] * 64
     assert sum(r.detected for r in records) == 2  # map bits 0 and 37
     per = {name: n / 64 for name, n in calls.items()}

@@ -367,13 +367,6 @@ def _fails(dev, src, dst, src_len, dst_len):
         dev.dma_process()
 
 
-def _not_initialized(dev):
-    dev.dma_enqueue(REQ, PL_ADDR, 3, 3)
-    dev.cfg_done = False  # PL configuration lost after the descriptor queued
-    with pytest.raises(TransferError):
-        dev.dma_process()
-
-
 def _request(dev, n_frames):
     dev.set_pcap_clock_divisor(SAFE_DIVISOR)
     _run(dev, build_readback_sequence(0, n_frames).words)
@@ -435,9 +428,6 @@ _EVENT_SITES = [
     pytest.param("booted", lambda d: d.dma_enqueue(PL_ADDR, DST, 202, 202),
                  ["DMA QUEUED PL2PS SRC=0xffffffff DST=0x00300000 LEN=202"],
                  id="dma_queued_pl2ps"),
-    pytest.param("ready", _not_initialized,
-                 ["DMA QUEUED PS2PL SRC=0x00280000 DST=0xffffffff LEN=3",
-                  "DMA ERROR NOT-INITIALIZED LEN=3"], id="dma_error_not_initialized"),
     pytest.param("booted", lambda d: _fails(d, REQ, PL_ADDR, 3, 3),
                  ["DMA QUEUED PS2PL SRC=0x00280000 DST=0xffffffff LEN=3",
                   "DMA ERROR NOT-OWNER LEN=3"], id="dma_error_not_owner"),

@@ -1,16 +1,13 @@
 import collections
-import gc
-import inspect
 import random
-import sys
-import textwrap
+from array import array
 
 import pytest
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, example, given, settings
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
-from conftest import write_flipped_bit, write_frames
+from conftest import python_calls, write_flipped_bit, write_frames
 
 from idfsim import dut, fabric
 from idfsim.aes import aes256_encrypt
@@ -192,30 +189,27 @@ class TestSensitivityMap:
             by_name.add(0, 0, "module2")
 
     @pytest.mark.parametrize("first, second", [
-        (Criticality.MODULE0, Criticality.NOT_CRITICAL),
-        (Criticality.NOT_CRITICAL, Criticality.MODULE0),
         (Criticality.MODULE0, Criticality.MODULE1),
+        (Criticality.COMPARATOR, Criticality.MODULE0),
     ])
     def test_later_add_replaces_earlier(self, first, second):
         smap = SensitivityMap()
         smap.add(0, 5, first)
         smap.add(0, 5, second)
-        entries = [] if second is Criticality.NOT_CRITICAL else [(0, 5, second)]
-        assert list(smap.iter_entries()) == entries
-        assert smap.frames == [far for far, _, _ in entries]
-        assert smap.critical_count == len(entries)
-        # unmapping a bit of a frame the map lacks adds no frame
-        smap.add(3, 1, Criticality.NOT_CRITICAL)
-        assert smap.frames == [far for far, _, _ in entries]
-
-    def test_unmapping_one_bit_keeps_its_frame(self):
-        smap = SensitivityMap()
-        smap.add(0, 5, Criticality.MODULE0)
-        smap.add(0, 6, Criticality.MODULE1)
-        smap.add(0, 5, Criticality.NOT_CRITICAL)
-        assert list(smap.iter_entries()) == [(0, 6, Criticality.MODULE1)]
+        assert list(smap.iter_entries()) == [(0, 5, second)]
         assert smap.frames == [0]
         assert smap.critical_count == 1
+
+    def test_not_critical_is_refused(self):
+        # A map lists critical bits only: `add`, like `load`, refuses the
+        # token, and the map is left as it was.
+        smap = SensitivityMap()
+        smap.add(0, 5, Criticality.MODULE0)
+        with pytest.raises(ValueError, match="not_critical"):
+            smap.add(0, 5, "not_critical")
+        assert list(smap.iter_entries()) == [(0, 5, Criticality.MODULE0)]
+        assert [c.value for c in Criticality] == ["module0", "module1",
+                                                  "comparator"]
 
     def test_file_format(self, tmp_path):
         smap = SensitivityMap()
@@ -362,19 +356,7 @@ def test_map_load_work_is_pinned(tmp_path, perfbench_gen):
     text, per_frame = perfbench_gen.sensitivity_map(7, perfbench_gen.REF_FRAMES)
     path = tmp_path / "sensitivity.map"
     path.write_text(text, encoding="utf-8")
-    calls = collections.Counter()
-
-    def profile(frame, event, arg):
-        if event == "call":
-            calls[frame.f_code.co_qualname] += 1
-
-    gc.disable()
-    sys.setprofile(profile)
-    try:
-        smap = SensitivityMap.load(path)
-    finally:
-        sys.setprofile(None)
-        gc.enable()
+    smap, calls = python_calls(SensitivityMap.load, path)
     assert smap.critical_count == sum(per_frame.values()) == 25911
     assert dict(collections.Counter(
         far for far, _, _ in smap.iter_entries())) == per_frame
@@ -551,23 +533,15 @@ def _slip_in_flip(frame, bit):
     return bytes(flipped)
 
 
-def _rescan_with_slipped_decode():
-    """DutModel._rescan with its inline position-to-bit decode swapping the
-    bytes of each word, as the byte-order slip in the flip does."""
-    source = textwrap.dedent(inspect.getsource(DutModel._rescan))
-    decode = "bit = (_TOP_WORD_POS - (pos & ~31)) | (pos & 31)"
-    assert source.count(decode) == 1
-    namespace = {}
-    exec(source.replace(decode, decode + " ^ 24"), vars(dut), namespace)
-    return namespace["_rescan"]
-
-
 @pytest.mark.parametrize("where", ["fabric", "dut"])
 def test_frame_layout_check_sees_a_byte_order_slip(monkeypatch, where):
     if where == "fabric":
         monkeypatch.setattr(fabric, "flip_frame_bit", _slip_in_flip)
     else:
-        monkeypatch.setattr(DutModel, "_rescan", _rescan_with_slipped_decode())
+        # the decode table the DUT reads, with the bytes of each word
+        # swapped as the slip in the flip swaps them
+        monkeypatch.setattr(dut, "BIT_OF_POS",
+                            array("H", (bit ^ 24 for bit in fabric.BIT_OF_POS)))
     assert _layout_mismatches() == list(range(FRAME_BITS))
 
 

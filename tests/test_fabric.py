@@ -187,10 +187,15 @@ class TestGeometry:
 
     @pytest.mark.parametrize("rows, columns, block_types", [
         (33, 1, (0,)), (1, 1025, (0,)), (1, 1, (8,)), (1, 1, (-1, 0)),
-        (1, 1, ())])
+        (1, 1, ()), (1.5, 1, (0,)), (1, [("CLB", 2.5)], (0,)),
+        (1, 1, (0.9, 1.2)), (1, 1, (0, 0.5, 7))])
     def test_geometry_must_fit_far_fields(self, rows, columns, block_types):
+        # `columns` is a count of one-minor columns, or the columns
+        # themselves; a value that is not an int is refused, not truncated
+        if isinstance(columns, int):
+            columns = [("CLB", 1)] * columns
         with pytest.raises(ValueError):
-            DeviceGeometry("big", rows, [("CLB", 1)] * columns, block_types)
+            DeviceGeometry("big", rows, columns, block_types)
         DeviceGeometry("max", 32, [("CLB", 1)] * 1024, (0, 7))
 
     def test_load_file_errors(self, tmp_path):
@@ -203,7 +208,7 @@ class TestGeometry:
             load_geometry(path)
 
     @pytest.mark.parametrize("line, message", [
-        ("rows_per_half 0", "rows_per_half must be >= 1"),
+        ("rows_per_half 0", "rows_per_half must be an integer >= 1"),
         ("column CLB 200", "column CLB: minor count 200 outside 1..128"),
         ("rows_per_half 40", "FAR field row=39 outside 0..31"),
     ], ids=["no_rows", "minor_count", "row_field"])

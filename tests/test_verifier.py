@@ -1,12 +1,11 @@
-import collections
 import copy
-import gc
 import hashlib
-import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from conftest import python_calls
 
 from idfsim.verifier import (
     DrcViolation,
@@ -17,7 +16,6 @@ from idfsim.verifier import (
     SEVERITY_ERROR,
     SEVERITY_WARNING,
     UNCROSSABLE,
-    _rect_gap,
     check_idf1,
     check_idf2,
     check_idf3,
@@ -602,6 +600,13 @@ def reference_idf5(plan):
     return violations
 
 
+def _reference_gap(a, b):
+    """Chebyshev distance between the closest tiles of two rectangles."""
+    ax0, ay0, ax1, ay1 = a
+    bx0, by0, bx1, by1 = b
+    return max(bx0 - ax1, ax0 - bx1, by0 - ay1, ay0 - by1, 0)
+
+
 def reference_idf4(plan):
     """IDF-4 as an all-pairs scan of the regions."""
     violations = []
@@ -611,7 +616,7 @@ def reference_idf4(plan):
             a, b = regions[i], regions[j]
             if a.group == b.group:
                 continue
-            gap = _rect_gap(a.rect, b.rect)
+            gap = _reference_gap(a.rect, b.rect)
             if gap == 0:
                 kind = "overlaps"
             elif gap == 1:
@@ -803,30 +808,9 @@ def test_large_floorplan_report_pinned(perfbench_gen):
         "ef64fa00c21f30a942278842fc4b9d95929962387b044b2382ad3276456e136a")
 
 
-def _python_calls(fn, *args):
-    """`fn(*args)` and a Counter of the Python-level calls it made, by
-    qualified name."""
-    calls = collections.Counter()
-
-    def profile(frame, event, arg):
-        if event == "call":
-            calls[frame.f_code.co_qualname] += 1
-
-    # With the collector off, no gc callback that another library installs
-    # runs, and so none is counted.
-    gc.disable()
-    sys.setprofile(profile)
-    try:
-        result = fn(*args)
-    finally:
-        sys.setprofile(None)
-        gc.enable()
-    return result, calls
-
-
 # Python-level calls of one parse_floorplan plus run_all_checks of the
 # seed-7 floorplan, counted on Python 3.11.
-DRC_CALLS = 2188
+DRC_CALLS = 2186
 
 
 def test_drc_work_is_pinned(perfbench_gen):
@@ -835,8 +819,8 @@ def test_drc_work_is_pinned(perfbench_gen):
     # call fails.
     text, _counts = perfbench_gen.floorplan(7)
     net_lines = sum(line.startswith("NET ") for line in text.splitlines())
-    plan, calls = _python_calls(parse_floorplan, text)
-    (_header, violations), check_calls = _python_calls(run_all_checks, plan)
+    plan, calls = python_calls(parse_floorplan, text)
+    (_header, violations), check_calls = python_calls(run_all_checks, plan)
     calls += check_calls
     assert len(plan.nets) == net_lines == 550
     assert len(violations) == 96
@@ -851,7 +835,7 @@ def test_tile_and_pin_lines_make_no_python_call(perfbench_gen):
     lines = text.splitlines(keepends=True)
     bare = "".join(line for line in lines if not line.startswith(("TILE ", "PIN ")))
     assert len(lines) - len(bare.splitlines()) == 4109 + 700
-    assert _python_calls(parse_floorplan, text)[1] == _python_calls(parse_floorplan, bare)[1]
+    assert python_calls(parse_floorplan, text)[1] == python_calls(parse_floorplan, bare)[1]
 
 
 @pytest.mark.parametrize("record,fields", [

@@ -38,7 +38,6 @@ divisor; each transfer adds `(words * 4) / rate` to `sim_seconds`.
 import mmap
 import struct
 from collections import deque
-from dataclasses import dataclass
 from enum import IntEnum
 from functools import partial
 from typing import NamedTuple
@@ -84,7 +83,8 @@ class TransferError(DevcError):
 
 
 class Interface(IntEnum):
-    """Configuration interfaces in priority order (highest first)."""
+    """Configuration interfaces in priority order (highest first).  A
+    higher one preempts the owner, so RBCRC, the lowest, never does."""
 
     JTAG = 3
     PCAP = 2
@@ -95,16 +95,9 @@ class Interface(IntEnum):
 # Bound once for the DMA path: on Python 3.11 reading an enum member
 # costs several times as much as reading a module global.
 _PCAP = Interface.PCAP
-_RBCRC = Interface.RBCRC
 
 # A descriptor's direction as the DMA events spell it.
 _UPPER = {"ps2pl": "PS2PL", "pl2ps": "PL2PS"}
-
-
-@dataclass
-class CtrlReg:
-    pcap_pr: bool = False
-    pcap_mode: bool = False
 
 
 class DmaDescriptor(NamedTuple):
@@ -172,7 +165,8 @@ class Device:
         self.geometry = geometry if geometry is not None else desk_geometry()
         self.engine = ConfigEngine(self.geometry, ZEDBOARD_IDCODE)
         self.dram = Dram()
-        self.ctrl = CtrlReg()
+        # The control register's bits, by the names `write_reg` takes.
+        self.ctrl = {"ctrl_pcap_pr": False, "ctrl_pcap_mode": False}
         self.locked = True
         self.cfg_done = False
         self.cfg_error = []  # a rejected stream's events; the poller clears it
@@ -206,28 +200,25 @@ class Device:
         if self.locked:
             self.events.append(("REGWRITE DROPPED LOCKED {}", name))
             return
-        if name == "ctrl_pcap_pr":
-            self.ctrl.pcap_pr = bool(value)
-        elif name == "ctrl_pcap_mode":
-            self.ctrl.pcap_mode = bool(value)
-        else:
+        if name not in self.ctrl:
             raise ValueError(f"unknown register {name!r}")
+        self.ctrl[name] = bool(value)
 
     # -- initialization ----------------------------------------------------
 
     def pl_initialize(self):
         """Bring the PL up over PCAP: power, init, PCAP select, cfg done.
 
-        Requires the device unlocked and ctrl.pcap_pr/ctrl.pcap_mode already
-        set, otherwise PCAP cannot be selected.  A call that raises changes
+        Requires the device unlocked and both `ctrl` bits already set,
+        otherwise PCAP cannot be selected.  A call that raises changes
         nothing, so it can be retried once the cause is fixed.
         """
         if self.locked:
             raise LockedError("unlock the DevC interface first")
         if self.cfg_done:
             raise SequencingError("pl_initialize called after CFG_DONE")
-        if not (self.ctrl.pcap_pr and self.ctrl.pcap_mode):
-            raise SequencingError("ctrl.pcap_pr and ctrl.pcap_mode must be set "
+        if not all(self.ctrl.values()):
+            raise SequencingError("ctrl_pcap_pr and ctrl_pcap_mode must be set "
                                   "before PCAP can be selected")
         self.cfg_done = True
         self.events.append(("PL INIT CFG_DONE",))
@@ -235,6 +226,9 @@ class Device:
     def set_pcap_clock_divisor(self, div):
         if not isinstance(div, int) or div < 1:
             raise ValueError("clock divisor must be an integer >= 1")
+        if div > PCAP_CLK_HZ:
+            raise ValueError(f"clock divisor {div} leaves no PCAP clock "
+                             f"(at most {PCAP_CLK_HZ})")
         self.clock_divisor = div
         # PCAP moves one word per clock, up to the bridge's maximum.
         self._byte_rate = min(4 * self.pcap_clock_hz, PCAP_MAX_BYTES_PER_SEC)
@@ -267,9 +261,10 @@ class Device:
                                   f"address 0x{PL_ADDR:08X}")
         if src_len < 0 or dst_len < 0:
             raise DescriptorError(f"negative transfer length {src_len}/{dst_len}")
-        ps_addr = src if to_pl else dst  # the transfer moves 4 * dst_len bytes
-        if not 0 <= ps_addr <= _SPACE - 4 * dst_len:
-            raise DescriptorError(f"{dst_len} words at {ps_addr:#x} leave "
+        # The PS end's span, in its own length: a source reads src_len words.
+        ps_addr, ps_len = (src, src_len) if to_pl else (dst, dst_len)
+        if not 0 <= ps_addr <= _SPACE - 4 * ps_len:
+            raise DescriptorError(f"{ps_len} words at {ps_addr:#x} leave "
                                   "the 32-bit address space")
         direction = "ps2pl" if to_pl else "pl2ps"
         self.dma_queue.append(_descriptor((src, dst, src_len, dst_len, direction)))
@@ -343,9 +338,8 @@ class Device:
     # -- arbitration ---------------------------------------------------------
 
     def interface_acquire(self, kind):
-        """Request the configuration interface; returns True when granted."""
-        if kind.__class__ is not Interface:  # a member skips the lookup
-            kind = Interface(kind)
+        """Request the configuration interface for `kind`, an `Interface`
+        member; returns True when granted."""
         owner = self.owner
         if owner is None:
             self.owner = kind
@@ -353,9 +347,6 @@ class Device:
             return True
         if owner is kind:
             return True
-        if kind is _RBCRC:
-            self.events.append(("ACQUIRE RBCRC IGNORED OWNER={0.name}", owner))
-            return False
         if kind > owner:
             self.events.append(("ACQUIRE {0.name} PREEMPTS {1.name}", kind, owner))
             self.owner = kind

@@ -115,14 +115,17 @@ class SensitivityMap:
         self._by_far = {}
 
     def add(self, far_word, bit, criticality):
-        """Set one bit's class, a `Criticality` or its map-line token,
-        replacing any earlier one."""
+        """Set one bit's class, replacing any earlier one.  The FAR and the
+        bit are ints and the class a `Criticality` member; anything else
+        raises ValueError and leaves the map as it was."""
+        if not (isinstance(far_word, int) and isinstance(bit, int)
+                and isinstance(criticality, Criticality)):
+            raise ValueError(f"map entry {far_word!r} {bit!r} {criticality!r} "
+                             "needs an int FAR and bit and a Criticality")
         if not 0 <= far_word <= 0xFFFFFFFF:
             raise ValueError(f"FAR {far_word:#x} outside 0..0xffffffff")
         if not 0 <= bit < FRAME_BITS:
             raise ValueError(f"bit index {bit} outside 0..{FRAME_BITS - 1}")
-        if not isinstance(criticality, Criticality):
-            criticality = Criticality(criticality)
         self._by_far.setdefault(far_word, {})[bit] = criticality
 
     @property

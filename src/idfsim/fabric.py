@@ -229,16 +229,17 @@ class ConfigEngine:
     """The PL-side configuration state machine.
 
     One engine is exclusively owned by one caller at a time.  `execute`
-    consumes a stream of big-endian 32-bit words and returns (readback,
-    events), the read-back data as big-endian bytes; everything before a
-    word-aligned sync word is ignored, skipped in one `bytes.find` step,
-    and a DESYNC command drops sync again.  Events are stable lowercase
-    strings.  Type-1 headers of known registers are decoded through
-    `_TYPE1_HEADERS` (`w >> 13` -> op, register; the count is `w & 0x7FF`);
-    Type-2 headers, unknown registers and stray words take the general
-    path.  Every register write and read is applied in `execute` itself;
-    a CMD, FAR or IDCODE write takes only its first payload word.  The
-    IDCODE must match `device_id`, refused with ValueError outside 32 bits.
+    consumes a stream of big-endian 32-bit words, `bytes` and nothing
+    else, and returns (readback, events), the read-back data as big-endian
+    bytes; everything before a word-aligned sync word is ignored, skipped
+    in one `bytes.find` step, and a DESYNC command drops sync again.
+    Events are stable lowercase strings.  Type-1 headers of known
+    registers are decoded through `_TYPE1_HEADERS` (`w >> 13` -> op,
+    register; the count is `w & 0x7FF`); Type-2 headers, unknown registers
+    and stray words take the general path.  Every register write and read
+    is applied in `execute` itself; a CMD, FAR or IDCODE write takes only
+    its first payload word.  The IDCODE must match `device_id`, refused
+    with ValueError outside 32 bits.
 
     `current_far` is the integer FAR word the next frame commits to or
     reads from, or None once the last frame is passed or a FAR write
@@ -277,9 +278,8 @@ class ConfigEngine:
         self._mutations = 0
 
     def execute(self, data):
-        if not isinstance(data, bytes):
-            # Frames are slices of `data`: a mutable buffer is copied first.
-            data = bytes(memoryview(data))
+        if not isinstance(data, bytes):  # frames are slices of `data`
+            raise TypeError(f"a stream is bytes, not {type(data).__name__}")
         words = array("I", data)  # the packets word codec's view
         if BYTESWAP:
             words.byteswap()

@@ -19,6 +19,7 @@ from idfsim.campaign import (
     counters,
     estimate_time,
     frame_rows_csv,
+    merge_summaries,
     overhead_csv,
     overhead_diff,
     parse_utilization,
@@ -757,6 +758,35 @@ class TestCampaignAuto:
         assert dut.baseline_engine is b.engine
         assert summary.critical == rows[0].critical == 2
         assert counters(b) == (2, 3230)
+
+    # DMA 12,959 is the fault write of the middle frame's bit 7: four DMAs
+    # per injection, 3232 injections per frame.
+    @pytest.mark.parametrize("failing", [set(), {4 * 3232 + 4 * 7 + 3}],
+                             ids=["clean", "one_failed_dma"])
+    def test_run_auto_is_a_fold_over_its_frames(self, fail_dma_calls, failing):
+        # The per-frame seam: one call over the FAR list equals one call
+        # per frame on the same campaign, merged with `merge_summaries`.
+        fars = desk_geometry().far_words()[:3]
+        smap = sensitivity_generate(11, fars, 600)
+        results = []
+        for per_frame in (False, True):
+            dev, c = _fresh(smap)
+            fail_dma_calls(failing)
+            if per_frame:
+                parts = [c.run_auto([far]) for far in fars]
+                summary = merge_summaries(*(part[0] for part in parts))
+                rows = [row for part in parts for row in part[1]]
+            else:
+                summary, rows = c.run_auto(fars)
+            results.append((summary, rows, counters(dev)))
+        assert results[0] == results[1]
+        summary, rows, _ = results[0]
+        # The failed injection is not counted, critical or not.
+        lost = bool(failing) and (fars[1], 7) in {
+            (far, bit) for far, bit, _ in smap.iter_entries()}
+        assert summary.critical == 600 - lost
+        assert summary.transfer_errors == len(failing)
+        assert [row.injections for row in rows] == [3232, 3232 - len(failing), 3232]
 
 
 def test_compare_summaries():

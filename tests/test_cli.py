@@ -2,6 +2,7 @@ import hashlib
 import io
 import os
 import shlex
+import shutil
 import sys
 from pathlib import Path
 
@@ -611,16 +612,39 @@ def test_usage_error_exit_code():
     assert excinfo.value.code == 2
 
 
-def _readme_commands():
-    """Arguments of each `$ idfsim ...` line in README's "Command line"
-    block, joined across backslash continuations."""
+def _readme_console():
+    """The lines of README's "Command line" console block, joined across
+    backslash continuations."""
     readme = (Path(__file__).parent.parent / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("```console", 1)[1]
-    block = block.split("```", 1)[0].replace("\\\n", " ")
+    return block.split("```", 1)[0].replace("\\\n", " ").splitlines()
+
+
+def _readme_commands():
+    """Arguments of each `$ idfsim ...` line in README's "Command line"
+    block."""
     return [shlex.split(line, comments=True)[2:]
-            for line in block.splitlines() if line.startswith("$ idfsim ")]
+            for line in _readme_console() if line.startswith("$ idfsim ")]
 
 
 @pytest.mark.parametrize("argv", _readme_commands(), ids=lambda a: a[0])
 def test_readme_commands_parse(argv):
     build_parser().parse_args(argv)
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    # Each line in order, in a scratch directory that holds a copy of the
+    # fixtures the lines name.  The campaign finds critical bits: exit 1.
+    shutil.copytree(FIXTURES, tmp_path / "tests" / "fixtures")
+    monkeypatch.chdir(tmp_path)
+    lines = _readme_console()
+    at = next(i for i, line in enumerate(lines)
+              if line.startswith("$ idfsim decode rb.bin"))
+    shown = lines[at + 1:lines.index("...", at)]
+    assert len(shown) == 3
+    for argv in _readme_commands():
+        expected = EXIT_FINDINGS if argv[0] == "campaign" else EXIT_OK
+        assert main(argv) == expected, argv
+        out = capsys.readouterr().out
+        if argv == ["decode", "rb.bin"]:
+            assert out.splitlines()[:3] == shown

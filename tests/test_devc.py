@@ -4,9 +4,11 @@ import tracemalloc
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from idfsim.devc import (
     DescriptorError,
+    DevcError,
     Device,
     DmaDescriptor,
     Dram,
@@ -82,7 +84,7 @@ class TestLockAndInit:
         dev.dma_enqueue(0x00200000, PL_ADDR, 10, 10)
         dev.write_reg("ctrl_pcap_pr", 1)
         assert not dev.dma_queue
-        assert not dev.ctrl.pcap_pr
+        assert not dev.ctrl["ctrl_pcap_pr"]
         assert _text(dev) == [
             f"REGWRITE DROPPED LOCKED {name}"
             for name in ("dma_src", "dma_dst", "dma_src_len", "dma_dst_len",
@@ -187,6 +189,16 @@ class TestDmaDescriptor:
         dev.dma_enqueue(0xFFFFFFEC, PL_ADDR, 5, 5)  # ends at the top
         dev.dma_enqueue(PL_ADDR, 0xFFFFFFEC, 5, 5)
         assert len(dev.dma_queue) == 2
+
+    def test_the_ps_span_is_the_ps_ends_own_length(self):
+        # A PS->PL source reads src_len words, whatever dst_len says.
+        dev = _ready_device()
+        with pytest.raises(DescriptorError, match="^5 words at 0xfffffff0 "):
+            dev.dma_enqueue(0xFFFFFFF0, PL_ADDR, 5, 4)
+        with pytest.raises(DescriptorError, match="^5 words at 0xfffffff0 "):
+            dev.dma_enqueue(PL_ADDR, 0xFFFFFFF0, 4, 5)
+        assert not dev.dma_queue
+        assert _text(dev) == []
 
     def test_an_address_outside_32_bits_is_not_wrapped(self):
         # -1 is not the PL address 0xFFFFFFFF, and -4 is not 0xFFFFFFFC.
@@ -543,6 +555,17 @@ class TestClockDivisor:
         assert (dev.clock_divisor, dev.pcap_clock_hz, dev._byte_rate) == before
         assert before == (SAFE_DIVISOR, 25_000_000, 100_000_000)
 
+    def test_a_divisor_that_leaves_no_clock_is_refused(self):
+        # Above 100,000,000 the clock would be 0 Hz and a transfer's time a
+        # division by zero.
+        dev = Device()
+        dev.set_pcap_clock_divisor(PCAP_CLK_HZ)
+        assert dev.pcap_clock_hz == 1
+        with pytest.raises(ValueError, match="^clock divisor 100000001 "
+                           "leaves no PCAP clock"):
+            dev.set_pcap_clock_divisor(PCAP_CLK_HZ + 1)
+        assert (dev.clock_divisor, dev.pcap_clock_hz) == (PCAP_CLK_HZ, 1)
+
     def test_simulated_time_follows_each_transfer_divisor(self):
         # Each transfer is timed at the divisor set when it runs, summed in
         # order in the same float arithmetic; a failed one adds nothing.
@@ -622,19 +645,6 @@ class TestArbitration:
         assert dev.interface_acquire(Interface.PCAP)
         assert _text(dev) == []
 
-    def test_plain_int_kind(self):
-        dev = boot_device()
-        dev.drain_events()
-        assert dev.interface_acquire(2)
-        assert dev.owner is Interface.PCAP
-        assert _text(dev) == ["ACQUIRE PCAP GRANTED"]
-        # the owner asking again by number: granted, silently
-        assert dev.interface_acquire(2)
-        assert dev.owner is Interface.PCAP
-        assert _text(dev) == []
-        assert dev.interface_acquire(3)
-        assert _text(dev) == ["ACQUIRE JTAG PREEMPTS PCAP"]
-
     def test_member_kind_skips_the_conversion(self, monkeypatch):
         calls = []
         meta = type(Interface)
@@ -653,8 +663,6 @@ class TestArbitration:
         dev.interface_acquire(Interface.PCAP)
         assert not dev.interface_acquire(Interface.ICAP)
         assert calls == []
-        assert dev.interface_acquire(3)  # a plain int is converted
-        assert calls == [(3,)]
 
     def test_desync_from_engine_releases(self):
         dev = _ready_device()
@@ -824,3 +832,201 @@ def test_dram_matches_flat_model(ops):
     assert dram.read_bytes(_LO, _SPAN) == bytes(model)
     assert dram.read_bytes(_LO - 4096, 4096) == bytes(4096)  # unwritten reads 0
     assert dram.read_bytes(_LO + _SPAN, 4096) == bytes(4096)
+
+
+# -- DevC's control rules against a reference model -----------------------------
+
+
+class _DevcModel:
+    """DevC's lock, control bits, PL bring-up, PCAP clock, DMA descriptors
+    and interface arbitration, written from UG585's rules apart from
+    `Device`.  Each method does what the call should do, or raises the
+    error class it should raise, and appends the event lines it logs:
+
+    * the registers are locked until 0x757BDF0D is written to UNLOCK; while
+      locked, every other register write is dropped and logged;
+    * PL bring-up selects PCAP, which needs CTRL's PCAP_PR and PCAP_MODE
+      set, and ends with CFG_DONE, once;
+    * the PCAP clock is the 100 MHz reference over an integer divisor, and
+      a divisor that leaves no clock is refused;
+    * a DMA descriptor moves words between PS memory and the PL address
+      0xFFFFFFFF: exactly one end is the PL, lengths are not negative, and
+      the PS end's span lies in the 32-bit space.  Queueing needs CFG_DONE;
+    * the configuration interfaces rank JTAG > PCAP > ICAP > RBCRC: a
+      higher one preempts the owner, the read-back CRC never preempts, and
+      a DESYNC releases the owner.
+    """
+
+    RANK = {"JTAG": 3, "PCAP": 2, "ICAP": 1, "RBCRC": 0}
+
+    def __init__(self):
+        self.locked = True
+        self.ctrl = {"ctrl_pcap_pr": False, "ctrl_pcap_mode": False}
+        self.cfg_done = False
+        self.divisor = 1
+        self.owner = None  # an interface name
+        self.queue = []
+        self.lines = []
+
+    def unlock(self, key):
+        if key != 0x757BDF0D:
+            self.lines.append(f"UNLOCK REJECTED KEY=0x{key:08x}")
+            raise LockedError
+        self.locked = False
+        self.lines.append("UNLOCK OK")
+
+    def write_reg(self, name, value):
+        if self.locked:
+            self.lines.append(f"REGWRITE DROPPED LOCKED {name}")
+        elif name in self.ctrl:
+            self.ctrl[name] = value != 0
+        else:
+            raise ValueError
+
+    def pl_initialize(self):
+        if self.locked:
+            raise LockedError
+        if self.cfg_done or not all(self.ctrl.values()):
+            raise SequencingError
+        self.cfg_done = True
+        self.lines.append("PL INIT CFG_DONE")
+
+    def set_pcap_clock_divisor(self, div):
+        if type(div) is not int or not 1 <= div <= 100_000_000:
+            raise ValueError
+        self.divisor = div
+
+    def dma_enqueue(self, src, dst, src_len, dst_len):
+        if self.locked:
+            self.lines += [f"REGWRITE DROPPED LOCKED dma_{reg}"
+                           for reg in ("src", "dst", "src_len", "dst_len")]
+            return
+        if not self.cfg_done:
+            raise SequencingError
+        to_pl = dst == 0xFFFFFFFF
+        if to_pl == (src == 0xFFFFFFFF) or src_len < 0 or dst_len < 0:
+            raise DescriptorError
+        ps, words = (src, src_len) if to_pl else (dst, dst_len)
+        if not 0 <= ps <= ps + 4 * words <= 1 << 32:
+            raise DescriptorError
+        way = "PS2PL" if to_pl else "PL2PS"
+        self.queue.append((src, dst, src_len, dst_len, way.lower()))
+        self.lines.append(f"DMA QUEUED {way} SRC=0x{src:08x} DST=0x{dst:08x} "
+                          f"LEN={dst_len}")
+
+    def interface_acquire(self, kind):
+        if self.owner is None:
+            self.lines.append(f"ACQUIRE {kind} GRANTED")
+        elif self.owner == kind:
+            return True
+        elif self.RANK[kind] > self.RANK[self.owner]:
+            self.lines.append(f"ACQUIRE {kind} PREEMPTS {self.owner}")
+        else:
+            self.lines.append(f"ACQUIRE {kind} IGNORED OWNER={self.owner}")
+            return False
+        self.owner = kind
+        return True
+
+    def interface_release_on_desync(self):
+        if self.owner is not None:
+            self.lines.append(f"DESYNC RELEASE {self.owner}")
+            self.owner = None
+
+
+def _devc_state(dev):
+    """Everything of a `Device` that a control call may change, its event
+    log aside."""
+    return (dev.locked, dict(dev.ctrl), dev.cfg_done, dev.clock_divisor,
+            dev.pcap_clock_hz, dev.owner, list(dev.dma_queue),
+            dev.pending_readback, dev.words_moved, dev.sim_seconds,
+            list(dev.cfg_error))
+
+
+# Descriptor fields around the PL address and both ends of the PS space.
+_DMA_ADDRS = st.sampled_from([PL_ADDR, 0, 0x00200000, 0xFFFFFFF0, 0xFFFFFFFC,
+                              -4, 1 << 32])
+_DMA_LENGTHS = st.sampled_from([-1, 0, 1, 4, 101, 1 << 30])
+
+
+class DevcControlMachine(RuleBasedStateMachine):
+    def __init__(self):
+        super().__init__()
+        self.dev = Device()
+        self.model = _DevcModel()
+
+    def _both(self, name, *args):
+        """Make the call on the model and on the device; both return the
+        same or raise the same class, and a raised error changes nothing
+        but the event log."""
+        try:
+            expected = getattr(self.model, name)(*args)
+        except (DevcError, ValueError) as exc:
+            expected = type(exc)
+        before = _devc_state(self.dev)
+        try:
+            got = getattr(self.dev, name)(*args)
+        except (DevcError, ValueError) as exc:
+            got = type(exc)
+            assert _devc_state(self.dev) == before
+        assert got == expected, (name, args)
+
+    @rule(key=st.sampled_from([UNLOCK_KEY, 0, 0xBEEF, UNLOCK_KEY ^ 1]))
+    def unlock(self, key):
+        self._both("unlock", key)
+
+    @rule(name=st.sampled_from(["ctrl_pcap_pr", "ctrl_pcap_mode",
+                                "ctrl_pcap_rate_en", "dma_src"]),
+          value=st.integers(0, 2))
+    def write_reg(self, name, value):
+        self._both("write_reg", name, value)
+
+    @rule()
+    def pl_initialize(self):
+        self._both("pl_initialize")
+
+    @rule()
+    def bring_up(self):
+        """The whole bring-up, so that many runs reach CFG_DONE."""
+        self._both("unlock", UNLOCK_KEY)
+        self._both("write_reg", "ctrl_pcap_pr", 1)
+        self._both("write_reg", "ctrl_pcap_mode", 1)
+        self._both("pl_initialize")
+
+    @rule(div=st.one_of(st.integers(-2, 9), st.sampled_from(
+        [100_000_000, 100_000_001, 1 << 40, 2.0, "4", None])))
+    def set_pcap_clock_divisor(self, div):
+        self._both("set_pcap_clock_divisor", div)
+
+    @rule(src=_DMA_ADDRS, dst=_DMA_ADDRS, src_len=_DMA_LENGTHS,
+          dst_len=_DMA_LENGTHS)
+    def dma_enqueue(self, src, dst, src_len, dst_len):
+        self._both("dma_enqueue", src, dst, src_len, dst_len)
+
+    @rule(kind=st.sampled_from(list(Interface)))
+    def interface_acquire(self, kind):
+        expected = self.model.interface_acquire(kind.name)
+        owner = self.dev.owner
+        assert self.dev.interface_acquire(kind) is expected
+        if kind is Interface.RBCRC and owner not in (None, Interface.RBCRC):
+            assert self.dev.owner is owner  # RBCRC never preempts
+
+    @rule()
+    def interface_release_on_desync(self):
+        self._both("interface_release_on_desync")
+
+    @invariant()
+    def device_matches_model(self):
+        dev, model = self.dev, self.model
+        assert _text(dev) == model.lines
+        model.lines = []
+        assert (dev.locked, dev.ctrl, dev.cfg_done) == (
+            model.locked, model.ctrl, model.cfg_done)
+        assert dev.clock_divisor == model.divisor
+        assert dev.pcap_clock_hz == PCAP_CLK_HZ // model.divisor
+        assert (None if dev.owner is None else dev.owner.name) == model.owner
+        assert [tuple(d) for d in dev.dma_queue] == model.queue
+
+
+DevcControlMachine.TestCase.settings = settings(
+    derandomize=True, max_examples=150, stateful_step_count=30, deadline=None)
+TestDevcControl = DevcControlMachine.TestCase

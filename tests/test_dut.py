@@ -178,15 +178,20 @@ class TestSensitivityMap:
         assert loaded.frames == smap.frames
         assert list(loaded.iter_entries()) == list(smap.iter_entries())
 
-    def test_add_string_or_member_same_map(self):
-        by_name, by_member = SensitivityMap(), SensitivityMap()
-        for i, crit in enumerate(list(Criticality) * 3):
-            by_name.add(i % 4, i, crit.value)
-            by_member.add(i % 4, i, crit)
-        assert list(by_name.iter_entries()) == list(by_member.iter_entries())
-        assert by_name.critical_count == by_member.critical_count == 9
-        with pytest.raises(ValueError):
-            by_name.add(0, 0, "module2")
+    @pytest.mark.parametrize("far, bit, crit", [
+        (0.0, 5, Criticality.MODULE0),
+        (0, 2.5, Criticality.MODULE0),
+        (0, 5, "module1"),
+    ], ids=["float_far", "float_bit", "token_class"])
+    def test_add_refuses_other_forms(self, far, bit, crit):
+        # A float bit would be saved as a line `load` refuses, and a class
+        # token is `load`'s to convert.
+        smap = SensitivityMap()
+        smap.add(0, 5, Criticality.MODULE0)
+        with pytest.raises(ValueError, match="needs an int FAR and bit and "
+                           "a Criticality"):
+            smap.add(far, bit, crit)
+        assert list(smap.iter_entries()) == [(0, 5, Criticality.MODULE0)]
 
     @pytest.mark.parametrize("first, second", [
         (Criticality.MODULE0, Criticality.MODULE1),

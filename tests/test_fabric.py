@@ -1044,14 +1044,17 @@ def test_frames_are_immutable_bytes():
     rest = words[cut:]
     rest[:0] = [encode_type1(OpCode.WRITE, ConfigRegister.FDRI, 0),
                 encode_type2(OpCode.WRITE, len(rest) - 2)]
-    streams = [bytearray(words_to_bytes(words[:cut])),
-               bytearray(words_to_bytes(rest))]
-    engine.execute(streams[0])
+    first, second = words_to_bytes(words[:cut]), words_to_bytes(rest)
+    # Only bytes are a stream: a mutable buffer or a word list is refused
+    # before any word is read.
+    for refused in (bytearray(first), memoryview(first), words[:cut]):
+        with pytest.raises(TypeError):
+            engine.execute(refused)
+    assert not engine.synced and engine.memory == {}
+    engine.execute(first)
     assert type(engine.frame_buffer) is bytes
     assert len(engine.frame_buffer) == 4 * 40
-    engine.execute(memoryview(streams[1]))
-    for data in streams:
-        data[:] = b"\xff" * len(data)
+    engine.execute(second)
     assert _memory_words(engine) == dict(zip(fars, frames))
     assert {type(f) for f in engine.memory.values()} == {bytes}
     written = engine.memory.get(fars[1], ZERO_FRAME)
@@ -1062,8 +1065,6 @@ def test_frames_are_immutable_bytes():
     assert unwritten == bytes(4 * FRAME_WORDS)
     assert bytes_to_words(engine.memory[fars[1]])[0] == frames[1][0] ^ 1
     assert bytes_to_words(engine.memory[fars[5]])[0] == 1
-    with pytest.raises(TypeError):
-        engine.execute([SYNC_WORD])  # a word list is not a byte stream
 
 
 def test_whole_device_round_trip():
